@@ -1,12 +1,15 @@
 """Galerkin assembly on spline spaces.
 
-Matrices are assembled element by element with Gauss-Legendre quadrature:
-p+1 points per element make the spline-spline integrands exact, loads and
-error functionals use p+3 points.  Elements are the knot spans intersected
-with [0, 1] (equivalently, consecutive breakpoints).  Reduced-space
-matrices are congruence transforms of the B-spline Gram matrices by the
-extraction; the direct quadrature route over the reduced basis exists in
-the test suite as an independent oracle.
+Gram matrices are assembled in one vectorised pass over the concatenated
+Gauss-Legendre grid of all elements: p+1 points per element make the
+spline-spline integrands exact, loads and error functionals use p+3
+points.  Elements are the knot spans intersected with [0, 1]
+(equivalently, consecutive breakpoints).  The per-element blocks are
+scattered straight into packed symmetric band storage, and reduced-space
+matrices are sparse congruence transforms of those banded B-spline Gram
+matrices by the extraction, so no dense n x n matrix is formed.  The
+direct quadrature route over the reduced basis exists in the test suite as
+an independent oracle.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .exceptions import ConfigError
 from .spaces import SpaceSpec
@@ -79,38 +83,62 @@ class SymBandMatrix:
         return a
 
     def matvec(self, x):
-        return self.to_dense() @ np.asarray(x, dtype=float)
+        """A @ x for a vector or an (n, k) block, in O(bandwidth * n * k)."""
+        x = np.asarray(x, dtype=float)
+        band = self.band if x.ndim == 1 else self.band[:, :, None]
+        y = band[0] * x
+        for d in range(1, self.bandwidth + 1):
+            b = band[d, :self.n - d]
+            y[d:] += b * x[:-d]
+            y[:-d] += b * x[d:]
+        return y
 
 
 def bspline_gram(knots: KnotVector, breaks, d, rule=None):
     """Gram matrix of the d-th derivatives of all B-splines on the knots.
 
     Integration runs over [0, 1] only.  The default rule (p+1 points) is
-    exact for the piecewise-polynomial integrand.
+    exact for the piecewise-polynomial integrand.  Returns the packed
+    lower band of shape (p+1, nb), ``band[k, j] == G[j + k, j]`` (the
+    :class:`SymBandMatrix` layout with bandwidth p, nb = n_el + p).
     """
     p = knots.p
     if not 0 <= d <= p:
         raise ConfigError("derivative order out of range")
     m = p + 1 if rule is None else rule
-    nb = knots.num_basis
-    g = np.zeros((nb, nb))
-    x, w = gauss_legendre(m)
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        xs = 0.5 * (a + b) + 0.5 * (b - a) * x
-        ws = 0.5 * (b - a) * w
-        spans, vals = bspline_eval_batch(knots, d, xs)
-        lo = int(spans[0])
-        v = vals[:, d, :]
-        block = np.einsum("qa,qb,q->ab", v, v, ws)
-        g[lo:lo + p + 1, lo:lo + p + 1] += block
-    return g
+    n_el = len(breaks) - 1
+    xs, ws = quadrature_grid(breaks, m)
+    spans, vals = bspline_eval_batch(knots, d, xs)
+    v = vals[:, d, :].reshape(n_el, m, p + 1)
+    blocks = np.einsum("eqa,eqb,eq->eab", v, v, ws.reshape(n_el, m))
+    # Element e's active B-splines start at column lo[e]; the columns are
+    # distinct, so each scatter below touches every entry at most once.
+    # Running a downward adds the elements in ascending order.
+    lo = spans[::m]
+    band = np.zeros((p + 1, knots.num_basis))
+    for k in range(p + 1):
+        diag = np.diagonal(blocks, offset=-k, axis1=1, axis2=2)
+        for a in range(p - k, -1, -1):
+            band[k, lo + a] += diag[:, a]
+    return band
 
 
 def _congruence(spec: SpaceSpec, d):
-    g = bspline_gram(spec.knots, spec.breaks, d)
-    a = spec.extraction @ g @ spec.extraction.T
-    a = 0.5 * (a + a.T)
-    return SymBandMatrix.from_dense(a)
+    band = bspline_gram(spec.knots, spec.breaks, d)
+    p, nb = band.shape[0] - 1, band.shape[1]
+    offsets = range(-p, p + 1)
+    g = scipy.sparse.diags_array([band[abs(k), :nb - abs(k)] for k in offsets],
+                                 offsets=offsets, shape=(nb, nb))
+    e = scipy.sparse.csr_array(spec.extraction)
+    a = e @ g @ e.T
+    a = (0.5 * (a + a.T)).tocoo()
+    keep = (a.row >= a.col) & (a.data != 0)
+    rows, cols, vals = a.row[keep], a.col[keep], a.data[keep]
+    offs = rows - cols
+    bw = int(offs.max()) if offs.size else 0
+    out = np.zeros((bw + 1, spec.n))
+    out[offs, cols] = vals
+    return SymBandMatrix(n=spec.n, bandwidth=bw, band=out)
 
 
 def assemble_mass(spec: SpaceSpec) -> SymBandMatrix:
@@ -129,15 +157,15 @@ def assemble_load(spec: SpaceSpec, f) -> np.ndarray:
     return spec.extraction @ bb
 
 
-def bspline_load(knots: KnotVector, breaks, f, extra=2):
-    """Load vector of f against all B-splines on the knots."""
+def bspline_load(knots: KnotVector, breaks, f, extra=2, d=0):
+    """Load vector of f against the d-th derivatives of all B-splines."""
     p = knots.p
     nb = knots.num_basis
     out = np.zeros(nb)
     xs, ws = quadrature_grid(breaks, p + 1 + extra)
-    spans, vals = bspline_eval_batch(knots, 0, xs)
+    spans, vals = bspline_eval_batch(knots, d, xs)
     fv = np.asarray(f(xs), dtype=float) * ws
-    contrib = vals[:, 0, :] * fv[:, None]
+    contrib = vals[:, d, :] * fv[:, None]
     for a in range(p + 1):
         np.add.at(out, spans + a, contrib[:, a])
     return out

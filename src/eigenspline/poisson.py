@@ -194,13 +194,8 @@ def solve_poisson_1d(spec: SpaceSpec, prob: ManufacturedProblem1D,
     if correct:
         left, right = hermite_data_from_problem(spec, prob)
         corr = hermite_correction_1d(spec, left, right)
-        g1 = bspline_gram(spec.knots, spec.breaks, 1)
-        bb = bb - g1 @ corr.coeffs
-    rhs = spec.extraction @ bb
-    try:
-        coeffs = scipy.linalg.solveh_banded(s.band, rhs, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"stiffness solve failed: {exc}") from exc
+        bb = bb - _gram(spec, 1).matvec(corr.coeffs)
+    coeffs = _solve_banded(s, spec.extraction @ bb, "stiffness")
     err_l2 = err_h1 = None
     if prob.u is not None:
         bc_total = spec.extraction.T @ coeffs
@@ -214,25 +209,36 @@ def solve_poisson_1d(spec: SpaceSpec, prob: ManufacturedProblem1D,
 
 def l2_projection(spec: SpaceSpec, f) -> np.ndarray:
     """Coefficients of the L2-orthogonal projection of f onto the space."""
-    m = assemble_mass(spec)
     rhs = spec.extraction @ bspline_load(spec.knots, spec.breaks, f)
-    return scipy.linalg.solveh_banded(m.band, rhs, lower=True)
+    return _solve_banded(assemble_mass(spec), rhs, "mass")
 
 
 def ritz_projection(spec: SpaceSpec, f_d1) -> np.ndarray:
     """Coefficients of the H1-seminorm-best approximation (for spaces on
     which the stiffness is definite, i.e. Dirichlet-type)."""
-    s = assemble_stiffness(spec)
-    kv, p = spec.knots, spec.p
-    xs, ws = quadrature_grid(spec.breaks, p + 3)
-    spans, vals = bspline_eval_batch(kv, 1, xs)
-    fv = np.asarray(f_d1(xs), dtype=float) * ws
-    bb = np.zeros(kv.num_basis)
-    contrib = vals[:, 1, :] * fv[:, None]
-    for a in range(p + 1):
-        np.add.at(bb, spans + a, contrib[:, a])
-    rhs = spec.extraction @ bb
-    return scipy.linalg.solveh_banded(s.band, rhs, lower=True)
+    rhs = spec.extraction @ bspline_load(spec.knots, spec.breaks, f_d1, d=1)
+    return _solve_banded(assemble_stiffness(spec), rhs, "stiffness")
+
+
+def _gram(spec: SpaceSpec, d) -> SymBandMatrix:
+    """Banded Gram matrix of the d-th derivatives of the spec's B-splines."""
+    kv = spec.knots
+    return SymBandMatrix(n=kv.num_basis, bandwidth=kv.p,
+                         band=bspline_gram(kv, spec.breaks, d))
+
+
+def _solve_banded(a: SymBandMatrix, rhs, what) -> np.ndarray:
+    """Solve A x = rhs for symmetric positive definite banded A; non-finite
+    data and factorization failures raise NumericalError."""
+    if not np.all(np.isfinite(rhs)):
+        raise NumericalError(f"{what} solve: right-hand side is not finite")
+    try:
+        x = scipy.linalg.solveh_banded(a.band, rhs, lower=True)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise NumericalError(f"{what} solve failed: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise NumericalError(f"{what} solve: solution is not finite")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +379,11 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
     corr = None
     if correct:
         corr = boundary_correction_2d(spec1, spec2, prob)
-        g1s = bspline_gram(spec1.knots, spec1.breaks, 1)
-        g1m = bspline_gram(spec1.knots, spec1.breaks, 0)
-        g2s = bspline_gram(spec2.knots, spec2.breaks, 1)
-        g2m = bspline_gram(spec2.knots, spec2.breaks, 0)
-        bb = bb - (g1s @ corr @ g2m + g1m @ corr @ g2s)
+        g1s, g1m = _gram(spec1, 1), _gram(spec1, 0)
+        g2s, g2m = _gram(spec2, 1), _gram(spec2, 0)
+        # G1 C G2 = (G2 (G1 C)^T)^T for symmetric G2
+        bb = bb - (g2m.matvec(g1s.matvec(corr).T).T
+                   + g2s.matvec(g1m.matvec(corr).T).T)
 
     rhs = spec1.extraction @ bb @ spec2.extraction.T
     u = fast_diagonalization_solve(s1, m1, s2, m2, rhs)

@@ -201,25 +201,24 @@ def _tiled_extraction(m, keep, reduced):
     zero columns in the non-reduced case).  ``keep`` columns are taken on
     each side of a central identity, counting outward: left neighbours read
     the left block from its right edge, right neighbours read the right
-    block from its left edge.
+    block from its left edge.  Every pattern column has at most one
+    nonzero, so each block is held as (row, sign) per column and only the
+    2 * keep columns that are read get written.
     """
-    eye = np.eye(m)
-    mir = -np.fliplr(eye)
-    if reduced:
-        bl = np.hstack([eye, mir])
-        br = np.hstack([mir, eye])
-    else:
-        z = np.zeros((m, 1))
-        bl = np.hstack([eye, z, mir, z])
-        br = np.hstack([z, mir, z, eye])
-    period = bl.shape[1]
-    cols = []
-    for j in range(keep, 0, -1):
-        cols.append(bl[:, period - 1 - ((j - 1) % period)])
-    cols.extend(eye.T)
-    for j in range(1, keep + 1):
-        cols.append(br[:, (j - 1) % period])
-    return np.column_stack(cols) + 0.0
+    up = np.arange(m)
+    one = np.ones(m)
+    gap = np.zeros(0 if reduced else 1, dtype=np.intp)
+    bl = np.r_[up, gap, up[::-1], gap], np.r_[one, gap, -one, gap]
+    br = np.r_[gap, up[::-1], gap, up], np.r_[gap, -one, gap, one]
+    period = bl[0].size
+    j = np.arange(1, keep + 1)
+    out = np.zeros((m, m + 2 * keep))
+    out[up, keep + up] = 1.0
+    left = period - 1 - ((j[::-1] - 1) % period)
+    out[bl[0][left], j - 1] = bl[1][left]
+    right = (j - 1) % period
+    out[br[0][right], keep + m + j - 1] = br[1][right]
+    return out
 
 
 def _selection_extraction(n_el, p, bc):

@@ -17,6 +17,27 @@ from eigenspline import (
     reduced_basis_matrix,
 )
 from eigenspline.assembly import bspline_load, quadrature_grid
+from eigenspline.splines import bspline_eval_batch
+
+
+def _gram_dense(sp, d, rule=None):
+    return SymBandMatrix(sp.knots.num_basis, sp.p,
+                         bspline_gram(sp.knots, sp.breaks, d, rule)).to_dense()
+
+
+def _dense_gram_oracle(knots, breaks, d, m):
+    # element by element into a dense matrix, one evaluation per element
+    p = knots.p
+    g = np.zeros((knots.num_basis, knots.num_basis))
+    x, w = gauss_legendre(m)
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        spans, vals = bspline_eval_batch(knots, d, 0.5 * (a + b)
+                                         + 0.5 * (b - a) * x)
+        v = vals[:, d, :]
+        lo = int(spans[0])
+        g[lo:lo + p + 1, lo:lo + p + 1] += \
+            (v * (0.5 * (b - a) * w)[:, None]).T @ v
+    return g
 
 
 class TestGauss:
@@ -71,6 +92,21 @@ class TestBandMatrix:
         with pytest.raises(ConfigError):
             SymBandMatrix.from_dense(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("n,bw", [(1, 0), (6, 0), (9, 1), (9, 3),
+                                      (7, 6)])
+    def test_banded_matvec_matches_dense(self, n, bw):
+        rng = np.random.default_rng(n + 10 * bw)
+        a = rng.standard_normal((n, n))
+        a = np.tril(np.triu(a + a.T, -bw), bw)
+        m = SymBandMatrix.from_dense(a)
+        assert m.bandwidth == bw
+        x = rng.standard_normal(n)
+        xs = rng.standard_normal((n, 4))
+        dense = m.to_dense()
+        assert_allclose(m.matvec(x), dense @ x, rtol=1e-14, atol=1e-14)
+        assert_allclose(m.matvec(xs), dense @ xs, rtol=1e-14, atol=1e-14)
+        assert m.matvec(xs).shape == (n, 4)
+
 
 class TestClosedForms:
     def test_hat_mass(self):
@@ -123,7 +159,7 @@ class TestGramOracles:
             for j in range(i, min(i + p + 1, nb)):
                 val = sy.integrate(basis[i] * basis[j], (x, 0, 1))
                 exact[i, j] = exact[j, i] = float(val)
-        got = bspline_gram(sp.knots, sp.breaks, 0)
+        got = _gram_dense(sp, 0)
         assert_allclose(got, exact, atol=1e-15)
 
     @pytest.mark.parametrize("kind,p,n,bc", [
@@ -143,9 +179,62 @@ class TestGramOracles:
     def test_rule_refinement_is_noop(self):
         # p+1 Gauss points already integrate the products exactly
         sp = make_space("optimal", 4, 9, 0)
-        g1 = bspline_gram(sp.knots, sp.breaks, 0)
-        g2 = bspline_gram(sp.knots, sp.breaks, 0, rule=sp.p + 4)
+        g1 = _gram_dense(sp, 0)
+        g2 = _gram_dense(sp, 0, rule=sp.p + 4)
         assert_allclose(g1, g2, atol=1e-15)
+
+    @pytest.mark.parametrize("kind,p,n,bc,rule", [
+        ("full", 3, 9, 0, None), ("full", 2, 9, 1, None),
+        ("full", 4, 9, 2, None), ("optimal", 3, 9, 0, None),
+        ("optimal", 4, 9, 1, None), ("optimal", 5, 9, 2, None),
+        ("reduced", 4, 9, 0, None),
+        ("reduced", 2, 2, 0, None),    # two elements
+        ("optimal", 5, 3, 1, None),    # n_el <= p + 1: global null space
+        ("optimal", 3, 9, 0, 7),       # non-default rule
+    ])
+    def test_band_gram_matches_dense_oracle(self, kind, p, n, bc, rule):
+        sp = make_space(kind, p, n, bc)
+        nb = sp.knots.num_basis
+        m = p + 1 if rule is None else rule
+        for d in (0, 1, p):
+            band = bspline_gram(sp.knots, sp.breaks, d, rule)
+            assert isinstance(band, np.ndarray) and band.shape == (p + 1, nb)
+            for k in range(1, p + 1):
+                assert not band[k, nb - k:].any()
+            oracle = _dense_gram_oracle(sp.knots, sp.breaks, d, m)
+            assert_allclose(SymBandMatrix(nb, p, band).to_dense(), oracle,
+                            rtol=1e-14, atol=1e-14 * np.abs(oracle).max())
+
+    def test_one_gram_is_one_evaluation_call(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return bspline_eval_batch(*args, **kwargs)
+
+        monkeypatch.setattr("eigenspline.assembly.bspline_eval_batch",
+                            counting)
+        sp = make_space("optimal", 5, 40, 0)
+        bspline_gram(sp.knots, sp.breaks, 1)
+        assert len(calls) == 1
+        assert calls[0][2].size == sp.n_el * (sp.p + 1)
+
+    @pytest.mark.parametrize("kind,p,n,bc", [
+        ("full", 3, 9, 0), ("full", 5, 9, 1), ("optimal", 3, 9, 1),
+        ("optimal", 4, 9, 0), ("optimal", 5, 9, 2), ("reduced", 2, 2, 0),
+        ("reduced", 6, 12, 0), ("optimal", 5, 3, 1), ("optimal", 6, 4, 2),
+    ])
+    def test_congruence_matches_dense_route(self, kind, p, n, bc):
+        # the sparse congruence against the dense triple product banded by
+        # from_dense: same bandwidth, same entries up to round-off
+        sp = make_space(kind, p, n, bc)
+        for d, assemble in ((0, assemble_mass), (1, assemble_stiffness)):
+            a = sp.extraction @ _gram_dense(sp, d) @ sp.extraction.T
+            ref = SymBandMatrix.from_dense(0.5 * (a + a.T))
+            got = assemble(sp)
+            assert (got.n, got.bandwidth) == (ref.n, ref.bandwidth)
+            assert_allclose(got.to_dense(), ref.to_dense(), rtol=0,
+                            atol=1e-15 * np.abs(ref.band).max())
 
     def test_derivative_order_out_of_range(self):
         sp = make_space("optimal", 3, 9, 0)

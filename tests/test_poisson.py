@@ -8,6 +8,7 @@ from eigenspline import (
     ConfigError,
     ManufacturedProblem1D,
     NumericalError,
+    SymBandMatrix,
     assemble_mass,
     assemble_stiffness,
     boundary_correction_2d,
@@ -136,6 +137,38 @@ class TestProjections:
         coeffs = rng.standard_normal(sp.n)
         f_d1 = lambda x: reduced_basis_matrix(sp, x, 1)[1] @ coeffs
         assert_allclose(ritz_projection(sp, f_d1), coeffs, atol=1e-9)
+
+
+def _nan(x):
+    return np.full_like(np.asarray(x, dtype=float), np.nan)
+
+
+class TestFailureContract:
+    # non-finite loads and failed factorizations surface as NumericalError,
+    # never as scipy's ValueError or LinAlgError
+    SOLVES = {
+        "poisson": lambda sp, f: solve_poisson_1d(
+            sp, ManufacturedProblem1D(name="nan", f=f)),
+        "l2": l2_projection,
+        "ritz": ritz_projection,
+    }
+
+    @pytest.mark.parametrize("which", sorted(SOLVES))
+    def test_non_finite_load_rejected(self, which):
+        sp = make_space("optimal", 3, 12, 0)
+        with pytest.raises(NumericalError, match="not finite"):
+            self.SOLVES[which](sp, _nan)
+
+    @pytest.mark.parametrize("which", sorted(SOLVES))
+    def test_failed_factorization_mapped(self, which, monkeypatch):
+        sp = make_space("optimal", 3, 12, 0)
+        indefinite = SymBandMatrix(n=sp.n, bandwidth=0,
+                                   band=-np.ones((1, sp.n)))
+        for name in ("assemble_mass", "assemble_stiffness"):
+            monkeypatch.setattr(f"eigenspline.poisson.{name}",
+                                lambda spec: indefinite)
+        with pytest.raises(NumericalError, match="solve failed"):
+            self.SOLVES[which](sp, np.cos)
 
 
 class TestPoisson1D:

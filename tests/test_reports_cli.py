@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from eigenspline import ConfigError, NumericalError, extraction_matrix, \
-    make_space
+from eigenspline import ConfigError, ManufacturedProblem1D, NumericalError, \
+    extraction_matrix, make_space
 from eigenspline.cli import build_parser, main
 from eigenspline.reports import (CsvReport, StudyConfig, run_basis_dump,
                                  run_convergence_study, run_poisson_study,
@@ -261,6 +261,19 @@ class TestCli:
         code = main(["spectrum", "--degree", "2", "--dim", "12"])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_non_finite_load_exits_3(self, tmp_path, monkeypatch, capsys):
+        nan_problem = ManufacturedProblem1D(
+            name="nan", f=lambda x: np.full_like(x, np.nan))
+        monkeypatch.setattr("eigenspline.reports.get_preset",
+                            lambda name: nan_problem)
+        out = tmp_path / "p.csv"
+        code = main(["poisson1d", "--preset", "ex73", "--degree", "3",
+                     "--dim", "16", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_dim_rejected(self, capsys):
         code = main(["convergence", "--degree", "3", "--preset", "sin2pi"])
