@@ -20,8 +20,8 @@ from .poisson import (CorrectionSpline, ManufacturedProblem1D,
                       trace_from_f)
 from .problems import get_preset
 from .spaces import (BoundaryType, SpaceKind, SpaceSpec, boundary_residuals,
-                     eval_reduced_basis, extraction_matrix, make_space,
-                     optimal_breaks, reduced_basis_matrix)
+                     eval_reduced_basis, make_space, optimal_breaks,
+                     reduced_basis_matrix)
 from .spectrum import (Spectrum1D, Spectrum2D, eigval_upper_bound,
                        eigval_upper_bound_sharp, exact_eigenfunction,
                        exact_frequencies, mode_errors, mode_errors_2d,
@@ -42,7 +42,7 @@ __all__ = [
     "bspline_eval_batch", "bspline_gram", "cardinal_bspline",
     "cardinal_bspline_derivative", "eigval_upper_bound",
     "eigval_upper_bound_sharp", "eval_reduced_basis", "exact_eigenfunction",
-    "exact_frequencies", "extraction_matrix", "fast_diagonalization_solve",
+    "exact_frequencies", "fast_diagonalization_solve",
     "function_error", "gauss_legendre", "generalized_eigen_sym",
     "get_preset", "hermite_correction_1d", "hermite_data_from_problem",
     "jacobi_generalized_eigen", "l2_projection", "make_space",

@@ -7,7 +7,9 @@ inconsistent parameter combinations), 3 for numerical failures.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import replace
 
 from .exceptions import ConfigError, NumericalError
 from .reports import (BC_NAMES, StudyConfig, run_basis_dump,
@@ -133,9 +135,6 @@ def main(argv=None):
 
 
 def _run_convergence(cfg):
-    import os
-    from dataclasses import replace
-
     if len(cfg.degrees) == 1:
         _, summary = run_convergence_study(cfg)
         return summary

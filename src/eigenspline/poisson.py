@@ -62,7 +62,7 @@ class ManufacturedProblem1D:
         upp = (self.u_d1(x + d) - self.u_d1(x - d)) / (2 * d)
         fx = self.f(x)
         err = np.max(np.abs(fx + upp) / np.maximum(1.0, np.abs(fx)))
-        if err > tol:
+        if not err <= tol:
             raise NumericalError(
                 f"problem {self.name!r} fails the -u''=f spot check ({err:.2e})")
 
@@ -92,7 +92,7 @@ class ManufacturedProblem2D:
         lap = self.u_mixed(2, 0, x1, x2) + self.u_mixed(0, 2, x1, x2)
         fx = self.f(x1, x2)
         err = np.max(np.abs(fx + lap) / np.maximum(1.0, np.abs(fx)))
-        if err > tol:
+        if not err <= tol:
             raise NumericalError(
                 f"problem {self.name!r} fails the -lap(u)=f spot check")
 

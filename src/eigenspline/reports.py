@@ -126,9 +126,8 @@ def run_spectrum2d_study(cfg: StudyConfig):
     """Tensor-product spectrum study (same degree and dim per direction)."""
     p = cfg.single_degree()
     n = cfg.single_dim()
-    spec1 = make_space(cfg.kind, p, n, cfg.bc)
-    spec2 = make_space(cfg.kind, p, n, cfg.bc)
-    rep = mode_errors_2d(spectrum_2d(spec1, spec2))
+    spec = make_space(cfg.kind, p, n, cfg.bc)
+    rep = mode_errors_2d(spectrum_2d(spec, spec))
     csv = CsvReport(columns=("l", "l2", "omega_exact", "omega_h",
                              "rel_err_freq", "rel_err_eigfun", "bound"))
     for k in range(rep.l1.size):

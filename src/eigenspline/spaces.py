@@ -277,12 +277,6 @@ def _nullspace_extraction(kv, left_orders, right_orders):
     return rows
 
 
-def extraction_matrix(spec: SpaceSpec) -> np.ndarray:
-    """Extraction matrix of the space: rows are reduced basis functions,
-    columns the B-splines of ``spec.knots``."""
-    return spec.extraction.copy()
-
-
 def eval_reduced_basis(spec: SpaceSpec, x, r=0) -> np.ndarray:
     """Derivatives 0..r of all n reduced basis functions at one point.
 

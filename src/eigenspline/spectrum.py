@@ -11,6 +11,14 @@ Mode reports carry, per mode, the relative frequency error, the L2
 eigenfunction error (against the unit-norm exact eigenfunction, signs
 aligned by the L2 overlap), and for optimal subspaces the a-priori
 relative bound 1/(1 - (omega_l/omega_{n+1})^{p+1}) - 1.
+
+The eigenfunction errors use the p+3-point rule on every element.  The
+B-splines are evaluated once on the whole grid and kept as element-local
+blocks.  Modes are then taken in fixed-size blocks: each block's
+eigenvectors are mapped to B-spline coefficients through the sparse
+extraction, sampled element by element from the p+1 active B-splines and
+compared with the exact modes, so no dense quadrature-points x n basis
+or mode matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -18,13 +26,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .assembly import assemble_mass, assemble_stiffness, quadrature_grid
 from .eigensolve import generalized_eigen_sym
 from .exceptions import ConfigError
-from .spaces import BoundaryType, SpaceKind, SpaceSpec, reduced_basis_matrix
+from .spaces import BoundaryType, SpaceKind, SpaceSpec
+from .splines import bspline_eval_batch
 
 ZERO_MODE_TOL = 1e-12
+# Modes per block of the eigenfunction-error pass: bounds its working
+# memory at a few (quadrature points x EFUN_BLOCK) arrays.
+EFUN_BLOCK = 64
 
 
 def exact_frequencies(bc, count) -> np.ndarray:
@@ -65,7 +78,9 @@ class Spectrum1D:
 
     ``vectors[:, k]`` is mode k+1, M-orthonormal (unit L2 norm) with sign
     fixed so its overlap with the exact eigenfunction is nonnegative.
-    ``e_fun[k]`` is the L2 distance to the unit-norm exact eigenfunction.
+    ``overlaps[k]`` is that L2 overlap and ``e_fun[k]`` the L2 distance to
+    the unit-norm exact eigenfunction, both integrated with the p+3-point
+    rule element by element, in blocks of ``EFUN_BLOCK`` modes.
     """
 
     spec: SpaceSpec
@@ -82,21 +97,44 @@ def spectrum_1d(spec: SpaceSpec) -> Spectrum1D:
     m = assemble_mass(spec)
     w, v = generalized_eigen_sym(s, m)
     freqs = np.sqrt(np.clip(w, 0.0, None))
-
-    xs, ws = quadrature_grid(spec.breaks, spec.p + 3)
-    basis = reduced_basis_matrix(spec, xs, r=0)[0]
-    uh = basis @ v
-    exact = np.column_stack([exact_eigenfunction(spec.bc, l)[0](xs)
-                             for l in range(1, spec.n + 1)])
-    overlaps = np.einsum("qk,qk->k", exact, uh * ws[:, None])
+    overlaps, e_fun = _eigenfunction_errors(spec, v)
     flip = np.where(overlaps < 0.0, -1.0, 1.0)
-    v = v * flip[None, :]
-    uh = uh * flip[None, :]
-    overlaps = overlaps * flip
-    diff = exact - uh
-    e_fun = np.sqrt(np.einsum("qk,qk->k", diff, diff * ws[:, None]))
+    v *= flip[None, :]
     return Spectrum1D(spec=spec, eigenvalues=w, frequencies=freqs,
-                      vectors=v, overlaps=overlaps, e_fun=e_fun)
+                      vectors=v, overlaps=overlaps * flip, e_fun=e_fun)
+
+
+def _eigenfunction_errors(spec: SpaceSpec, v):
+    """L2 overlaps (before sign alignment) and sign-aligned L2 errors of
+    the modes ``v[:, k]`` against the exact eigenfunctions l = k+1."""
+    p, n, n_el = spec.p, spec.n, spec.n_el
+    mq = p + 3
+    xs, ws = quadrature_grid(spec.breaks, mq)
+    spans, vals = bspline_eval_batch(spec.knots, 0, xs)
+    loc = vals[:, 0, :].reshape(n_el, mq, p + 1)
+    # Element e's active B-splines are the rows cols[e] of the B-spline
+    # coefficients of a block of modes.
+    cols = spans[::mq, None] + np.arange(p + 1)[None, :]
+    ext_t = scipy.sparse.csr_array(spec.extraction).T
+    omega = exact_frequencies(spec.bc, n)
+    wave = np.cos if spec.bc == BoundaryType.NEUMANN else np.sin
+    overlaps = np.empty(n)
+    e_fun = np.empty(n)
+    for lo in range(0, n, EFUN_BLOCK):
+        blk = slice(lo, min(lo + EFUN_BLOCK, n))
+        coeffs = ext_t @ v[:, blk]
+        uh = np.matmul(loc, coeffs[cols]).reshape(xs.size, -1)
+        exact = np.outer(xs, omega[blk])
+        wave(exact, out=exact)
+        exact *= np.sqrt(2.0)
+        if spec.bc == BoundaryType.NEUMANN and lo == 0:
+            exact[:, 0] = 1.0
+        ov = np.einsum("qk,qk->k", exact, uh * ws[:, None])
+        uh *= np.where(ov < 0.0, -1.0, 1.0)[None, :]
+        diff = np.subtract(exact, uh, out=exact)
+        overlaps[blk] = ov
+        e_fun[blk] = np.sqrt(np.einsum("qk,qk->k", diff, diff * ws[:, None]))
+    return overlaps, e_fun
 
 
 def eigval_upper_bound(l, n, p, bc) -> float:
@@ -209,9 +247,12 @@ class Spectrum2D:
 
 
 def spectrum_2d(spec1: SpaceSpec, spec2: SpaceSpec) -> Spectrum2D:
-    """Solve both univariate problems and collate the tensor modes."""
+    """Solve both univariate problems and collate the tensor modes.
+
+    Passing the same space object twice solves it once.
+    """
     sp1 = spectrum_1d(spec1)
-    sp2 = spectrum_1d(spec2)
+    sp2 = sp1 if spec2 is spec1 else spectrum_1d(spec2)
     return collate_2d(sp1, sp2)
 
 

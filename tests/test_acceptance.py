@@ -22,7 +22,6 @@ from eigenspline import (
     assemble_mass,
     assemble_stiffness,
     boundary_residuals,
-    extraction_matrix,
     function_error,
     generalized_eigen_sym,
     get_preset,
@@ -97,7 +96,7 @@ def test_criterion_1_extraction_exactness(acceptance_log):
     ]
     bad = [f"{kind} p={p}" for kind, p, n, expected in cases
            if not np.array_equal(
-               extraction_matrix(make_space(kind, p, n, 0)), expected)]
+               make_space(kind, p, n, 0).extraction, expected)]
     dt = time.perf_counter() - t0
     ok = not bad
     assert acceptance_log(

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from eigenspline import (
     ConfigError,
     ManufacturedProblem1D,
+    ManufacturedProblem2D,
     NumericalError,
     SymBandMatrix,
     assemble_mass,
@@ -44,6 +45,27 @@ class TestPresets:
             name="bad", f=lambda x: np.ones_like(x),
             u=lambda x: x * (1 - x), u_d1=lambda x: 1 - 2 * x)
         # -u'' = 2, not 1
+        with pytest.raises(NumericalError):
+            bad.validate()
+
+    def test_validate_rejects_nan_source_1d(self):
+        bad = ManufacturedProblem1D(
+            name="nan", f=lambda x: np.full_like(x, np.nan),
+            u=lambda x: x * (1 - x), u_d1=lambda x: 1 - 2 * x)
+        with pytest.raises(NumericalError):
+            bad.validate()
+
+    def test_validate_rejects_nan_source_2d(self):
+        def u_mixed(a1, a2, x1, x2):
+            # u = x1 (1 - x1) x2 (1 - x2); only the two pure second
+            # derivatives are asked for
+            g = [lambda t: t * (1 - t), lambda t: 1 - 2 * t,
+                 lambda t: -2.0 + 0 * t]
+            return g[a1](x1) * g[a2](x2)
+
+        bad = ManufacturedProblem2D(
+            name="nan", f=lambda x1, x2: np.full_like(x1 * x2, np.nan),
+            u_mixed=u_mixed)
         with pytest.raises(NumericalError):
             bad.validate()
 

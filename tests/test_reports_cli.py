@@ -8,11 +8,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eigenspline import ConfigError, ManufacturedProblem1D, NumericalError, \
-    extraction_matrix, make_space
+    make_space
 from eigenspline.cli import build_parser, main
 from eigenspline.reports import (CsvReport, StudyConfig, run_basis_dump,
                                  run_convergence_study, run_poisson_study,
                                  run_spectrum2d_study, run_spectrum_study)
+from eigenspline.spectrum import EFUN_BLOCK, spectrum_2d
 
 
 def read_csv(path):
@@ -82,6 +83,20 @@ class TestSpectrumStudies:
         assert len(csv.rows) == 144
         assert summary["outliers"] == 0
 
+    def test_2d_study_matches_two_separate_spaces(self, monkeypatch):
+        cfg = StudyConfig(subcommand="spectrum2d", kind="optimal",
+                          degrees=(3,), dims=(14,), bc=2)
+        shared, summary = run_spectrum2d_study(cfg)
+
+        def separate(spec1, spec2):
+            return spectrum_2d(spec1, make_space(spec2.kind, spec2.p,
+                                                 spec2.n, spec2.bc))
+
+        monkeypatch.setattr("eigenspline.reports.spectrum_2d", separate)
+        apart, summary_apart = run_spectrum2d_study(cfg)
+        assert shared.to_text() == apart.to_text()
+        assert summary == summary_apart
+
     def test_requires_single_degree(self):
         cfg = StudyConfig(subcommand="spectrum", degrees=(2, 3), dims=(20,))
         with pytest.raises(ConfigError):
@@ -150,7 +165,7 @@ class TestBasisDump:
         assert summary == {"n": 4, "n_el": 5}
         header, rows = read_csv(tmp_path / "basis_extraction.csv")
         got = np.array([[float(c) for c in row] for row in rows])
-        expected = extraction_matrix(make_space("optimal", 3, 4, 0))
+        expected = make_space("optimal", 3, 4, 0).extraction
         assert np.array_equal(got, expected)
         assert header == [f"col_{j}" for j in range(1, 9)]
 
@@ -161,7 +176,7 @@ class TestBasisDump:
         run_basis_dump(cfg)
         _, rows = read_csv(tmp_path / "red_extraction.csv")
         got = np.array([[float(c) for c in row] for row in rows])
-        expected = extraction_matrix(make_space("reduced", 2, 6, 0))
+        expected = make_space("reduced", 2, 6, 0).extraction
         assert np.array_equal(got, expected)
 
     def test_sampled_derivatives_vanish_at_ends(self, tmp_path):
@@ -213,6 +228,21 @@ class TestCli:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.gp").read_text().replace("a.csv", "b.csv") \
             == (tmp_path / "b.gp").read_text()
+
+    @pytest.mark.parametrize("command,bc,dim", [
+        ("spectrum", "dirichlet", 2 * EFUN_BLOCK + 7),
+        ("spectrum", "neumann", 2 * EFUN_BLOCK + 7),
+        ("spectrum", "mixed", 2 * EFUN_BLOCK + 7),
+        ("spectrum2d", "neumann", EFUN_BLOCK + 5),
+    ])
+    def test_byte_identical_spectrum_reruns(self, tmp_path, command, bc,
+                                            dim):
+        args = [command, "--space", "optimal", "--degree", "4", "--dim",
+                str(dim), "--bc", bc]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_degree_sweep_writes_per_degree_files(self, tmp_path, capsys):
         out = tmp_path / "conv.csv"

@@ -9,7 +9,6 @@ from eigenspline import (
     assemble_mass,
     boundary_residuals,
     eval_reduced_basis,
-    extraction_matrix,
     make_space,
     optimal_breaks,
     reduced_basis_matrix,
@@ -87,7 +86,7 @@ class TestExtractionExamples:
         ("reduced", 8, 2, E_RED_2x10),
     ])
     def test_bit_exact(self, kind, p, n, expected):
-        e = extraction_matrix(make_space(kind, p, n, 0))
+        e = make_space(kind, p, n, 0).extraction
         assert e.shape == expected.shape
         assert np.array_equal(e, expected)
         # +0.0 entries only, no negative zeros

@@ -1,5 +1,7 @@
 """Tests for spectra, mode errors, bounds and outlier counting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -23,7 +25,20 @@ from eigenspline import (
     spectrum_2d,
 )
 from eigenspline.assembly import quadrature_grid
-from eigenspline.spectrum import collate_2d
+from eigenspline.spectrum import EFUN_BLOCK, collate_2d
+from eigenspline.splines import bspline_eval_batch
+
+
+def _dense_mode_errors(sp, vectors):
+    # independent route: the dense reduced basis sampled on the p+3-point
+    # grid times all eigenvectors, against the closed-form eigenfunctions
+    xs, ws = quadrature_grid(sp.breaks, sp.p + 3)
+    uh = reduced_basis_matrix(sp, xs, r=0)[0] @ vectors
+    exact = np.column_stack([exact_eigenfunction(sp.bc, l)[0](xs)
+                             for l in range(1, sp.n + 1)])
+    overlaps = np.einsum("qk,qk->k", exact, uh * ws[:, None])
+    diff = exact - uh
+    return overlaps, np.sqrt(np.einsum("qk,qk->k", diff, diff * ws[:, None]))
 
 
 class TestExactSolution:
@@ -103,6 +118,69 @@ class TestSpectrum1D:
         assert rep.zero_mode[0] and not rep.zero_mode[1:].any()
         assert rep.e_freq[0] == rep.omega_h[0]
         assert rep.e_freq[0] < 1e-6
+
+
+class TestEigenfunctionErrorPass:
+    @pytest.mark.parametrize("kind,p,n,bc", [
+        ("full", 3, 20, 0), ("full", 4, 20, 1), ("full", 5, 20, 2),
+        ("optimal", 3, 20, 0), ("optimal", 4, 20, 1), ("optimal", 5, 20, 2),
+        ("reduced", 4, 20, 0), ("reduced", 2, 2, 0),
+        # endpoint windows overlap: one global null space
+        ("optimal", 5, 3, 1), ("optimal", 6, 4, 2),
+        # mode counts around the block size
+        ("optimal", 3, EFUN_BLOCK - 1, 0), ("optimal", 4, EFUN_BLOCK, 1),
+        ("full", 3, EFUN_BLOCK + 1, 2), ("optimal", 5, 2 * EFUN_BLOCK + 7, 1),
+        ("full", 2, 2 * EFUN_BLOCK + 7, 0),
+    ])
+    def test_matches_dense_route(self, kind, p, n, bc):
+        sp = make_space(kind, p, n, bc)
+        spec = spectrum_1d(sp)
+        overlaps, e_fun = _dense_mode_errors(sp, spec.vectors)
+        assert_allclose(spec.e_fun, e_fun, rtol=0, atol=1e-13)
+        assert_allclose(spec.overlaps, overlaps, rtol=0, atol=1e-13)
+        # every returned mode carries the sign of its exact eigenfunction
+        assert np.all(spec.overlaps >= 0.0)
+
+    def test_one_basis_evaluation_and_no_dense_basis(self, monkeypatch):
+        evals, dense = [], []
+
+        def counting(*args, **kwargs):
+            evals.append(args)
+            return bspline_eval_batch(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            dense.append(args)
+            return reduced_basis_matrix(*args, **kwargs)
+
+        monkeypatch.setattr("eigenspline.spectrum.bspline_eval_batch",
+                            counting)
+        for target in ("eigenspline.spaces", "eigenspline.spectrum"):
+            monkeypatch.setattr(f"{target}.reduced_basis_matrix", forbidden,
+                                raising=False)
+        sp = make_space("optimal", 5, 2 * EFUN_BLOCK + 7, 0)
+        spectrum_1d(sp)
+        assert len(evals) == 1
+        assert evals[0][1] == 0
+        assert evals[0][2].size == sp.n_el * (sp.p + 3)
+        assert not dense
+
+    def test_working_memory_far_below_dense_samples(self, monkeypatch):
+        # the dense eigensolve is solved outside the measurement; what is
+        # left is assembly plus the error pass, which must hold no
+        # (quadrature points x n) array
+        sp = make_space("optimal", 5, 1000, 0)
+        pair = generalized_eigen_sym(assemble_stiffness(sp),
+                                     assemble_mass(sp))
+        monkeypatch.setattr("eigenspline.spectrum.generalized_eigen_sym",
+                            lambda s, m: pair)
+        tracemalloc.start()
+        try:
+            spectrum_1d(sp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one_array = 8 * sp.n_el * (sp.p + 3) * sp.n
+        assert peak < one_array / 3
 
 
 class TestModeErrors:
@@ -211,6 +289,26 @@ class TestSpectrum2D:
             diff = np.outer(u1, u2) - np.outer(uh1, uh2)
             direct = np.sqrt(np.einsum("xy,x,y->", diff ** 2, wx, wy))
             assert_allclose(rep.e_fun[k], direct, rtol=1e-6, atol=1e-9)
+
+    def test_same_space_is_solved_once(self, monkeypatch):
+        calls = []
+        real = spectrum_1d
+
+        def counting(spec):
+            calls.append(spec)
+            return real(spec)
+
+        spec = make_space("optimal", 3, 9, 1)
+        separate = mode_errors_2d(spectrum_2d(make_space("optimal", 3, 9, 1),
+                                              make_space("optimal", 3, 9, 1)))
+        monkeypatch.setattr("eigenspline.spectrum.spectrum_1d", counting)
+        shared = spectrum_2d(spec, spec)
+        assert len(calls) == 1 and shared.sp1 is shared.sp2
+        rep = mode_errors_2d(shared)
+        for name in ("l1", "l2", "omega_exact", "omega_h", "e_freq", "e_fun",
+                     "bound", "zero_mode"):
+            assert np.array_equal(getattr(rep, name), getattr(separate, name),
+                                  equal_nan=name == "bound"), name
 
     def test_2d_bound_holds_for_optimal(self):
         sp = spectrum_2d(make_space("optimal", 3, 9, 0),
