@@ -20,28 +20,26 @@ from .poisson import (CorrectionSpline, ManufacturedProblem1D,
                       trace_from_f)
 from .problems import get_preset
 from .spaces import (BoundaryType, SpaceKind, SpaceSpec, boundary_residuals,
-                     eval_reduced_basis, make_space, optimal_breaks,
-                     reduced_basis_matrix)
+                     make_space, optimal_breaks, reduced_basis_matrix)
 from .spectrum import (Spectrum1D, Spectrum2D, eigval_upper_bound,
                        eigval_upper_bound_sharp, exact_eigenfunction,
                        exact_frequencies, mode_errors, mode_errors_2d,
                        outlier_count, outlier_count_2d, spectrum_1d,
                        spectrum_2d)
-from .splines import (BasisEval, KnotVector, bspline_eval_all,
-                      bspline_eval_batch, cardinal_bspline,
-                      cardinal_bspline_derivative)
+from .splines import (KnotVector, basis_samples, bspline_eval_batch,
+                      cardinal_bspline, cardinal_bspline_derivative)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisEval", "BoundaryType", "ConfigError", "CorrectionSpline",
+    "BoundaryType", "ConfigError", "CorrectionSpline",
     "KnotVector", "ManufacturedProblem1D", "ManufacturedProblem2D",
     "NumericalError", "SpaceKind", "SpaceSpec", "Spectrum1D", "Spectrum2D",
     "SymBandMatrix", "assemble_load", "assemble_mass", "assemble_stiffness",
-    "boundary_correction_2d", "boundary_residuals", "bspline_eval_all",
+    "basis_samples", "boundary_correction_2d", "boundary_residuals",
     "bspline_eval_batch", "bspline_gram", "cardinal_bspline",
     "cardinal_bspline_derivative", "eigval_upper_bound",
-    "eigval_upper_bound_sharp", "eval_reduced_basis", "exact_eigenfunction",
+    "eigval_upper_bound_sharp", "exact_eigenfunction",
     "exact_frequencies", "fast_diagonalization_solve",
     "function_error", "gauss_legendre", "generalized_eigen_sym",
     "get_preset", "hermite_correction_1d", "hermite_data_from_problem",

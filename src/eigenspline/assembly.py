@@ -21,7 +21,7 @@ import scipy.sparse
 
 from .exceptions import ConfigError
 from .spaces import SpaceSpec
-from .splines import KnotVector, bspline_eval_batch
+from .splines import KnotVector, basis_samples, bspline_eval_batch
 
 MAX_GAUSS = 32
 
@@ -159,16 +159,9 @@ def assemble_load(spec: SpaceSpec, f) -> np.ndarray:
 
 def bspline_load(knots: KnotVector, breaks, f, extra=2, d=0):
     """Load vector of f against the d-th derivatives of all B-splines."""
-    p = knots.p
-    nb = knots.num_basis
-    out = np.zeros(nb)
-    xs, ws = quadrature_grid(breaks, p + 1 + extra)
-    spans, vals = bspline_eval_batch(knots, d, xs)
-    fv = np.asarray(f(xs), dtype=float) * ws
-    contrib = vals[:, d, :] * fv[:, None]
-    for a in range(p + 1):
-        np.add.at(out, spans + a, contrib[:, a])
-    return out
+    xs, ws = quadrature_grid(breaks, knots.p + 1 + extra)
+    b = basis_samples(knots, xs, d)[d]
+    return b.T @ (np.asarray(f(xs), dtype=float) * ws)
 
 
 def error_b_coefficients(knots: KnotVector, breaks, bcoeffs, exact,
@@ -178,19 +171,15 @@ def error_b_coefficients(knots: KnotVector, breaks, bcoeffs, exact,
     Returns (err_l2, err_h1); err_h1 is None when no derivative of the
     target is supplied.
     """
-    p = knots.p
     bcoeffs = np.asarray(bcoeffs, dtype=float)
     r = 1 if exact_d1 is not None else 0
-    xs, ws = quadrature_grid(breaks, p + 1 + extra)
-    spans, vals = bspline_eval_batch(knots, r, xs)
-    cols = spans[:, None] + np.arange(p + 1)[None, :]
-    local = bcoeffs[cols]
-    uh = np.sum(vals[:, 0, :] * local, axis=1)
+    xs, ws = quadrature_grid(breaks, knots.p + 1 + extra)
+    b = basis_samples(knots, xs, r)
+    uh = b[0] @ bcoeffs
     acc0 = float(np.sum(ws * (np.asarray(exact(xs), dtype=float) - uh) ** 2))
     if exact_d1 is None:
         return np.sqrt(acc0), None
-    uh1 = np.sum(vals[:, 1, :] * local, axis=1)
-    d1 = np.asarray(exact_d1(xs), dtype=float) - uh1
+    d1 = np.asarray(exact_d1(xs), dtype=float) - b[1] @ bcoeffs
     return np.sqrt(acc0), np.sqrt(float(np.sum(ws * d1 ** 2)))
 
 

@@ -34,7 +34,7 @@ from .assembly import (SymBandMatrix, assemble_mass, assemble_stiffness,
 from .eigensolve import generalized_eigen_sym
 from .exceptions import ConfigError, NumericalError
 from .spaces import BoundaryType, SpaceSpec
-from .splines import KnotVector, bspline_eval_all, bspline_eval_batch
+from .splines import KnotVector, active_derivatives, basis_samples
 
 
 @dataclass
@@ -107,22 +107,14 @@ class CorrectionSpline:
 
     def value(self, x, r=0):
         """Derivatives 0..r at points x, shape (r+1, len(x))."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        spans, vals = bspline_eval_batch(self.knots, r, xs)
-        cols = spans[:, None] + np.arange(self.knots.p + 1)[None, :]
-        local = self.coeffs[cols]
-        return np.einsum("qda,qa->dq", vals, local)
+        return np.stack([b @ self.coeffs
+                         for b in basis_samples(self.knots, x, r)])
 
 
 def hermite_data_orders(p):
     """(even orders carrying data, odd orders forced to zero) per endpoint."""
     return (tuple(range(0, 2 * (p // 2) + 1, 2)),
             tuple(range(1, 2 * ((p - 1) // 2) + 2, 2)))
-
-
-def _endpoint_system(kv: KnotVector, x):
-    ev = bspline_eval_all(kv, kv.p, x)
-    return ev.values
 
 
 def hermite_correction_1d(spec: SpaceSpec, left_data, right_data) \
@@ -149,7 +141,7 @@ def hermite_correction_1d(spec: SpaceSpec, left_data, right_data) \
                         (1.0, right_data, slice(-(p + 1), None))):
         rhs = np.zeros(p + 1)
         rhs[list(even)] = data
-        coeffs[sl] += np.linalg.solve(_endpoint_system(kv, x), rhs)
+        coeffs[sl] += np.linalg.solve(active_derivatives(kv, x), rhs)
     return CorrectionSpline(knots=kv, coeffs=coeffs)
 
 
@@ -230,15 +222,25 @@ def _gram(spec: SpaceSpec, d) -> SymBandMatrix:
 def _solve_banded(a: SymBandMatrix, rhs, what) -> np.ndarray:
     """Solve A x = rhs for symmetric positive definite banded A; non-finite
     data and factorization failures raise NumericalError."""
-    if not np.all(np.isfinite(rhs)):
-        raise NumericalError(f"{what} solve: right-hand side is not finite")
+    _finite(rhs, f"{what} solve: right-hand side")
     try:
         x = scipy.linalg.solveh_banded(a.band, rhs, lower=True)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(f"{what} solve failed: {exc}") from exc
+    return _finite(x, f"{what} solve: solution")
+
+
+def _finite(x, what):
     if not np.all(np.isfinite(x)):
-        raise NumericalError(f"{what} solve: solution is not finite")
+        raise NumericalError(f"{what} is not finite")
     return x
+
+
+def _per_direction(spec1, spec2, build):
+    """``build`` applied to both directions' spaces, once when they are
+    the same space object."""
+    first = build(spec1)
+    return first, first if spec2 is spec1 else build(spec2)
 
 
 # ---------------------------------------------------------------------------
@@ -248,32 +250,35 @@ def _solve_banded(a: SymBandMatrix, rhs, what) -> np.ndarray:
 def fast_diagonalization_solve(s1, m1, s2, m2, rhs):
     """Solve (S1 x M2 + M1 x S2) u = rhs through univariate eigenpairs.
 
-    ``rhs`` and the result are (n1, n2) coefficient arrays.
+    ``rhs`` and the result are (n1, n2) coefficient arrays.  The same
+    pencil passed for both directions is solved once; a non-finite
+    right-hand side or solution raises NumericalError.
     """
+    _finite(rhs, "tensor solve: right-hand side")
     w1, v1 = generalized_eigen_sym(s1, m1)
-    w2, v2 = generalized_eigen_sym(s2, m2)
+    w2, v2 = (w1, v1) if s2 is s1 and m2 is m1 \
+        else generalized_eigen_sym(s2, m2)
     den = w1[:, None] + w2[None, :]
     if np.any(np.abs(den) < 1e-12):
         raise NumericalError("singular tensor pencil (zero eigenvalue pair)")
     rhat = v1.T @ rhs @ v2
-    return v1 @ (rhat / den) @ v2.T
+    return _finite(v1 @ (rhat / den) @ v2.T, "tensor solve: solution")
 
 
-def _trace_fit_matrix(kv: KnotVector, breaks):
-    """Pseudo-inverse data for least-squares fitting in the full spline
-    space: returns (grid, solve) where solve(values_on_grid) gives
-    B-spline coefficients."""
-    xs, _ = quadrature_grid(breaks, kv.p + 3)
-    spans, vals = bspline_eval_batch(kv, 0, xs)
-    b = np.zeros((xs.size, kv.num_basis))
-    cols = spans[:, None] + np.arange(kv.p + 1)[None, :]
-    b[np.arange(xs.size)[:, None], cols] = vals[:, 0, :]
-    gram = b.T @ b
+def _correction_data(spec: SpaceSpec):
+    """Per-direction data of the 2D correction: the endpoint systems at
+    x = 0, 1, and (grid, solve) for least-squares fitting in the full
+    spline space, where solve(values_on_grid) gives B-spline
+    coefficients."""
+    kv = spec.knots
+    xs, _ = quadrature_grid(spec.breaks, kv.p + 3)
+    b = basis_samples(kv, xs, 0)[0]
+    gram = (b.T @ b).toarray()
 
     def solve(values):
         return np.linalg.solve(gram, b.T @ values)
 
-    return xs, solve
+    return {z: active_derivatives(kv, z) for z in (0.0, 1.0)}, xs, solve
 
 
 def boundary_correction_2d(spec1: SpaceSpec, spec2: SpaceSpec,
@@ -293,12 +298,10 @@ def boundary_correction_2d(spec1: SpaceSpec, spec2: SpaceSpec,
     kv1, kv2 = spec1.knots, spec2.knots
     even1, _ = hermite_data_orders(p1)
     even2, _ = hermite_data_orders(p2)
-    sys1 = {z: _endpoint_system(kv1, z) for z in (0.0, 1.0)}
-    sys2 = {z: _endpoint_system(kv2, z) for z in (0.0, 1.0)}
     blk1 = {0.0: slice(0, p1 + 1), 1.0: slice(kv1.num_basis - p1 - 1, None)}
     blk2 = {0.0: slice(0, p2 + 1), 1.0: slice(kv2.num_basis - p2 - 1, None)}
-    grid2, fit2 = _trace_fit_matrix(kv2, spec2.breaks)
-    grid1, fit1 = _trace_fit_matrix(kv1, spec1.breaks)
+    (sys1, grid1, fit1), (sys2, grid2, fit2) = _per_direction(
+        spec1, spec2, _correction_data)
 
     c = np.zeros((kv1.num_basis, kv2.num_basis))
     for z1 in (0.0, 1.0):
@@ -362,25 +365,26 @@ class PoissonSolution2D:
 def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
                      prob: ManufacturedProblem2D, correct=False) \
         -> PoissonSolution2D:
-    """Tensor-product Galerkin solve of -lap(u) = f, optionally corrected."""
+    """Tensor-product Galerkin solve of -lap(u) = f, optionally corrected.
+
+    Passing the same space object for both directions assembles, samples
+    and solves it once.
+    """
     if spec1.bc != BoundaryType.DIRICHLET \
             or spec2.bc != BoundaryType.DIRICHLET:
         raise ConfigError("poisson solves support Dirichlet boundaries only")
-    s1, m1 = assemble_stiffness(spec1), assemble_mass(spec1)
-    s2, m2 = assemble_stiffness(spec2), assemble_mass(spec2)
-
-    xs1, ws1 = quadrature_grid(spec1.breaks, spec1.p + 3)
-    xs2, ws2 = quadrature_grid(spec2.breaks, spec2.p + 3)
-    phi1 = _basis_value_matrix(spec1.knots, xs1, 1)
-    phi2 = _basis_value_matrix(spec2.knots, xs2, 1)
+    (s1, m1), (s2, m2) = _per_direction(
+        spec1, spec2, lambda sp: (assemble_stiffness(sp), assemble_mass(sp)))
+    (xs1, ws1, phi1), (xs2, ws2, phi2) = _per_direction(
+        spec1, spec2, _quadrature_samples)
     fgrid = np.asarray(prob.f(xs1[:, None], xs2[None, :]), dtype=float)
     bb = phi1[0].T @ (ws1[:, None] * fgrid * ws2[None, :]) @ phi2[0]
 
     corr = None
     if correct:
         corr = boundary_correction_2d(spec1, spec2, prob)
-        g1s, g1m = _gram(spec1, 1), _gram(spec1, 0)
-        g2s, g2m = _gram(spec2, 1), _gram(spec2, 0)
+        (g1s, g1m), (g2s, g2m) = _per_direction(
+            spec1, spec2, lambda sp: (_gram(sp, 1), _gram(sp, 0)))
         # G1 C G2 = (G2 (G1 C)^T)^T for symmetric G2
         bb = bb - (g2m.matvec(g1s.matvec(corr).T).T
                    + g2s.matvec(g1m.matvec(corr).T).T)
@@ -407,11 +411,7 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
                              correction=corr, err_l2=err_l2, err_h1=err_h1)
 
 
-def _basis_value_matrix(kv: KnotVector, xs, r):
-    spans, vals = bspline_eval_batch(kv, r, xs)
-    out = np.zeros((r + 1, xs.size, kv.num_basis))
-    cols = spans[:, None] + np.arange(kv.p + 1)[None, :]
-    rows = np.arange(xs.size)[:, None]
-    for d in range(r + 1):
-        out[d][rows, cols] = vals[:, d, :]
-    return out
+def _quadrature_samples(spec: SpaceSpec):
+    """p+3-point grid, weights and sampled B-splines (orders 0, 1)."""
+    xs, ws = quadrature_grid(spec.breaks, spec.p + 3)
+    return xs, ws, basis_samples(spec.knots, xs, 1)

@@ -159,15 +159,12 @@ def _poisson_rows(cfg, ns, want_dim):
     rows = []
     prev = None
     for n in ns:
+        spec = make_space(cfg.kind, cfg.single_degree(), n, cfg.bc)
         if want_dim == 1:
-            spec = make_space(cfg.kind, cfg.single_degree(), n, cfg.bc)
             sol = solve_poisson_1d(spec, prob, correct=cfg.correct)
-            h = spec.h
         else:
-            spec1 = make_space(cfg.kind, cfg.single_degree(), n, cfg.bc)
-            spec2 = make_space(cfg.kind, cfg.single_degree(), n, cfg.bc)
-            sol = solve_poisson_2d(spec1, spec2, prob, correct=cfg.correct)
-            h = spec1.h
+            sol = solve_poisson_2d(spec, spec, prob, correct=cfg.correct)
+        h = spec.h
         if sol.err_l2 is None:
             raise ConfigError("preset carries no exact solution to report")
         ol = oh = None

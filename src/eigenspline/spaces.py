@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .exceptions import ConfigError
-from .splines import KnotVector, bspline_eval_all, bspline_eval_batch
+from .splines import KnotVector, active_derivatives, basis_samples
 
 MIN_ELEMENTS = 3
 
@@ -60,8 +60,10 @@ def optimal_breaks(p, n, bc) -> np.ndarray:
     mixed      2/(2n+1)    k*h (p odd) or (k - 1/2)*h (p even)
     =========  ==========  =======================================
     """
-    _, _, breaks = _uniform_layout(p, n, bc)
-    return breaks
+    if n < 1:
+        raise ConfigError("dimension must be >= 1")
+    den, sigma, n_el = _layout_params(p, n, bc)
+    return _uniform_layout(p, n_el, den, sigma)[1]
 
 
 def _layout_params(p, n, bc):
@@ -76,23 +78,18 @@ def _layout_params(p, n, bc):
     return den, int(sigma), n_el
 
 
-def _uniform_layout(p, n, bc):
-    """Knot vector, element count and breaks of the optimal layout."""
-    if n < 1:
-        raise ConfigError("dimension must be >= 1")
-    den, sigma, n_el = _layout_params(p, n, bc)
-    idx = np.arange(-p, n_el + p + 1)
-    knots = (2 * idx - sigma) / den
+def _uniform_layout(p, n_el, den, sigma, clip=False):
+    """Knot vector and breaks with knots (2k - sigma)/den, k = -p..n_el+p.
+
+    The optimal layouts take den and sigma from :func:`_layout_params`;
+    the plain uniform grid is den = 2 n_el, sigma = 0, and the open
+    uniform (full-space) sequence is that grid clipped to [0, 1].
+    """
+    knots = (2 * np.arange(-p, n_el + p + 1) - sigma) / den
+    if clip:
+        knots = np.clip(knots, 0.0, 1.0)
     kv = KnotVector(p=p, n_el=n_el, values=knots)
-    interior = knots[p + 1:p + n_el]
-    breaks = np.concatenate(([0.0], interior, [1.0]))
-    return kv, n_el, breaks
-
-
-def _open_uniform_layout(p, n_el):
-    idx = np.clip(np.arange(-p, n_el + p + 1), 0, n_el)
-    kv = KnotVector(p=p, n_el=n_el, values=idx / n_el)
-    breaks = np.arange(n_el + 1) / n_el
+    breaks = np.concatenate(([0.0], knots[p + 1:p + n_el], [1.0]))
     return kv, breaks
 
 
@@ -130,7 +127,7 @@ def make_space(kind, p, n, bc) -> SpaceSpec:
         n_el = n - p + drop
         if n_el < MIN_ELEMENTS:
             raise ConfigError("dimension too small for this degree")
-        kv, breaks = _open_uniform_layout(p, n_el)
+        kv, breaks = _uniform_layout(p, n_el, 2 * n_el, 0, clip=True)
         h = 1.0 / n_el
         extraction = _selection_extraction(n_el, p, bc)
     elif kind == SpaceKind.REDUCED_UNIFORM:
@@ -146,14 +143,15 @@ def make_space(kind, p, n, bc) -> SpaceSpec:
         # usual three-element floor is relaxed here.
         if n_el < 2:
             raise ConfigError("dimension too small")
-        kv, breaks = _uniform_layout_reduced(p, n_el)
+        kv, breaks = _uniform_layout(p, n_el, 2 * n_el, 0)
         h = 1.0 / n_el
         extraction = _tiled_extraction(n, p // 2, reduced=True)
     else:
-        kv, n_el, breaks = _uniform_layout(p, n, bc)
+        den, sigma, n_el = _layout_params(p, n, bc)
+        kv, breaks = _uniform_layout(p, n_el, den, sigma)
         if n_el < MIN_ELEMENTS:
             raise ConfigError("dimension too small for this degree")
-        h = 2.0 / _layout_params(p, n, bc)[0]
+        h = 2.0 / den
         if bc == BoundaryType.DIRICHLET:
             keep = (p + 1) // 2 if p % 2 == 1 else p // 2 + 1
             extraction = _tiled_extraction(n, keep, reduced=False)
@@ -165,13 +163,6 @@ def make_space(kind, p, n, bc) -> SpaceSpec:
         raise ConfigError("extraction construction lost rank")
     return SpaceSpec(kind=kind, p=p, n=n, bc=bc, n_el=n_el, h=h,
                      breaks=breaks, knots=kv, extraction=extraction)
-
-
-def _uniform_layout_reduced(p, n_el):
-    idx = np.arange(-p, n_el + p + 1)
-    kv = KnotVector(p=p, n_el=n_el, values=idx / n_el)
-    breaks = np.arange(n_el + 1) / n_el
-    return kv, breaks
 
 
 def constrained_orders(kind, p, bc):
@@ -234,11 +225,6 @@ def _selection_extraction(n_el, p, bc):
     return e
 
 
-def _endpoint_constraints(kv, orders, x):
-    ev = bspline_eval_all(kv, kv.p, x)
-    return ev.values[list(orders), :]
-
-
 def _equilibrate(rows):
     # Unit row norms keep the SVD from trading accuracy in the small-scale
     # constraints (order 0) against the huge high-order derivative rows.
@@ -253,8 +239,8 @@ def _nullspace_extraction(kv, left_orders, right_orders):
     identity rows; otherwise one global null space is taken.
     """
     p, n_el, nb = kv.p, kv.n_el, kv.num_basis
-    cl = _equilibrate(_endpoint_constraints(kv, left_orders, 0.0))
-    cr = _equilibrate(_endpoint_constraints(kv, right_orders, 1.0))
+    cl = _equilibrate(active_derivatives(kv, 0.0)[list(left_orders)])
+    cr = _equilibrate(active_derivatives(kv, 1.0)[list(right_orders)])
     if n_el > p + 1:
         kl = null_space(cl).T
         kr = null_space(cr).T
@@ -277,27 +263,10 @@ def _nullspace_extraction(kv, left_orders, right_orders):
     return rows
 
 
-def eval_reduced_basis(spec: SpaceSpec, x, r=0) -> np.ndarray:
-    """Derivatives 0..r of all n reduced basis functions at one point.
-
-    Returns an array of shape (r+1, n).
-    """
-    ev = bspline_eval_all(spec.knots, r, x)
-    lo = ev.first_active + spec.p
-    return ev.values @ spec.extraction[:, lo:lo + spec.p + 1].T
-
-
 def reduced_basis_matrix(spec: SpaceSpec, xs, r=0) -> np.ndarray:
     """Derivatives 0..r of the reduced basis at many points: (r+1, nq, n)."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    spans, vals = bspline_eval_batch(spec.knots, r, xs)
-    nb = spec.knots.num_basis
-    out = np.zeros((r + 1, xs.size, nb))
-    cols = spans[:, None] + np.arange(spec.p + 1)[None, :]
-    rows = np.arange(xs.size)[:, None]
-    for d in range(r + 1):
-        out[d][rows, cols] = vals[:, d, :]
-    return out @ spec.extraction.T
+    return np.stack([b @ spec.extraction.T
+                     for b in basis_samples(spec.knots, xs, r)])
 
 
 def boundary_residuals(spec: SpaceSpec) -> float:
@@ -315,8 +284,8 @@ def boundary_residuals(spec: SpaceSpec) -> float:
     mids = 0.5 * (spec.breaks[:-1] + spec.breaks[1:])
     interior = reduced_basis_matrix(spec, mids, r=spec.p)
     scale = np.max(np.abs(interior), axis=(1, 2))
-    at0 = np.abs(eval_reduced_basis(spec, 0.0, r=spec.p)).max(axis=1)
-    at1 = np.abs(eval_reduced_basis(spec, 1.0, r=spec.p)).max(axis=1)
+    at0, at1 = np.abs(reduced_basis_matrix(spec, [0.0, 1.0], r=spec.p)) \
+        .max(axis=2).T
     worst = 0.0
     for a in left_orders:
         worst = max(worst, at0[a] / scale[a])

@@ -13,12 +13,12 @@ aligned by the L2 overlap), and for optimal subspaces the a-priori
 relative bound 1/(1 - (omega_l/omega_{n+1})^{p+1}) - 1.
 
 The eigenfunction errors use the p+3-point rule on every element.  The
-B-splines are evaluated once on the whole grid and kept as element-local
-blocks.  Modes are then taken in fixed-size blocks: each block's
-eigenvectors are mapped to B-spline coefficients through the sparse
-extraction, sampled element by element from the p+1 active B-splines and
-compared with the exact modes, so no dense quadrature-points x n basis
-or mode matrix is ever formed.
+B-splines are sampled once on the whole grid into a sparse matrix with the
+p+1 active B-splines per point.  Modes are then taken in fixed-size
+blocks: each block's eigenvectors are mapped to B-spline coefficients
+through the sparse extraction, sampled through that matrix and compared
+with the exact modes, so no dense quadrature-points x n basis or mode
+matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .assembly import assemble_mass, assemble_stiffness, quadrature_grid
 from .eigensolve import generalized_eigen_sym
 from .exceptions import ConfigError
 from .spaces import BoundaryType, SpaceKind, SpaceSpec
-from .splines import bspline_eval_batch
+from .splines import basis_samples
 
 ZERO_MODE_TOL = 1e-12
 # Modes per block of the eigenfunction-error pass: bounds its working
@@ -107,14 +107,9 @@ def spectrum_1d(spec: SpaceSpec) -> Spectrum1D:
 def _eigenfunction_errors(spec: SpaceSpec, v):
     """L2 overlaps (before sign alignment) and sign-aligned L2 errors of
     the modes ``v[:, k]`` against the exact eigenfunctions l = k+1."""
-    p, n, n_el = spec.p, spec.n, spec.n_el
-    mq = p + 3
-    xs, ws = quadrature_grid(spec.breaks, mq)
-    spans, vals = bspline_eval_batch(spec.knots, 0, xs)
-    loc = vals[:, 0, :].reshape(n_el, mq, p + 1)
-    # Element e's active B-splines are the rows cols[e] of the B-spline
-    # coefficients of a block of modes.
-    cols = spans[::mq, None] + np.arange(p + 1)[None, :]
+    n = spec.n
+    xs, ws = quadrature_grid(spec.breaks, spec.p + 3)
+    b0 = basis_samples(spec.knots, xs, 0)[0]
     ext_t = scipy.sparse.csr_array(spec.extraction).T
     omega = exact_frequencies(spec.bc, n)
     wave = np.cos if spec.bc == BoundaryType.NEUMANN else np.sin
@@ -122,8 +117,7 @@ def _eigenfunction_errors(spec: SpaceSpec, v):
     e_fun = np.empty(n)
     for lo in range(0, n, EFUN_BLOCK):
         blk = slice(lo, min(lo + EFUN_BLOCK, n))
-        coeffs = ext_t @ v[:, blk]
-        uh = np.matmul(loc, coeffs[cols]).reshape(xs.size, -1)
+        uh = b0 @ (ext_t @ v[:, blk])
         exact = np.outer(xs, omega[blk])
         wave(exact, out=exact)
         exact *= np.sqrt(2.0)

@@ -1,12 +1,17 @@
 """B-spline primitives on uniformly structured knot sequences.
 
-Two evaluation routes are provided.  ``cardinal_bspline`` evaluates the
-degree-p cardinal B-spline (supported on [0, p+1], unit integral) through
-the two-term degree-raising recurrence.  ``bspline_eval_all`` evaluates,
-at a point of [0, 1], the p+1 B-splines of a knot sequence that are active
-there, together with derivatives up to a requested order, via the
-Cox-de Boor triangle.  Point evaluation is right-continuous at knots; x = 1
-takes left limits so the last element is closed.
+``cardinal_bspline`` evaluates the degree-p cardinal B-spline (supported
+on [0, p+1], unit integral) through the two-term degree-raising
+recurrence.  ``bspline_eval_batch`` evaluates, at many points of [0, 1],
+the p+1 B-splines of a knot sequence that are active at each point,
+together with derivatives up to a requested order, via the Cox-de Boor
+triangle.  Apart from the Gram assembly, which scatters element blocks
+into band storage, every consumer reaches it through one of two views:
+``basis_samples``, the sparse points x B-splines sample matrices that all
+loads, error integrals, trace fits and reduced-basis samples are products
+with, and ``active_derivatives``, the square endpoint system of the
+B-splines active at one point.  Point evaluation is right-continuous at
+knots; x = 1 takes left limits so the last element is closed.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+import scipy.sparse
 
 from .exceptions import ConfigError
 
@@ -100,19 +106,6 @@ class KnotVector:
         return self.n_el + self.p
 
 
-@dataclass(frozen=True)
-class BasisEval:
-    """Active-window evaluation result.
-
-    ``values[d, a]`` is the d-th derivative of B-spline number
-    ``first_active + a`` (indices counted from -p).  Row 0 sums to one on
-    [0, 1), higher rows sum to zero.
-    """
-
-    first_active: int
-    values: np.ndarray
-
-
 def find_spans(kv: KnotVector, xs):
     """Element index mu with xi_mu <= x < xi_{mu+1} for each x in [0, 1].
 
@@ -140,10 +133,29 @@ def bspline_eval_batch(kv: KnotVector, r, xs):
     return spans, _ders_basis(kv, spans, xs, r)
 
 
-def bspline_eval_all(kv: KnotVector, r, x) -> BasisEval:
-    """Evaluate the p+1 B-splines active at a single point x of [0, 1]."""
-    spans, vals = bspline_eval_batch(kv, r, [x])
-    return BasisEval(first_active=int(spans[0]) - kv.p, values=vals[0])
+def basis_samples(kv: KnotVector, xs, r):
+    """Sampled B-spline basis: derivatives 0..r of all B-splines at xs.
+
+    Returns r+1 ``csr_array`` matrices of shape (len(xs), num_basis); row q
+    of matrix d holds the d-th derivatives of the p+1 B-splines active at
+    xs[q] (array columns spans[q], ..., spans[q] + p) and nothing else.
+    """
+    spans, vals = bspline_eval_batch(kv, r, xs)
+    w = kv.p + 1
+    cols = (spans[:, None] + np.arange(w)).ravel()
+    indptr = np.arange(0, spans.size * w + 1, w)
+    shape = (spans.size, kv.num_basis)
+    return [scipy.sparse.csr_array((vals[:, d, :].ravel(), cols, indptr),
+                                   shape=shape) for d in range(r + 1)]
+
+
+def active_derivatives(kv: KnotVector, x):
+    """Derivatives 0..p of the p+1 B-splines active at one point x.
+
+    Returns the (p+1, p+1) matrix ``[d, a]``; at x = 0 and x = 1 the
+    active B-splines are the first and the last p+1 of the sequence.
+    """
+    return bspline_eval_batch(kv, kv.p, [x])[1][0]
 
 
 def _ders_basis(kv, spans, xs, r):

@@ -25,6 +25,7 @@ from eigenspline import (
     solve_poisson_2d,
     trace_from_f,
 )
+from eigenspline import poisson
 from eigenspline.poisson import hermite_data_orders
 
 
@@ -192,6 +193,23 @@ class TestFailureContract:
         with pytest.raises(NumericalError, match="solve failed"):
             self.SOLVES[which](sp, np.cos)
 
+    def test_non_finite_2d_source_rejected(self):
+        sp = make_space("optimal", 3, 12, 0)
+        prob = ManufacturedProblem2D(name="nan",
+                                     f=lambda x1, x2: np.nan * x1 * x2,
+                                     u=lambda x1, x2: x1 * x2)
+        with pytest.raises(NumericalError, match="right-hand side"):
+            solve_poisson_2d(sp, sp, prob)
+
+    def test_non_finite_tensor_solution_rejected(self):
+        # a finite right-hand side whose spectral coefficients overflow
+        sp = make_space("optimal", 3, 12, 0)
+        s, m = assemble_stiffness(sp), assemble_mass(sp)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="solution is not finite"):
+            fast_diagonalization_solve(s, m, s, m,
+                                       np.full((sp.n, sp.n), 1e308))
+
 
 class TestPoisson1D:
     def test_solution_is_ritz_projection(self):
@@ -329,13 +347,13 @@ class TestPoisson2D:
         # the surface must vanish on the edge x1 = 0 and carry the exact
         # second pure-normal trace there
         from eigenspline.poisson import CorrectionSpline
-        from eigenspline.splines import bspline_eval_all
+        from eigenspline.splines import bspline_eval_batch
         x2 = np.linspace(0.0, 1.0, 33)
         vals2 = np.stack([CorrectionSpline(knots=sp2.knots, coeffs=c[i]).
                           value(x2)[0] for i in range(c.shape[0])])
-        ev = bspline_eval_all(sp1.knots, sp1.p, 0.0)
-        lo = ev.first_active + sp1.p
-        edge = ev.values @ vals2[lo:lo + sp1.p + 1, :]
+        spans, ev = bspline_eval_batch(sp1.knots, sp1.p, [0.0])
+        lo = spans[0]
+        edge = ev[0] @ vals2[lo:lo + sp1.p + 1, :]
         assert_allclose(edge[0], 0.0, atol=1e-10)
         assert_allclose(edge[2], prob.u_mixed(2, 0, 0.0, x2),
                         rtol=1e-9, atol=1e-9)
@@ -353,6 +371,39 @@ class TestPoisson2D:
         bad = make_space("optimal", 3, 12, 1)
         with pytest.raises(ConfigError):
             solve_poisson_2d(good, bad, get_preset("ex75"))
+
+    @pytest.mark.parametrize("correct", [False, True])
+    def test_square_problem_solved_once(self, correct, monkeypatch):
+        # one space object for both directions: one assembly, one sample
+        # grid, one trace fit and one eigensolve, with the same bits as
+        # two separately built copies of the space
+        prob = get_preset("ex75")
+        two = solve_poisson_2d(make_space("optimal", 3, 12, 0),
+                               make_space("optimal", 3, 12, 0), prob,
+                               correct=correct)
+        calls = dict.fromkeys(("generalized_eigen_sym", "assemble_stiffness",
+                               "assemble_mass", "basis_samples",
+                               "bspline_gram"), 0)
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(poisson, name,
+                                counting(name, getattr(poisson, name)))
+        sp = make_space("optimal", 3, 12, 0)
+        one = solve_poisson_2d(sp, sp, prob, correct=correct)
+        assert calls == {"generalized_eigen_sym": 1, "assemble_stiffness": 1,
+                         "assemble_mass": 1,
+                         "basis_samples": 2 if correct else 1,
+                         "bspline_gram": 2 if correct else 0}
+        assert np.array_equal(one.coeffs, two.coeffs)
+        assert (one.err_l2, one.err_h1) == (two.err_l2, two.err_h1)
+        if correct:
+            assert np.array_equal(one.correction, two.correction)
 
     def test_anisotropic_degrees(self):
         sp1 = make_space("optimal", 2, 10, 0)

@@ -8,7 +8,6 @@ from eigenspline import (
     ConfigError,
     assemble_mass,
     boundary_residuals,
-    eval_reduced_basis,
     make_space,
     optimal_breaks,
     reduced_basis_matrix,
@@ -74,6 +73,46 @@ class TestBreaks:
         inside = kv[(kv > 1e-12) & (kv < 1 - 1e-12)]
         for k in inside:
             assert np.any(np.isclose(sp.breaks, k))
+
+
+def _separate_layout(kind, p, n, bc):
+    # knots, breaks and h as three separate layout formulas once built them
+    if kind == "full":
+        n_el = n - p + {0: 2, 1: 0, 2: 1}[bc]
+        idx = np.clip(np.arange(-p, n_el + p + 1), 0, n_el)
+        return idx / n_el, np.arange(n_el + 1) / n_el, 1.0 / n_el
+    if kind == "reduced":
+        return np.arange(-p, n + p + 1) / n, np.arange(n + 1) / n, 1.0 / n
+    even = int(p % 2 == 0)
+    den, sigma, n_el = {0: (2 * (n + 1), even, n + 1 + even),
+                        1: (2 * n, 1 - even, n + 1 - even),
+                        2: (2 * n + 1, even, n + 1)}[bc]
+    knots = (2 * np.arange(-p, n_el + p + 1) - sigma) / den
+    breaks = np.concatenate(([0.0], knots[p + 1:p + n_el], [1.0]))
+    return knots, breaks, 2.0 / den
+
+
+class TestLayout:
+    def test_bit_identical_to_separate_formulas(self):
+        checked = 0
+        for kind in ("full", "optimal", "reduced"):
+            for bc in (0, 1, 2):
+                for p in range(1, 7):
+                    for n in (2, 3, 4, 7, 12, 25):
+                        try:
+                            sp = make_space(kind, p, n, bc)
+                        except ConfigError:
+                            continue
+                        knots, breaks, h = _separate_layout(kind, p, n, bc)
+                        # bytes compare bitwise, signs of zero included
+                        assert sp.knots.values.tobytes() == knots.tobytes()
+                        assert sp.breaks.tobytes() == breaks.tobytes()
+                        assert sp.h == h
+                        if kind == "optimal":
+                            assert optimal_breaks(p, n, bc).tobytes() \
+                                == breaks.tobytes()
+                        checked += 1
+        assert checked >= 150
 
 
 class TestExtractionExamples:
@@ -183,14 +222,6 @@ class TestBasisProperties:
         basis = reduced_basis_matrix(sp, xs, r=0)[0]
         coeffs, *_ = np.linalg.lstsq(basis, np.ones(xs.size), rcond=None)
         assert_allclose(basis @ coeffs, np.ones(xs.size), atol=1e-12)
-
-    def test_eval_matches_batch(self):
-        sp = make_space("optimal", 4, 9, 2)
-        xs = np.array([0.0, 0.3121, 0.77, 1.0])
-        batch = reduced_basis_matrix(sp, xs, r=2)
-        for k, x in enumerate(xs):
-            single = eval_reduced_basis(sp, x, r=2)
-            assert_allclose(single, batch[:, k, :], atol=1e-14)
 
     @pytest.mark.parametrize("kind,p", [("optimal", 3), ("optimal", 4),
                                         ("reduced", 4)])

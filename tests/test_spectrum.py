@@ -26,7 +26,7 @@ from eigenspline import (
 )
 from eigenspline.assembly import quadrature_grid
 from eigenspline.spectrum import EFUN_BLOCK, collate_2d
-from eigenspline.splines import bspline_eval_batch
+from eigenspline.splines import basis_samples
 
 
 def _dense_mode_errors(sp, vectors):
@@ -146,22 +146,21 @@ class TestEigenfunctionErrorPass:
 
         def counting(*args, **kwargs):
             evals.append(args)
-            return bspline_eval_batch(*args, **kwargs)
+            return basis_samples(*args, **kwargs)
 
         def forbidden(*args, **kwargs):
             dense.append(args)
             return reduced_basis_matrix(*args, **kwargs)
 
-        monkeypatch.setattr("eigenspline.spectrum.bspline_eval_batch",
-                            counting)
+        monkeypatch.setattr("eigenspline.spectrum.basis_samples", counting)
         for target in ("eigenspline.spaces", "eigenspline.spectrum"):
             monkeypatch.setattr(f"{target}.reduced_basis_matrix", forbidden,
                                 raising=False)
         sp = make_space("optimal", 5, 2 * EFUN_BLOCK + 7, 0)
         spectrum_1d(sp)
         assert len(evals) == 1
-        assert evals[0][1] == 0
-        assert evals[0][2].size == sp.n_el * (sp.p + 3)
+        assert evals[0][2] == 0
+        assert evals[0][1].size == sp.n_el * (sp.p + 3)
         assert not dense
 
     def test_working_memory_far_below_dense_samples(self, monkeypatch):

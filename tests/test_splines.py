@@ -8,11 +8,13 @@ from scipy.interpolate import BSpline
 from eigenspline import (
     ConfigError,
     KnotVector,
-    bspline_eval_all,
+    basis_samples,
     bspline_eval_batch,
     cardinal_bspline,
     cardinal_bspline_derivative,
+    make_space,
 )
+from eigenspline.splines import active_derivatives
 
 
 def uniform_knots(p, n_el):
@@ -132,12 +134,12 @@ class TestEvaluation:
         n_el = 12
         kv = uniform_knots(p, n_el)
         x = 0.5 + 1e-3
-        ev = bspline_eval_all(kv, 0, x)
+        spans, vals = bspline_eval_batch(kv, 0, [x])
         for a in range(p + 1):
-            # basis numbered from -p, so array position adds p
-            j = ev.first_active + p + a
+            # the active B-splines start at array position spans[0]
+            j = spans[0] + a
             t = (x - kv.values[j]) * n_el
-            assert_allclose(ev.values[0, a], cardinal_bspline(p, t),
+            assert_allclose(vals[0, 0, a], cardinal_bspline(p, t),
                             rtol=1e-12)
 
     @pytest.mark.parametrize("p,n_el", [(2, 5), (4, 7)])
@@ -152,12 +154,12 @@ class TestEvaluation:
 
     def test_open_knot_endpoint_values(self):
         kv = open_knots(3, 6)
-        left = bspline_eval_all(kv, 0, 0.0)
-        assert_allclose(left.values[0, 0], 1.0)
-        assert_allclose(left.values[0, 1:], 0.0, atol=1e-15)
-        right = bspline_eval_all(kv, 0, 1.0)
-        assert_allclose(right.values[0, -1], 1.0)
-        assert_allclose(right.values[0, :-1], 0.0, atol=1e-15)
+        left = active_derivatives(kv, 0.0)
+        assert_allclose(left[0, 0], 1.0)
+        assert_allclose(left[0, 1:], 0.0, atol=1e-15)
+        right = active_derivatives(kv, 1.0)
+        assert_allclose(right[0, -1], 1.0)
+        assert_allclose(right[0, :-1], 0.0, atol=1e-15)
 
     def test_point_outside_domain_rejected(self):
         kv = open_knots(2, 4)
@@ -165,3 +167,48 @@ class TestEvaluation:
             bspline_eval_batch(kv, 0, np.array([-0.1]))
         with pytest.raises(ConfigError):
             bspline_eval_batch(kv, 0, np.array([1.1]))
+
+
+# knot sequences of every space kind and boundary type
+SPACES = [("full", 3, 10, 0), ("full", 4, 10, 1), ("full", 2, 10, 2),
+          ("optimal", 3, 10, 0), ("optimal", 4, 10, 1), ("optimal", 5, 10, 2),
+          ("optimal", 4, 9, 0), ("reduced", 4, 10, 0), ("reduced", 2, 2, 0)]
+
+
+class TestBasisSamples:
+    @pytest.mark.parametrize("kind,p,n,bc", SPACES)
+    def test_matches_dense_per_point_scatter(self, kind, p, n, bc):
+        kv = make_space(kind, p, n, bc).knots
+        rng = np.random.default_rng(11)
+        xs = np.concatenate((kv.values[p:p + kv.n_el], [1.0],
+                             rng.uniform(0.0, 1.0, 30)))
+        xs = xs[(xs >= 0.0) & (xs <= 1.0)]
+        got = basis_samples(kv, xs, p)
+        assert len(got) == p + 1
+        for d in range(p + 1):
+            oracle = np.zeros((xs.size, kv.num_basis))
+            for q, x in enumerate(xs):
+                spans, vals = bspline_eval_batch(kv, p, [x])
+                oracle[q, spans[0]:spans[0] + p + 1] = vals[0, d]
+            assert got[d].shape == oracle.shape
+            assert np.all(np.diff(got[d].indptr) == p + 1)
+            assert np.array_equal(got[d].toarray(), oracle)
+
+    @pytest.mark.parametrize("kind,p,n,bc", SPACES)
+    def test_partition_of_unity_on_the_domain(self, kind, p, n, bc):
+        kv = make_space(kind, p, n, bc).knots
+        xs = np.linspace(0.0, 1.0, 97)
+        assert_allclose(basis_samples(kv, xs, 0)[0].sum(axis=1),
+                        np.ones(xs.size), rtol=1e-13)
+
+    @pytest.mark.parametrize("kind,p,n,bc", SPACES)
+    def test_endpoint_system_is_the_endpoint_sample_row(self, kind, p, n, bc):
+        kv = make_space(kind, p, n, bc).knots
+        nb = kv.num_basis
+        ends = [b.toarray() for b in basis_samples(kv, [0.0, 1.0], p)]
+        for q, x, cols in ((0, 0.0, slice(0, p + 1)),
+                           (1, 1.0, slice(nb - p - 1, nb))):
+            system = active_derivatives(kv, x)
+            assert system.shape == (p + 1, p + 1)
+            for d in range(p + 1):
+                assert np.array_equal(ends[d][q, cols], system[d])
