@@ -10,7 +10,7 @@ data correction that restores full convergence orders on the subspaces.
 from .assembly import (SymBandMatrix, assemble_load, assemble_mass,
                        assemble_stiffness, bspline_gram, function_error,
                        gauss_legendre)
-from .eigensolve import generalized_eigen_sym, jacobi_generalized_eigen
+from .eigensolve import generalized_eigen_sym
 from .exceptions import ConfigError, NumericalError
 from .poisson import (CorrectionSpline, ManufacturedProblem1D,
                       ManufacturedProblem2D, boundary_correction_2d,
@@ -43,7 +43,7 @@ __all__ = [
     "exact_frequencies", "fast_diagonalization_solve",
     "function_error", "gauss_legendre", "generalized_eigen_sym",
     "get_preset", "hermite_correction_1d", "hermite_data_from_problem",
-    "jacobi_generalized_eigen", "l2_projection", "make_space",
+    "l2_projection", "make_space",
     "mode_errors", "mode_errors_2d", "optimal_breaks", "outlier_count",
     "outlier_count_2d", "reduced_basis_matrix", "ritz_projection",
     "solve_poisson_1d", "solve_poisson_2d", "spectrum_1d", "spectrum_2d",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, NumericalError
 from .spaces import SpaceSpec
 from .splines import KnotVector, basis_samples, bspline_eval_batch
 
@@ -175,12 +175,30 @@ def error_b_coefficients(knots: KnotVector, breaks, bcoeffs, exact,
     r = 1 if exact_d1 is not None else 0
     xs, ws = quadrature_grid(breaks, knots.p + 1 + extra)
     b = basis_samples(knots, xs, r)
-    uh = b[0] @ bcoeffs
-    acc0 = float(np.sum(ws * (np.asarray(exact(xs), dtype=float) - uh) ** 2))
+    err_l2 = _error_norm(
+        ws, "L2", np.asarray(exact(xs), dtype=float) - b[0] @ bcoeffs)
     if exact_d1 is None:
-        return np.sqrt(acc0), None
-    d1 = np.asarray(exact_d1(xs), dtype=float) - b[1] @ bcoeffs
-    return np.sqrt(acc0), np.sqrt(float(np.sum(ws * d1 ** 2)))
+        return err_l2, None
+    return err_l2, _error_norm(
+        ws, "H1", np.asarray(exact_d1(xs), dtype=float) - b[1] @ bcoeffs)
+
+
+def _error_norm(w, what, *diffs):
+    """sqrt(sum(w * (d_1**2 + d_2**2 + ...))) over quadrature points with
+    weights ``w``; a result that overflows (a huge error squared) or is
+    otherwise not finite raises NumericalError instead of warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = diffs[0] ** 2
+        for d in diffs[1:]:
+            sq += d ** 2
+        total = np.sqrt(np.sum(w * sq))
+    return float(_finite(total, f"{what} error integral"))
+
+
+def _finite(x, what):
+    if not np.all(np.isfinite(x)):
+        raise NumericalError(f"{what} is not finite")
+    return x
 
 
 def function_error(spec: SpaceSpec, coeffs, exact, exact_d1=None):

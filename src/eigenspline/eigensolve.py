@@ -1,10 +1,9 @@
-"""Generalized symmetric eigensolvers.
+"""Generalized symmetric eigensolver.
 
-The production path reduces S v = lambda M v with a Cholesky factor of M
-and solves the resulting symmetric problem by tridiagonalization with
-implicit shifts (LAPACK, via scipy).  A self-contained dense Jacobi
-rotation solver doubles as an independent cross-check oracle for small
-pencils; the two routes are compared in the acceptance suite.
+S v = lambda M v is reduced with a Cholesky factor of M and the resulting
+symmetric problem is solved by tridiagonalization with implicit shifts
+(LAPACK, via scipy).  The test suite cross-checks it against an
+independent dense Jacobi-rotation oracle for small pencils.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ import scipy.linalg
 
 from .assembly import SymBandMatrix
 from .exceptions import NumericalError
-
-JACOBI_MAX_N = 64
 
 
 def generalized_eigen_sym(s: SymBandMatrix, m: SymBandMatrix):
@@ -31,74 +28,3 @@ def generalized_eigen_sym(s: SymBandMatrix, m: SymBandMatrix):
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
     return w, v
-
-
-def _cholesky_lower(b):
-    n = b.shape[0]
-    low = np.zeros_like(b)
-    for j in range(n):
-        d = b[j, j] - np.dot(low[j, :j], low[j, :j])
-        if d <= 0.0 or not np.isfinite(d):
-            raise NumericalError("matrix is not positive definite")
-        low[j, j] = np.sqrt(d)
-        for i in range(j + 1, n):
-            low[i, j] = (b[i, j] - np.dot(low[i, :j], low[j, :j])) / low[j, j]
-    return low
-
-
-def _forward_solve(low, rhs):
-    n = low.shape[0]
-    y = np.array(rhs, dtype=float)
-    for i in range(n):
-        y[i] -= low[i, :i] @ y[:i]
-        y[i] /= low[i, i]
-    return y
-
-
-def jacobi_generalized_eigen(s, m, tol=1e-14, max_sweeps=100):
-    """Dense Jacobi-rotation oracle for small pencils (n <= 64).
-
-    Reduces with its own Cholesky factorization and triangular solves,
-    then runs cyclic Jacobi sweeps until the off-diagonal mass is gone.
-    Returns the eigenvalues in ascending order.
-    """
-    s = s.to_dense() if isinstance(s, SymBandMatrix) else np.asarray(s, float)
-    m = m.to_dense() if isinstance(m, SymBandMatrix) else np.asarray(m, float)
-    n = s.shape[0]
-    if n > JACOBI_MAX_N:
-        raise NumericalError("jacobi oracle is limited to small pencils")
-    low = _cholesky_lower(m)
-    # C = L^{-1} S L^{-T}, formed column by column with triangular solves
-    y = np.column_stack([_forward_solve(low, s[:, j]) for j in range(n)])
-    c = np.column_stack([_forward_solve(low, y[j, :]) for j in range(n)])
-    c = 0.5 * (c + c.T)
-
-    scale = np.linalg.norm(c)
-    if scale == 0.0:
-        return np.zeros(n)
-    for _ in range(max_sweeps):
-        off = np.sqrt(2.0 * np.sum(np.triu(c, 1) ** 2))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = c[p, q]
-                if abs(apq) <= 1e-30 * scale:
-                    continue
-                theta = 0.5 * (c[q, q] - c[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1))
-                if theta == 0.0:
-                    t = 1.0
-                cs = 1.0 / np.sqrt(t * t + 1.0)
-                sn = t * cs
-                rowp = c[p, :].copy()
-                rowq = c[q, :].copy()
-                c[p, :] = cs * rowp - sn * rowq
-                c[q, :] = sn * rowp + cs * rowq
-                colp = c[:, p].copy()
-                colq = c[:, q].copy()
-                c[:, p] = cs * colp - sn * colq
-                c[:, q] = sn * colp + cs * colq
-    else:
-        raise NumericalError("jacobi sweeps did not converge")
-    return np.sort(np.diag(c))

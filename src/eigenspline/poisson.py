@@ -28,9 +28,9 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .assembly import (SymBandMatrix, assemble_mass, assemble_stiffness,
-                       bspline_gram, bspline_load, error_b_coefficients,
-                       quadrature_grid)
+from .assembly import (SymBandMatrix, _error_norm, _finite, assemble_mass,
+                       assemble_stiffness, bspline_gram, bspline_load,
+                       error_b_coefficients, quadrature_grid)
 from .eigensolve import generalized_eigen_sym
 from .exceptions import ConfigError, NumericalError
 from .spaces import BoundaryType, SpaceSpec
@@ -230,12 +230,6 @@ def _solve_banded(a: SymBandMatrix, rhs, what) -> np.ndarray:
     return _finite(x, f"{what} solve: solution")
 
 
-def _finite(x, what):
-    if not np.all(np.isfinite(x)):
-        raise NumericalError(f"{what} is not finite")
-    return x
-
-
 def _per_direction(spec1, spec2, build):
     """``build`` applied to both directions' spaces, once when they are
     the same space object."""
@@ -400,13 +394,13 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
         uh = phi1[0] @ ctot @ phi2[0].T
         diff = np.asarray(prob.u(xs1[:, None], xs2[None, :]), float) - uh
         wgt = ws1[:, None] * ws2[None, :]
-        err_l2 = float(np.sqrt(np.sum(wgt * diff ** 2)))
+        err_l2 = _error_norm(wgt, "L2", diff)
         if prob.u_x1 is not None and prob.u_x2 is not None:
             d1 = np.asarray(prob.u_x1(xs1[:, None], xs2[None, :]), float) \
                 - phi1[1] @ ctot @ phi2[0].T
             d2 = np.asarray(prob.u_x2(xs1[:, None], xs2[None, :]), float) \
                 - phi1[0] @ ctot @ phi2[1].T
-            err_h1 = float(np.sqrt(np.sum(wgt * (d1 ** 2 + d2 ** 2))))
+            err_h1 = _error_norm(wgt, "H1", d1, d2)
     return PoissonSolution2D(spec1=spec1, spec2=spec2, coeffs=u,
                              correction=corr, err_l2=err_l2, err_h1=err_h1)
 

@@ -2,6 +2,9 @@
 
 All CSV files are deterministic: comma separated, LF line endings, floats
 printed with 17 significant digits (lossless for binary64 round trips).
+A report is stored as columns, one 1-D array each, and every column is
+formatted in one pass: integer columns as integers, the others as floats,
+with a NaN cell left blank (the study builders store blank cells as NaN).
 Spectrum studies emit one row per mode with columns
 ``l[,l2],omega_exact,omega_h,rel_err_freq,rel_err_eigfun,bound``;
 convergence and Poisson studies emit
@@ -13,7 +16,8 @@ optional convenience.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,6 +29,9 @@ from .problems import get_preset
 from .spaces import BoundaryType, SpaceKind, make_space, reduced_basis_matrix
 from .spectrum import mode_errors, mode_errors_2d, outlier_count, \
     outlier_count_2d, spectrum_1d, spectrum_2d
+
+# Rows formatted per block: bounds the cell strings alive at once.
+CSV_BLOCK = 4096
 
 BC_NAMES = {"dirichlet": BoundaryType.DIRICHLET,
             "neumann": BoundaryType.NEUMANN,
@@ -58,35 +65,79 @@ class StudyConfig:
 
 @dataclass
 class CsvReport:
-    """In-memory CSV: column names plus value rows (None renders empty)."""
+    """In-memory CSV stored as columns: ``columns`` holds the names and
+    ``data`` one 1-D array per column, all of one length.
+
+    Integer and boolean columns print as integers, every other column as
+    binary64 floats with 17 significant digits; NaN (and None, which a
+    column converts to NaN) is a blank cell.  ``rows`` is a read-only view
+    of the same table as row tuples in which blank cells read as None.
+    """
 
     columns: tuple
-    rows: list = field(default_factory=list)
+    data: tuple = ()
+
+    def __post_init__(self):
+        self.data = tuple(map(_as_column, self.data))
+
+    @property
+    def rows(self):
+        self._check()
+        return _RowView(self.data)
 
     def to_text(self):
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ConfigError("row width does not match the header")
-            lines.append(",".join(_fmt(v) for v in row))
-        return "\n".join(lines) + "\n"
+        self._check()
+        parts = [",".join(self.columns)]
+        for start in range(0, len(self.rows), CSV_BLOCK):
+            cells = [_format_column(col[start:start + CSV_BLOCK])
+                     for col in self.data]
+            parts.append("\n".join(map(",".join, zip(*cells))))
+        parts.append("")
+        return "\n".join(parts)
 
     def write(self, path):
         with open(path, "w", newline="\n") as fh:
             fh.write(self.to_text())
 
+    def _check(self):
+        if len(self.data) != len(self.columns):
+            raise ConfigError("column count does not match the header")
+        if len({col.size for col in self.data}) > 1:
+            raise ConfigError("CSV columns differ in length")
 
-def _fmt(v):
-    if v is None:
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    v = float(v)
-    if np.isnan(v):
-        return ""
-    return format(v, ".17g")
+
+class _RowView(Sequence):
+    """Row tuples of a column store, formed on access."""
+
+    def __init__(self, data):
+        self._data = data
+
+    def __len__(self):
+        return self._data[0].size if self._data else 0
+
+    def __getitem__(self, k):
+        cells = (col[k].item() for col in self._data)
+        return tuple(None if v != v else v for v in cells)
+
+
+def _as_column(values):
+    col = np.asarray(values)
+    if col.ndim != 1:
+        raise ConfigError("a CSV column must be one-dimensional")
+    if col.dtype.kind == "b":
+        return col.astype(np.int64)
+    if col.dtype.kind in "iu":
+        return col
+    return np.asarray(col, dtype=float)
+
+
+def _format_column(col):
+    if col.dtype.kind in "iu":
+        return list(map(str, col.tolist()))
+    cells = list(map("%.17g".__mod__, col.tolist()))
+    for k in np.flatnonzero(np.isnan(col)).tolist():
+        cells[k] = ""
+    return cells
 
 
 def _write_outputs(report, cfg, plot_script=None):
@@ -109,10 +160,9 @@ def run_spectrum_study(cfg: StudyConfig):
     spec = make_space(cfg.kind, p, n, cfg.bc)
     rep = mode_errors(spec, spectrum_1d(spec))
     csv = CsvReport(columns=("l", "omega_exact", "omega_h", "rel_err_freq",
-                             "rel_err_eigfun", "bound"))
-    for k in range(n):
-        csv.rows.append((int(rep.ls[k]), rep.omega_exact[k], rep.omega_h[k],
-                         rep.e_freq[k], rep.e_fun[k], rep.bound[k]))
+                             "rel_err_eigfun", "bound"),
+                    data=(rep.ls, rep.omega_exact, rep.omega_h, rep.e_freq,
+                          rep.e_fun, rep.bound))
     summary = {
         "max_rel_err_freq": float(np.max(rep.e_freq[~rep.zero_mode]))
         if np.any(~rep.zero_mode) else None,
@@ -129,11 +179,9 @@ def run_spectrum2d_study(cfg: StudyConfig):
     spec = make_space(cfg.kind, p, n, cfg.bc)
     rep = mode_errors_2d(spectrum_2d(spec, spec))
     csv = CsvReport(columns=("l", "l2", "omega_exact", "omega_h",
-                             "rel_err_freq", "rel_err_eigfun", "bound"))
-    for k in range(rep.l1.size):
-        csv.rows.append((int(rep.l1[k]), int(rep.l2[k]), rep.omega_exact[k],
-                         rep.omega_h[k], rep.e_freq[k], rep.e_fun[k],
-                         rep.bound[k]))
+                             "rel_err_freq", "rel_err_eigfun", "bound"),
+                    data=(rep.l1, rep.l2, rep.omega_exact, rep.omega_h,
+                          rep.e_freq, rep.e_fun, rep.bound))
     summary = {
         "max_rel_err_freq": float(np.max(rep.e_freq[~rep.zero_mode])),
         "outliers": outlier_count_2d(rep) if n > 2 * p else None,
@@ -154,37 +202,36 @@ def _load_problem(cfg, want_dim):
     return prob
 
 
-def _poisson_rows(cfg, ns, want_dim):
+def _poisson_report(cfg, ns, want_dim):
+    """One row per dimension in ``ns``; the orders compare each row with
+    the one before, so they are blank on the first row."""
     prob = _load_problem(cfg, want_dim)
-    rows = []
-    prev = None
+    hs, errs = [], []
     for n in ns:
         spec = make_space(cfg.kind, cfg.single_degree(), n, cfg.bc)
         if want_dim == 1:
             sol = solve_poisson_1d(spec, prob, correct=cfg.correct)
         else:
             sol = solve_poisson_2d(spec, spec, prob, correct=cfg.correct)
-        h = spec.h
         if sol.err_l2 is None:
             raise ConfigError("preset carries no exact solution to report")
-        ol = oh = None
-        if prev is not None:
-            hp, l2p, h1p = prev
-            ol = np.log(l2p / sol.err_l2) / np.log(hp / h)
-            oh = np.log(h1p / sol.err_h1) / np.log(hp / h)
-        rows.append((n, h, sol.err_l2, sol.err_h1, ol, oh))
-        prev = (h, sol.err_l2, sol.err_h1)
-    return rows
+        hs.append(spec.h)
+        errs.append((sol.err_l2, sol.err_h1))
+    h = np.array(hs)
+    err = np.array(errs, dtype=float)
+    order = np.full_like(err, np.nan)
+    order[1:] = np.log(err[:-1] / err[1:]) / np.log(h[:-1] / h[1:])[:, None]
+    return CsvReport(columns=("n", "h", "err_l2", "err_h1",
+                              "order_l2", "order_h1"),
+                     data=(np.array(ns), h, *err.T, *order.T))
 
 
 def run_poisson_study(cfg: StudyConfig, want_dim):
     """Single Poisson solve at one dimension; one CSV row."""
-    rows = _poisson_rows(cfg, [cfg.single_dim()], want_dim)
-    csv = CsvReport(columns=("n", "h", "err_l2", "err_h1",
-                             "order_l2", "order_h1"), rows=rows)
+    csv = _poisson_report(cfg, [cfg.single_dim()], want_dim)
     _write_outputs(csv, cfg)
-    summary = {"err_l2": rows[-1][2], "err_h1": rows[-1][3]}
-    return csv, summary
+    err_l2, err_h1 = (float(col[-1]) for col in csv.data[2:4])
+    return csv, {"err_l2": err_l2, "err_h1": err_h1}
 
 
 def run_convergence_study(cfg: StudyConfig):
@@ -193,12 +240,10 @@ def run_convergence_study(cfg: StudyConfig):
         raise ConfigError("a convergence study needs at least two dims")
     prob = get_preset(cfg.preset) if cfg.preset else None
     want_dim = 2 if isinstance(prob, ManufacturedProblem2D) else 1
-    rows = _poisson_rows(cfg, list(cfg.dims), want_dim)
-    csv = CsvReport(columns=("n", "h", "err_l2", "err_h1",
-                             "order_l2", "order_h1"), rows=rows)
+    csv = _poisson_report(cfg, list(cfg.dims), want_dim)
     _write_outputs(csv, cfg, _convergence_plot(cfg))
-    summary = {"final_order_l2": rows[-1][4], "final_order_h1": rows[-1][5]}
-    return csv, summary
+    order_l2, order_h1 = (float(col[-1]) for col in csv.data[4:6])
+    return csv, {"final_order_l2": order_l2, "final_order_h1": order_h1}
 
 
 def run_basis_dump(cfg: StudyConfig):
@@ -207,17 +252,14 @@ def run_basis_dump(cfg: StudyConfig):
     p = cfg.single_degree()
     spec = make_space(cfg.kind, p, cfg.single_dim(), cfg.bc)
     xs = np.linspace(0.0, 1.0, 201)
-    orders = list(range(0, p + 1, 2))
-    vals = reduced_basis_matrix(spec, xs, r=p)
+    orders = np.arange(0, p + 1, 2)
+    phi = reduced_basis_matrix(spec, xs, r=p)[orders].reshape(-1, spec.n)
     csv = CsvReport(columns=("order", "x") + tuple(
-        f"phi_{i}" for i in range(1, spec.n + 1)))
-    for d in orders:
-        for q, x in enumerate(xs):
-            csv.rows.append((d, x) + tuple(vals[d, q, :]))
+        f"phi_{i}" for i in range(1, spec.n + 1)),
+        data=(np.repeat(orders, xs.size), np.tile(xs, orders.size), *phi.T))
     ext = CsvReport(columns=tuple(
-        f"col_{j}" for j in range(1, spec.knots.num_basis + 1)))
-    for row in spec.extraction:
-        ext.rows.append(tuple(row))
+        f"col_{j}" for j in range(1, spec.knots.num_basis + 1)),
+        data=tuple(spec.extraction.T))
     if cfg.out:
         csv.write(cfg.out)
         stem, suffix = os.path.splitext(cfg.out)

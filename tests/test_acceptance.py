@@ -25,7 +25,6 @@ from eigenspline import (
     function_error,
     generalized_eigen_sym,
     get_preset,
-    jacobi_generalized_eigen,
     l2_projection,
     make_space,
     mode_errors,
@@ -41,6 +40,7 @@ from eigenspline import (
 from eigenspline.assembly import error_b_coefficients
 from eigenspline.spectrum import collate_2d
 
+from jacobi_oracle import jacobi_generalized_eigen
 from test_spaces import E_2x12, E_4x8, E_RED_2x10, E_RED_6x8
 
 

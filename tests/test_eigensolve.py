@@ -10,9 +10,9 @@ from eigenspline import (
     assemble_mass,
     assemble_stiffness,
     generalized_eigen_sym,
-    jacobi_generalized_eigen,
     make_space,
 )
+from jacobi_oracle import jacobi_generalized_eigen
 
 
 def random_spd(rng, n, cond=1e3):

@@ -1,5 +1,7 @@
 """Tests for Poisson solves, projections and the boundary-data correction."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -209,6 +211,29 @@ class TestFailureContract:
                 pytest.raises(NumericalError, match="solution is not finite"):
             fast_diagonalization_solve(s, m, s, m,
                                        np.full((sp.n, sp.n), 1e308))
+
+
+    # a finite solution of a huge source whose squared error overflows;
+    # the error integral must raise, with no overflow warning escaping
+    def test_overflowing_error_integral_rejected_1d(self):
+        sp = make_space("optimal", 3, 12, 0)
+        prob = ManufacturedProblem1D(
+            name="huge", f=lambda x: np.full_like(x, 1e300),
+            u=lambda x: x * (1.0 - x), u_d1=lambda x: 1.0 - 2.0 * x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="error integral"):
+                solve_poisson_1d(sp, prob)
+
+    def test_overflowing_error_integral_rejected_2d(self):
+        sp = make_space("optimal", 3, 12, 0)
+        prob = ManufacturedProblem2D(
+            name="huge", f=lambda x1, x2: np.full_like(x1 * x2, 1e300),
+            u=lambda x1, x2: x1 * (1.0 - x1) * x2 * (1.0 - x2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="error integral"):
+                solve_poisson_2d(sp, sp, prob)
 
 
 class TestPoisson1D:

@@ -14,6 +14,7 @@ from eigenspline.reports import (CsvReport, StudyConfig, run_basis_dump,
                                  run_convergence_study, run_poisson_study,
                                  run_spectrum2d_study, run_spectrum_study)
 from eigenspline.spectrum import EFUN_BLOCK, spectrum_2d
+from test_golden import STUDIES
 
 
 def read_csv(path):
@@ -26,10 +27,30 @@ def read_csv(path):
     return header, rows
 
 
+def reference_fmt(v):
+    """Per-value cell formatter the column writer must reproduce."""
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return str(int(v))
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    v = float(v)
+    if np.isnan(v):
+        return ""
+    return format(v, ".17g")
+
+
+def reference_text(columns, rows):
+    lines = [",".join(columns)]
+    lines += [",".join(reference_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 class TestCsvReport:
     def test_formatting(self):
-        csv = CsvReport(columns=("a", "b", "c", "d"))
-        csv.rows.append((3, 1.0 / 3.0, None, float("nan")))
+        csv = CsvReport(columns=("a", "b", "c", "d"),
+                        data=([3], [1.0 / 3.0], [None], [float("nan")]))
         text = csv.to_text()
         assert text.splitlines()[0] == "a,b,c,d"
         cells = text.splitlines()[1].split(",")
@@ -38,15 +59,59 @@ class TestCsvReport:
         assert cells[2] == "" and cells[3] == ""
 
     def test_row_width_checked(self):
-        csv = CsvReport(columns=("a", "b"))
-        csv.rows.append((1.0,))
+        csv = CsvReport(columns=("a", "b"), data=([1.0],))
         with pytest.raises(ConfigError):
             csv.to_text()
+
+    def test_column_lengths_checked(self):
+        csv = CsvReport(columns=("a", "b"), data=([1.0, 2.0], [3]))
+        with pytest.raises(ConfigError):
+            csv.to_text()
+        with pytest.raises(ConfigError):
+            csv.rows
+
+    @pytest.mark.parametrize("block", [3, None])
+    def test_matches_per_value_formatter(self, block, monkeypatch):
+        if block is not None:
+            # blocks of 3 over 7 rows: a full block and a partial one
+            monkeypatch.setattr("eigenspline.reports.CSV_BLOCK", block)
+        rows = [
+            (float("nan"), None, 0, True, 7),
+            (float("inf"), 1.5, np.int64(-3), False, np.int32(2)),
+            (-float("inf"), None, 2 ** 60 + 1, np.bool_(True), -1),
+            (-0.0, float("nan"), np.uint8(255), np.bool_(False), 0),
+            (5e-324, -5e-324, -7, True, np.int64(9)),
+            (1e308, 1.0 / 3.0, 12, False, 10 ** 15),
+            (np.float64(-2.5e-300), np.float32(0.1), 1, True, -2 ** 40),
+        ]
+        columns = ("f", "g", "i", "b", "j")
+        csv = CsvReport(columns=columns, data=tuple(zip(*rows)))
+        assert csv.to_text() == reference_text(columns, rows)
+        assert [type(v) for v in csv.rows[1]] == [float, float, int, int,
+                                                 int]
+        assert csv.rows[0][:2] == (None, None) and csv.rows[3][1] is None
+
+    @pytest.mark.parametrize("name", sorted(STUDIES))
+    def test_studies_match_per_value_formatter(self, name, tmp_path,
+                                               monkeypatch):
+        written = []
+        write = CsvReport.write
+
+        def record(report, path):
+            written.append(report)
+            write(report, path)
+
+        monkeypatch.setattr(CsvReport, "write", record)
+        assert main(STUDIES[name] + ["--out", str(tmp_path / "s.csv")]) == 0
+        assert written
+        for report in written:
+            rows = zip(*(col.tolist() for col in report.data))
+            assert report.to_text() == reference_text(report.columns, rows)
 
     def test_seventeen_digit_round_trip(self):
         rng = np.random.default_rng(0)
         vals = rng.standard_normal(50) * 10.0 ** rng.integers(-12, 12, 50)
-        csv = CsvReport(columns=("v",), rows=[(v,) for v in vals])
+        csv = CsvReport(columns=("v",), data=(vals,))
         parsed = [float(line) for line in csv.to_text().splitlines()[1:]]
         assert all(a == b for a, b in zip(parsed, vals))
 
@@ -304,6 +369,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure") and "Traceback" not in err
         assert not out.exists()
+
+    def test_overflowing_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        # no preset reaches this path; a substituted problem does
+        huge = ManufacturedProblem1D(
+            name="huge", f=lambda x: np.full_like(x, 1e300),
+            u=lambda x: x * (1.0 - x))
+        monkeypatch.setattr("eigenspline.reports.get_preset",
+                            lambda name: huge)
+        out = tmp_path / "p.csv"
+        code = main(["poisson1d", "--preset", "ex73", "--degree", "3",
+                     "--dim", "12", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error integral is not finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["poisson1d", "--preset", "ex73", "--degree", "3", "--dim", "24",
+         "--correct", "on"],
+        ["poisson2d", "--preset", "ex75", "--degree", "3", "--dim", "12",
+         "--correct", "on"],
+        ["basis-dump", "--space", "optimal", "--degree", "4", "--dim", "9",
+         "--bc", "mixed"],
+    ], ids=lambda args: args[0])
+    def test_byte_identical_solve_and_dump_reruns(self, tmp_path, args):
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            assert main(args + ["--out", str(tmp_path / run / "o.csv")]) == 0
+        names = sorted(os.listdir(tmp_path / "a"))
+        assert names == sorted(os.listdir(tmp_path / "b"))
+        if args[0] == "basis-dump":
+            assert "o_extraction.csv" in names
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() \
+                == (tmp_path / "b" / name).read_bytes()
 
     def test_missing_dim_rejected(self, capsys):
         code = main(["convergence", "--degree", "3", "--preset", "sin2pi"])
