@@ -176,22 +176,32 @@ def error_b_coefficients(knots: KnotVector, breaks, bcoeffs, exact,
     xs, ws = quadrature_grid(breaks, knots.p + 1 + extra)
     b = basis_samples(knots, xs, r)
     err_l2 = _error_norm(
-        ws, "L2", np.asarray(exact(xs), dtype=float) - b[0] @ bcoeffs)
+        "L2", [(ws, np.asarray(exact(xs), dtype=float) - b[0] @ bcoeffs)])
     if exact_d1 is None:
         return err_l2, None
     return err_l2, _error_norm(
-        ws, "H1", np.asarray(exact_d1(xs), dtype=float) - b[1] @ bcoeffs)
+        "H1", [(ws, np.asarray(exact_d1(xs), dtype=float) - b[1] @ bcoeffs)])
 
 
-def _error_norm(w, what, *diffs):
-    """sqrt(sum(w * (d_1**2 + d_2**2 + ...))) over quadrature points with
-    weights ``w``; a result that overflows (a huge error squared) or is
-    otherwise not finite raises NumericalError instead of warning."""
+def _error_norm(what, blocks):
+    """sqrt of the quadrature sum of w * (d_1**2 + d_2**2 + ...).
+
+    ``blocks`` yields one ``(w, d_1, d_2, ...)`` tuple per block of
+    quadrature points: the weights and the error samples there.  Each
+    block's ``np.sum`` is added to a running total, so a caller bounds its
+    working memory by its block size, and a single block sums exactly as
+    one ``np.sum`` over all points.  The blocks are consumed under
+    ``np.errstate``: a total that overflows (a huge error squared) or is
+    otherwise not finite raises NumericalError instead of warning.
+    """
+    total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = diffs[0] ** 2
-        for d in diffs[1:]:
-            sq += d ** 2
-        total = np.sqrt(np.sum(w * sq))
+        for w, *diffs in blocks:
+            sq = diffs[0] ** 2
+            for d in diffs[1:]:
+                sq += d ** 2
+            total += np.sum(w * sq)
+        total = np.sqrt(total)
     return float(_finite(total, f"{what} error integral"))
 
 

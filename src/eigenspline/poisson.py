@@ -17,7 +17,9 @@ with trace data fitted by least squares in the transverse full spline space
 and the tensor corner term subtracted.
 
 Dirichlet boundaries only; the 2D solve runs through fast diagonalization
-of the two univariate pencils.
+of the two univariate pencils.  The 2D load and error integrals run over
+blocks of ``ROW_BLOCK`` x1 quadrature rows, so no full tensor grid of
+samples is ever formed.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ from .eigensolve import generalized_eigen_sym
 from .exceptions import ConfigError, NumericalError
 from .spaces import BoundaryType, SpaceSpec
 from .splines import KnotVector, active_derivatives, basis_samples
+
+# x1 quadrature rows per block of the 2D load and error integrals: bounds
+# their working memory at a few (nq2 x ROW_BLOCK) arrays.
+ROW_BLOCK = 128
 
 
 @dataclass
@@ -141,8 +147,17 @@ def hermite_correction_1d(spec: SpaceSpec, left_data, right_data) \
                         (1.0, right_data, slice(-(p + 1), None))):
         rhs = np.zeros(p + 1)
         rhs[list(even)] = data
-        coeffs[sl] += np.linalg.solve(active_derivatives(kv, x), rhs)
+        coeffs[sl] += _endpoint_solve(active_derivatives(kv, x), rhs)
     return CorrectionSpline(knots=kv, coeffs=coeffs)
+
+
+def _endpoint_solve(a, rhs):
+    """Solve one (p+1)-square endpoint system; a singular system raises
+    NumericalError."""
+    try:
+        return np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"endpoint system solve failed: {exc}") from exc
 
 
 def hermite_data_from_problem(spec: SpaceSpec, prob: ManufacturedProblem1D):
@@ -263,14 +278,16 @@ def _correction_data(spec: SpaceSpec):
     """Per-direction data of the 2D correction: the endpoint systems at
     x = 0, 1, and (grid, solve) for least-squares fitting in the full
     spline space, where solve(values_on_grid) gives B-spline
-    coefficients."""
+    coefficients through the banded normal equations (bandwidth p)."""
     kv = spec.knots
     xs, _ = quadrature_grid(spec.breaks, kv.p + 3)
     b = basis_samples(kv, xs, 0)[0]
-    gram = (b.T @ b).toarray()
+    g = b.T @ b
+    gram = SymBandMatrix(n=kv.num_basis, bandwidth=kv.p, band=np.stack(
+        [np.pad(g.diagonal(-k), (0, k)) for k in range(kv.p + 1)]))
 
     def solve(values):
-        return np.linalg.solve(gram, b.T @ values)
+        return _solve_banded(gram, b.T @ values, "trace fit")
 
     return {z: active_derivatives(kv, z) for z in (0.0, 1.0)}, xs, solve
 
@@ -304,14 +321,14 @@ def boundary_correction_2d(spec1: SpaceSpec, spec2: SpaceSpec,
             if a == 0:
                 continue
             rhs[a] = fit2(prob.u_mixed(a, 0, z1, grid2))
-        c[blk1[z1], :] += np.linalg.solve(sys1[z1], rhs)
+        c[blk1[z1], :] += _endpoint_solve(sys1[z1], rhs)
     for z2 in (0.0, 1.0):
         rhs = np.zeros((p2 + 1, kv1.num_basis))
         for a in even2:
             if a == 0:
                 continue
             rhs[a] = fit1(prob.u_mixed(0, a, grid1, z2))
-        c[:, blk2[z2]] += np.linalg.solve(sys2[z2], rhs).T
+        c[:, blk2[z2]] += _endpoint_solve(sys2[z2], rhs).T
     for z1 in (0.0, 1.0):
         for z2 in (0.0, 1.0):
             corner = np.zeros((p1 + 1, p2 + 1))
@@ -320,8 +337,8 @@ def boundary_correction_2d(spec1: SpaceSpec, spec2: SpaceSpec,
                     if a1 == 0 or a2 == 0:
                         continue
                     corner[a1, a2] = float(prob.u_mixed(a1, a2, z1, z2))
-            x = np.linalg.solve(sys1[z1], corner)
-            d = np.linalg.solve(sys2[z2], x.T).T
+            x = _endpoint_solve(sys1[z1], corner)
+            d = _endpoint_solve(sys2[z2], x.T).T
             c[blk1[z1], blk2[z2]] -= d
     return c
 
@@ -362,7 +379,10 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
     """Tensor-product Galerkin solve of -lap(u) = f, optionally corrected.
 
     Passing the same space object for both directions assembles, samples
-    and solves it once.
+    and solves it once.  The load and the L2/H1 error integrals use the
+    p+3-point rule in each direction and run over blocks of ``ROW_BLOCK``
+    x1 quadrature rows: f, u and the discrete solution are only ever
+    sampled on one block of rows times the whole x2 grid.
     """
     if spec1.bc != BoundaryType.DIRICHLET \
             or spec2.bc != BoundaryType.DIRICHLET:
@@ -371,8 +391,21 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
         spec1, spec2, lambda sp: (assemble_stiffness(sp), assemble_mass(sp)))
     (xs1, ws1, phi1), (xs2, ws2, phi2) = _per_direction(
         spec1, spec2, _quadrature_samples)
-    fgrid = np.asarray(prob.f(xs1[:, None], xs2[None, :]), dtype=float)
-    bb = phi1[0].T @ (ws1[:, None] * fgrid * ws2[None, :]) @ phi2[0]
+    blocks = [slice(lo, lo + ROW_BLOCK)
+              for lo in range(0, xs1.size, ROW_BLOCK)]
+
+    def on_block(fn, blk):
+        """fn on the block's x1 rows times the x2 grid, stored (nq2, rows)
+        so that the sparse products below take it without a copy."""
+        return np.asarray(fn(xs1[None, blk], xs2[:, None]), dtype=float)
+
+    def weights(blk):
+        return ws2[:, None] * ws1[None, blk]
+
+    bb = np.zeros((spec1.knots.num_basis, spec2.knots.num_basis))
+    for blk in blocks:
+        wf = weights(blk) * on_block(prob.f, blk)
+        bb += phi1[0][blk].T @ (phi2[0].T @ wf).T
 
     corr = None
     if correct:
@@ -391,16 +424,18 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
         ctot = spec1.extraction.T @ u @ spec2.extraction
         if corr is not None:
             ctot = ctot + corr
-        uh = phi1[0] @ ctot @ phi2[0].T
-        diff = np.asarray(prob.u(xs1[:, None], xs2[None, :]), float) - uh
-        wgt = ws1[:, None] * ws2[None, :]
-        err_l2 = _error_norm(wgt, "L2", diff)
+
+        def miss(fn, d, e, blk):
+            """Exact minus discrete (d, e)-derivative on the block."""
+            return on_block(fn, blk) - phi2[e] @ (phi1[d][blk] @ ctot).T
+
+        err_l2 = _error_norm("L2", ((weights(blk), miss(prob.u, 0, 0, blk))
+                                    for blk in blocks))
         if prob.u_x1 is not None and prob.u_x2 is not None:
-            d1 = np.asarray(prob.u_x1(xs1[:, None], xs2[None, :]), float) \
-                - phi1[1] @ ctot @ phi2[0].T
-            d2 = np.asarray(prob.u_x2(xs1[:, None], xs2[None, :]), float) \
-                - phi1[0] @ ctot @ phi2[1].T
-            err_h1 = _error_norm(wgt, "H1", d1, d2)
+            err_h1 = _error_norm("H1", ((weights(blk),
+                                         miss(prob.u_x1, 1, 0, blk),
+                                         miss(prob.u_x2, 0, 1, blk))
+                                        for blk in blocks))
     return PoissonSolution2D(spec1=spec1, spec2=spec2, coeffs=u,
                              correction=corr, err_l2=err_l2, err_h1=err_h1)
 

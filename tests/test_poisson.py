@@ -1,5 +1,6 @@
 """Tests for Poisson solves, projections and the boundary-data correction."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -225,15 +226,37 @@ class TestFailureContract:
             with pytest.raises(NumericalError, match="error integral"):
                 solve_poisson_1d(sp, prob)
 
-    def test_overflowing_error_integral_rejected_2d(self):
+    def test_overflowing_error_integral_rejected_2d(self, monkeypatch):
+        # once in one row block, once across several
         sp = make_space("optimal", 3, 12, 0)
         prob = ManufacturedProblem2D(
             name="huge", f=lambda x1, x2: np.full_like(x1 * x2, 1e300),
             u=lambda x1, x2: x1 * (1.0 - x1) * x2 * (1.0 - x2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="error integral"):
-                solve_poisson_2d(sp, sp, prob)
+        for block in (poisson.ROW_BLOCK, 7):
+            monkeypatch.setattr(poisson, "ROW_BLOCK", block)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalError, match="error integral"):
+                    solve_poisson_2d(sp, sp, prob)
+
+    def test_singular_endpoint_system_mapped(self, monkeypatch):
+        monkeypatch.setattr(poisson, "active_derivatives",
+                            lambda kv, x: np.zeros((kv.p + 1, kv.p + 1)))
+        sp = make_space("optimal", 3, 12, 0)
+        with pytest.raises(NumericalError, match="endpoint system"):
+            hermite_correction_1d(sp, [0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(NumericalError, match="endpoint system"):
+            boundary_correction_2d(sp, sp, get_preset("ex75"))
+
+    def test_non_finite_trace_fit_rejected(self):
+        prob = get_preset("ex75")
+        nan_traces = ManufacturedProblem2D(
+            name="nan", f=prob.f,
+            u_mixed=lambda a1, a2, x1, x2: np.nan * prob.u_mixed(a1, a2,
+                                                                 x1, x2))
+        sp = make_space("optimal", 3, 12, 0)
+        with pytest.raises(NumericalError, match="trace fit"):
+            boundary_correction_2d(sp, sp, nan_traces)
 
 
 class TestPoisson1D:
@@ -332,6 +355,34 @@ class TestTraceFromF:
     def test_rejects_odd_order(self):
         with pytest.raises(ConfigError):
             trace_from_f(get_preset("ex75"), 3, 0.0, np.array([0.5]))
+
+
+def full_grid_solve_2d(spec1, spec2, prob, correct):
+    """Oracle for solve_poisson_2d: (coeffs, err_l2, err_h1) with the load
+    and the error integrals taken over the whole nq1 x nq2 Gauss grid at
+    once, and the correction load through dense Gram matrices."""
+    (xs1, ws1, phi1), (xs2, ws2, phi2) = (poisson._quadrature_samples(sp)
+                                          for sp in (spec1, spec2))
+    grid = (xs1[:, None], xs2[None, :])
+    wgt = ws1[:, None] * ws2[None, :]
+    bb = phi1[0].T @ (wgt * prob.f(*grid)) @ phi2[0]
+    corr = 0.0
+    if correct:
+        corr = boundary_correction_2d(spec1, spec2, prob)
+        g1s, g1m, g2s, g2m = (poisson._gram(sp, d).to_dense()
+                              for sp in (spec1, spec2) for d in (1, 0))
+        bb = bb - g1s @ corr @ g2m - g1m @ corr @ g2s
+    u = fast_diagonalization_solve(
+        assemble_stiffness(spec1), assemble_mass(spec1),
+        assemble_stiffness(spec2), assemble_mass(spec2),
+        spec1.extraction @ bb @ spec2.extraction.T)
+    ctot = spec1.extraction.T @ u @ spec2.extraction + corr
+
+    def sq(fn, d, e):
+        return (fn(*grid) - phi1[d] @ ctot @ phi2[e].T) ** 2
+
+    return (u, np.sqrt(np.sum(wgt * sq(prob.u, 0, 0))),
+            np.sqrt(np.sum(wgt * (sq(prob.u_x1, 1, 0) + sq(prob.u_x2, 0, 1)))))
 
 
 def cubic_bubble_problem_2d():
@@ -436,3 +487,52 @@ class TestPoisson2D:
         sol = solve_poisson_2d(sp1, sp2, get_preset("ex75"), correct=True)
         assert sol.coeffs.shape == (10, 9)
         assert sol.err_l2 < 1e-3
+
+    @pytest.mark.parametrize("correct", [False, True])
+    @pytest.mark.parametrize("block", [7, 10 ** 6])
+    def test_row_blocks_match_full_grid(self, block, correct, monkeypatch):
+        # mixed degrees, non-square: 7-row blocks straddle the 6-point
+        # elements of direction 1 and leave a partial last block; 10**6
+        # rows make one block
+        sp1 = make_space("optimal", 3, 40, 0)
+        sp2 = make_space("optimal", 4, 57, 0)
+        nq1 = poisson._quadrature_samples(sp1)[0].size
+        assert nq1 % 7 and (sp1.p + 3) % 7 and nq1 < 10 ** 6
+        prob = get_preset("ex75")
+        monkeypatch.setattr(poisson, "ROW_BLOCK", block)
+        coeffs, err_l2, err_h1 = full_grid_solve_2d(sp1, sp2, prob, correct)
+        sol = solve_poisson_2d(sp1, sp2, prob, correct=correct)
+        assert np.max(np.abs(sol.coeffs - coeffs)) \
+            <= 1e-12 * np.max(np.abs(coeffs))
+        # The corrected errors sit about 1e-7 below |u|, so the round-off
+        # of the coefficients alone moves them by up to ~1e-11 relative;
+        # the error integrals are therefore compared on the oracle's
+        # coefficients, where only the blocking of the sums differs.
+        monkeypatch.setattr(poisson, "fast_diagonalization_solve",
+                            lambda *args: coeffs)
+        sol = solve_poisson_2d(sp1, sp2, prob, correct=correct)
+        assert sol.err_l2 == pytest.approx(err_l2, rel=1e-12, abs=0.0)
+        assert sol.err_h1 == pytest.approx(err_h1, rel=1e-12, abs=0.0)
+
+    def test_working_memory_below_one_grid(self):
+        # the row blocks never hold a full nq1 x nq2 grid: the traced peak
+        # of a corrected solve stays below one such float64 array
+        sp = make_space("optimal", 4, 255, 0)
+        prob = get_preset("ex75")
+        solve_poisson_2d(sp, sp, prob, correct=True)
+        nq = poisson._quadrature_samples(sp)[0].size
+        tracemalloc.start()
+        try:
+            solve_poisson_2d(sp, sp, prob, correct=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nq * nq * 8
+
+    def test_trace_fit_is_least_squares(self):
+        sp = make_space("optimal", 4, 20, 0)
+        _, xs, fit = poisson._correction_data(sp)
+        values = np.sin(3.0 * xs) + xs ** 5
+        b = poisson.basis_samples(sp.knots, xs, 0)[0].toarray()
+        assert_allclose(fit(values), np.linalg.lstsq(b, values)[0],
+                        rtol=1e-10, atol=1e-12)

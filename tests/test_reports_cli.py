@@ -386,6 +386,22 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [
+        ["poisson1d", "--preset", "ex73", "--degree", "3", "--dim", "16"],
+        ["poisson2d", "--preset", "ex75", "--degree", "3", "--dim", "12"],
+    ], ids=lambda args: args[0])
+    def test_singular_endpoint_system_exits_3(self, tmp_path, monkeypatch,
+                                              capsys, args):
+        monkeypatch.setattr("eigenspline.poisson.active_derivatives",
+                            lambda kv, x: np.zeros((kv.p + 1, kv.p + 1)))
+        out = tmp_path / "p.csv"
+        code = main(args + ["--correct", "on", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and "Traceback" not in err
+        assert "endpoint system" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
         ["poisson1d", "--preset", "ex73", "--degree", "3", "--dim", "24",
          "--correct", "on"],
         ["poisson2d", "--preset", "ex75", "--degree", "3", "--dim", "12",
