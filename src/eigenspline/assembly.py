@@ -7,9 +7,10 @@ points.  Elements are the knot spans intersected with [0, 1]
 (equivalently, consecutive breakpoints).  The per-element blocks are
 scattered straight into packed symmetric band storage, and reduced-space
 matrices are sparse congruence transforms of those banded B-spline Gram
-matrices by the extraction, so no dense n x n matrix is formed.  The
-direct quadrature route over the reduced basis exists in the test suite as
-an independent oracle.
+matrices by the space's stored sparse extraction, so neither a dense
+n x n matrix nor a dense extraction is formed; loads and coefficient maps
+multiply by the same sparse extraction.  The direct quadrature route over
+the reduced basis exists in the test suite as an independent oracle.
 """
 
 from __future__ import annotations
@@ -57,21 +58,6 @@ class SymBandMatrix:
     n: int
     bandwidth: int
     band: np.ndarray
-
-    @classmethod
-    def from_dense(cls, a):
-        a = np.asarray(a, dtype=float)
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise ConfigError("matrix must be square")
-        if not np.array_equal(a, a.T):
-            raise ConfigError("matrix must be symmetric")
-        nz = np.nonzero(a)
-        bw = int(np.max(np.abs(nz[0] - nz[1]))) if nz[0].size else 0
-        band = np.zeros((bw + 1, n))
-        for d in range(bw + 1):
-            band[d, :n - d] = np.diagonal(a, -d)
-        return cls(n=n, bandwidth=bw, band=band)
 
     def to_dense(self):
         a = np.zeros((self.n, self.n))
@@ -129,8 +115,7 @@ def _congruence(spec: SpaceSpec, d):
     offsets = range(-p, p + 1)
     g = scipy.sparse.diags_array([band[abs(k), :nb - abs(k)] for k in offsets],
                                  offsets=offsets, shape=(nb, nb))
-    e = scipy.sparse.csr_array(spec.extraction)
-    a = e @ g @ e.T
+    a = spec.extraction @ g @ spec.extraction.T
     a = (0.5 * (a + a.T)).tocoo()
     keep = (a.row >= a.col) & (a.data != 0)
     rows, cols, vals = a.row[keep], a.col[keep], a.data[keep]

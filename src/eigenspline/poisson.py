@@ -274,14 +274,15 @@ def fast_diagonalization_solve(s1, m1, s2, m2, rhs):
     return _finite(v1 @ (rhat / den) @ v2.T, "tensor solve: solution")
 
 
-def _correction_data(spec: SpaceSpec):
+def _correction_data(spec: SpaceSpec, samples):
     """Per-direction data of the 2D correction: the endpoint systems at
     x = 0, 1, and (grid, solve) for least-squares fitting in the full
     spline space, where solve(values_on_grid) gives B-spline
-    coefficients through the banded normal equations (bandwidth p)."""
+    coefficients through the banded normal equations (bandwidth p).  The
+    grid and its order-0 B-spline samples come from ``samples``, the
+    direction's :func:`_quadrature_samples`."""
     kv = spec.knots
-    xs, _ = quadrature_grid(spec.breaks, kv.p + 3)
-    b = basis_samples(kv, xs, 0)[0]
+    xs, _, (b, *_) = samples
     g = b.T @ b
     gram = SymBandMatrix(n=kv.num_basis, bandwidth=kv.p, band=np.stack(
         [np.pad(g.diagonal(-k), (0, k)) for k in range(kv.p + 1)]))
@@ -301,6 +302,13 @@ def boundary_correction_2d(spec1: SpaceSpec, spec2: SpaceSpec,
     derivatives; the doubly-counted corner part (tensor Hermite of the
     corner derivative data) is subtracted.
     """
+    return _boundary_correction_2d(
+        spec1, spec2, prob,
+        _per_direction(spec1, spec2, _quadrature_samples))
+
+
+def _boundary_correction_2d(spec1, spec2, prob, samples):
+    """:func:`boundary_correction_2d` on given quadrature ``samples``."""
     if prob.u_mixed is None:
         raise ConfigError("problem carries no mixed-derivative evaluators")
     p1, p2 = spec1.p, spec2.p
@@ -311,8 +319,9 @@ def boundary_correction_2d(spec1: SpaceSpec, spec2: SpaceSpec,
     even2, _ = hermite_data_orders(p2)
     blk1 = {0.0: slice(0, p1 + 1), 1.0: slice(kv1.num_basis - p1 - 1, None)}
     blk2 = {0.0: slice(0, p2 + 1), 1.0: slice(kv2.num_basis - p2 - 1, None)}
+    # samples[1] is samples[0] when spec2 is spec1, so either index works
     (sys1, grid1, fit1), (sys2, grid2, fit2) = _per_direction(
-        spec1, spec2, _correction_data)
+        spec1, spec2, lambda sp: _correction_data(sp, samples[sp is spec2]))
 
     c = np.zeros((kv1.num_basis, kv2.num_basis))
     for z1 in (0.0, 1.0):
@@ -389,8 +398,8 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
         raise ConfigError("poisson solves support Dirichlet boundaries only")
     (s1, m1), (s2, m2) = _per_direction(
         spec1, spec2, lambda sp: (assemble_stiffness(sp), assemble_mass(sp)))
-    (xs1, ws1, phi1), (xs2, ws2, phi2) = _per_direction(
-        spec1, spec2, _quadrature_samples)
+    samples = _per_direction(spec1, spec2, _quadrature_samples)
+    (xs1, ws1, phi1), (xs2, ws2, phi2) = samples
     blocks = [slice(lo, lo + ROW_BLOCK)
               for lo in range(0, xs1.size, ROW_BLOCK)]
 
@@ -409,7 +418,7 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
 
     corr = None
     if correct:
-        corr = boundary_correction_2d(spec1, spec2, prob)
+        corr = _boundary_correction_2d(spec1, spec2, prob, samples)
         (g1s, g1m), (g2s, g2m) = _per_direction(
             spec1, spec2, lambda sp: (_gram(sp, 1), _gram(sp, 0)))
         # G1 C G2 = (G2 (G1 C)^T)^T for symmetric G2

@@ -259,7 +259,7 @@ def run_basis_dump(cfg: StudyConfig):
         data=(np.repeat(orders, xs.size), np.tile(xs, orders.size), *phi.T))
     ext = CsvReport(columns=tuple(
         f"col_{j}" for j in range(1, spec.knots.num_basis + 1)),
-        data=tuple(spec.extraction.T))
+        data=tuple(spec.extraction.toarray().T))
     if cfg.out:
         csv.write(cfg.out)
         stem, suffix = os.path.splitext(cfg.out)

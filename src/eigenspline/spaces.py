@@ -14,10 +14,13 @@ boundary type, and one of three kinds.
   coincides with ``OPTIMAL`` and is rejected.
 
 Each reduced basis function is stored as one row of an extraction matrix
-over the n_el + p B-splines of the knot sequence.  For Dirichlet-type
-constraints the extraction is assembled from the closed-form two-block
-reflection tiling; for the Neumann and mixed types it is the orthonormal
-null space of the endpoint constraint functionals.
+over the n_el + p B-splines of the knot sequence.  The basis is local, so
+the extraction is a ``scipy.sparse.csr_array`` built straight from its
+blocks and never held dense: a unit entry per kept B-spline for full
+spaces; for Dirichlet-type constraints the identity plus the corner
+columns of the closed-form two-block reflection tiling; for the Neumann
+and mixed types the orthonormal null spaces of the endpoint constraint
+functionals around an interior identity.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 import numpy as np
+import scipy.sparse
 from scipy.linalg import null_space
 
 from .exceptions import ConfigError
@@ -95,7 +99,11 @@ def _uniform_layout(p, n_el, den, sigma, clip=False):
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """Fully constructed spline space (build with :func:`make_space`)."""
+    """Fully constructed spline space (build with :func:`make_space`).
+
+    ``extraction`` is the (n, n_el + p) ``csr_array`` whose row i holds
+    the B-spline coefficients of basis function i.
+    """
 
     kind: SpaceKind
     p: int
@@ -105,7 +113,7 @@ class SpaceSpec:
     h: float
     breaks: np.ndarray = field(repr=False)
     knots: KnotVector = field(repr=False)
-    extraction: np.ndarray = field(repr=False)
+    extraction: scipy.sparse.csr_array = field(repr=False)
 
 
 def make_space(kind, p, n, bc) -> SpaceSpec:
@@ -193,8 +201,9 @@ def _tiled_extraction(m, keep, reduced):
     each side of a central identity, counting outward: left neighbours read
     the left block from its right edge, right neighbours read the right
     block from its left edge.  Every pattern column has at most one
-    nonzero, so each block is held as (row, sign) per column and only the
-    2 * keep columns that are read get written.
+    nonzero, so each block is held as (row, sign) per column, and the
+    matrix is the identity plus the 2 * keep read columns as COO triplets,
+    the zero gap entries dropped.
     """
     up = np.arange(m)
     one = np.ones(m)
@@ -203,26 +212,22 @@ def _tiled_extraction(m, keep, reduced):
     br = np.r_[gap, up[::-1], gap, up], np.r_[gap, -one, gap, one]
     period = bl[0].size
     j = np.arange(1, keep + 1)
-    out = np.zeros((m, m + 2 * keep))
-    out[up, keep + up] = 1.0
     left = period - 1 - ((j[::-1] - 1) % period)
-    out[bl[0][left], j - 1] = bl[1][left]
     right = (j - 1) % period
-    out[br[0][right], keep + m + j - 1] = br[1][right]
-    return out
+    rows = np.r_[up, bl[0][left], br[0][right]]
+    cols = np.r_[keep + up, j - 1, keep + m + j - 1]
+    vals = np.r_[one, bl[1][left], br[1][right]]
+    nz = vals != 0.0
+    return scipy.sparse.coo_array((vals[nz], (rows[nz], cols[nz])),
+                                  shape=(m, m + 2 * keep)).tocsr()
 
 
 def _selection_extraction(n_el, p, bc):
+    """One unit entry per B-spline the boundary type keeps."""
     nb = n_el + p
-    if bc == BoundaryType.DIRICHLET:
-        keep = np.arange(1, nb - 1)
-    elif bc == BoundaryType.NEUMANN:
-        keep = np.arange(nb)
-    else:
-        keep = np.arange(1, nb)
-    e = np.zeros((keep.size, nb))
-    e[np.arange(keep.size), keep] = 1.0
-    return e
+    lo = 0 if bc == BoundaryType.NEUMANN else 1
+    hi = nb - 1 if bc == BoundaryType.DIRICHLET else nb
+    return scipy.sparse.eye_array(hi - lo, nb, k=lo, format="csr")
 
 
 def _equilibrate(rows):
@@ -235,8 +240,9 @@ def _nullspace_extraction(kv, left_orders, right_orders):
     """Orthonormal basis of the constrained subspace, one row per function.
 
     When the endpoint windows are disjoint the two (p+1)-column systems are
-    solved separately and the untouched interior B-splines pass through as
-    identity rows; otherwise one global null space is taken.
+    solved separately and the matrix is the block diagonal of their null
+    spaces around the identity on the untouched interior B-splines;
+    otherwise one global null space is taken.
     """
     p, n_el, nb = kv.p, kv.n_el, kv.num_basis
     cl = _equilibrate(active_derivatives(kv, 0.0)[list(left_orders)])
@@ -247,25 +253,20 @@ def _nullspace_extraction(kv, left_orders, right_orders):
         if kl.shape[0] != p + 1 - len(left_orders) \
                 or kr.shape[0] != p + 1 - len(right_orders):
             raise ConfigError("endpoint constraints are rank deficient")
-        rows = np.zeros((nb - len(left_orders) - len(right_orders), nb))
-        rows[:kl.shape[0], :p + 1] = kl
-        ni = n_el - p - 2
-        rows[kl.shape[0]:kl.shape[0] + ni,
-             p + 1:n_el - 1] = np.eye(ni)
-        rows[kl.shape[0] + ni:, nb - p - 1:] = kr
-        return rows
+        return scipy.sparse.block_diag(
+            (kl, scipy.sparse.eye_array(n_el - p - 2), kr), format="csr")
     cglob = np.zeros((len(left_orders) + len(right_orders), nb))
     cglob[:len(left_orders), :p + 1] = cl
     cglob[len(left_orders):, nb - p - 1:] = cr
     rows = null_space(cglob).T
     if rows.shape[0] != nb - cglob.shape[0]:
         raise ConfigError("endpoint constraints are rank deficient")
-    return rows
+    return scipy.sparse.csr_array(rows)
 
 
 def reduced_basis_matrix(spec: SpaceSpec, xs, r=0) -> np.ndarray:
     """Derivatives 0..r of the reduced basis at many points: (r+1, nq, n)."""
-    return np.stack([b @ spec.extraction.T
+    return np.stack([(b @ spec.extraction.T).toarray()
                      for b in basis_samples(spec.knots, xs, r)])
 
 

@@ -16,9 +16,10 @@ The eigenfunction errors use the p+3-point rule on every element.  The
 B-splines are sampled once on the whole grid into a sparse matrix with the
 p+1 active B-splines per point.  Modes are then taken in fixed-size
 blocks: each block's eigenvectors are mapped to B-spline coefficients
-through the sparse extraction, sampled through that matrix and compared
-with the exact modes, so no dense quadrature-points x n basis or mode
-matrix is ever formed.
+through the space's stored sparse extraction, sampled through that matrix
+and compared with the exact modes, so no dense quadrature-points x n basis
+or mode matrix is ever formed.  The bound columns take the exact
+frequencies once per spectrum.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .assembly import assemble_mass, assemble_stiffness, quadrature_grid
 from .eigensolve import generalized_eigen_sym
@@ -110,14 +110,13 @@ def _eigenfunction_errors(spec: SpaceSpec, v):
     n = spec.n
     xs, ws = quadrature_grid(spec.breaks, spec.p + 3)
     b0 = basis_samples(spec.knots, xs, 0)[0]
-    ext_t = scipy.sparse.csr_array(spec.extraction).T
     omega = exact_frequencies(spec.bc, n)
     wave = np.cos if spec.bc == BoundaryType.NEUMANN else np.sin
     overlaps = np.empty(n)
     e_fun = np.empty(n)
     for lo in range(0, n, EFUN_BLOCK):
         blk = slice(lo, min(lo + EFUN_BLOCK, n))
-        uh = b0 @ (ext_t @ v[:, blk])
+        uh = b0 @ (spec.extraction.T @ v[:, blk])
         exact = np.outer(xs, omega[blk])
         wave(exact, out=exact)
         exact *= np.sqrt(2.0)
@@ -141,10 +140,19 @@ def eigval_upper_bound(l, n, p, bc) -> float:
     if not 1 <= l <= n:
         raise ConfigError("mode index out of range")
     freqs = exact_frequencies(bc, n + 1)
-    wl, wtop = freqs[l - 1], freqs[n]
-    if wl == 0.0:
-        return 0.0
-    return 1.0 / (1.0 - (wl / wtop) ** (p + 1)) - 1.0
+    return _upper_bound(freqs[l - 1], freqs[n], p)
+
+
+def _upper_bound(wl, wtop, p):
+    return 0.0 if wl == 0.0 else 1.0 / (1.0 - (wl / wtop) ** (p + 1)) - 1.0
+
+
+def _upper_bounds(spec: SpaceSpec):
+    """:func:`eigval_upper_bound` for modes 1..n of the space, with the
+    exact frequencies taken once."""
+    freqs = exact_frequencies(spec.bc, spec.n + 1)
+    return np.array([_upper_bound(wl, freqs[spec.n], spec.p)
+                     for wl in freqs[:spec.n]])
 
 
 def eigval_upper_bound_sharp(l, n, p, bc):
@@ -194,8 +202,7 @@ def mode_errors(spec: SpaceSpec, spectrum: Spectrum1D) -> ModeErrorReport:
     e_freq[~zero] = (spectrum.frequencies[~zero] - exact[~zero]) / exact[~zero]
     e_freq[zero] = spectrum.frequencies[zero]
     if spec.kind == SpaceKind.OPTIMAL:
-        bound = np.array([eigval_upper_bound(l, n, spec.p, spec.bc)
-                          for l in range(1, n + 1)])
+        bound = _upper_bounds(spec)
     else:
         bound = np.full(n, np.nan)
     return ModeErrorReport(spec=spec, ls=np.arange(1, n + 1),
@@ -309,10 +316,7 @@ def _bound_2d(sp: Spectrum2D):
     s1, s2 = sp.sp1.spec, sp.sp2.spec
     if s1.kind != SpaceKind.OPTIMAL or s2.kind != SpaceKind.OPTIMAL:
         return np.full(sp.l1.size, np.nan)
-    b1 = np.array([eigval_upper_bound(l, s1.n, s1.p, s1.bc)
-                   for l in range(1, s1.n + 1)])
-    b2 = np.array([eigval_upper_bound(l, s2.n, s2.p, s2.bc)
-                   for l in range(1, s2.n + 1)])
+    b1, b2 = _upper_bounds(s1), _upper_bounds(s2)
     w1 = exact_frequencies(s1.bc, s1.n)
     w2 = exact_frequencies(s2.bc, s2.n)
     num = ((1.0 + b1[sp.l1 - 1]) * w1[sp.l1 - 1]) ** 2 \

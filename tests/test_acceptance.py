@@ -96,7 +96,7 @@ def test_criterion_1_extraction_exactness(acceptance_log):
     ]
     bad = [f"{kind} p={p}" for kind, p, n, expected in cases
            if not np.array_equal(
-               make_space(kind, p, n, 0).extraction, expected)]
+               make_space(kind, p, n, 0).extraction.toarray(), expected)]
     dt = time.perf_counter() - t0
     ok = not bad
     assert acceptance_log(

@@ -230,7 +230,7 @@ class TestBasisDump:
         assert summary == {"n": 4, "n_el": 5}
         header, rows = read_csv(tmp_path / "basis_extraction.csv")
         got = np.array([[float(c) for c in row] for row in rows])
-        expected = make_space("optimal", 3, 4, 0).extraction
+        expected = make_space("optimal", 3, 4, 0).extraction.toarray()
         assert np.array_equal(got, expected)
         assert header == [f"col_{j}" for j in range(1, 9)]
 
@@ -241,7 +241,7 @@ class TestBasisDump:
         run_basis_dump(cfg)
         _, rows = read_csv(tmp_path / "red_extraction.csv")
         got = np.array([[float(c) for c in row] for row in rows])
-        expected = make_space("reduced", 2, 6, 0).extraction
+        expected = make_space("reduced", 2, 6, 0).extraction.toarray()
         assert np.array_equal(got, expected)
 
     def test_sampled_derivatives_vanish_at_ends(self, tmp_path):

@@ -1,7 +1,10 @@
 """Tests for space construction, extraction matrices and constraints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 from numpy.testing import assert_allclose
 
 from eigenspline import (
@@ -125,7 +128,7 @@ class TestExtractionExamples:
         ("reduced", 8, 2, E_RED_2x10),
     ])
     def test_bit_exact(self, kind, p, n, expected):
-        e = make_space(kind, p, n, 0).extraction
+        e = make_space(kind, p, n, 0).extraction.toarray()
         assert e.shape == expected.shape
         assert np.array_equal(e, expected)
         # +0.0 entries only, no negative zeros
@@ -136,7 +139,8 @@ class TestExtractionExamples:
         # matrix at equal dimension, only the knot grids differ
         even = make_space("optimal", 4, 7, 0)
         odd = make_space("optimal", 5, 7, 0)
-        assert np.array_equal(even.extraction, odd.extraction)
+        assert np.array_equal(even.extraction.toarray(),
+                              odd.extraction.toarray())
         assert even.n_el == odd.n_el + 1
 
 
@@ -164,6 +168,52 @@ class TestDimensions:
     def test_h_matches_widest_element(self):
         sp = make_space("optimal", 3, 10, 0)
         assert_allclose(sp.h, np.diff(sp.breaks).max())
+
+
+def _smallest_space(kind, p, bc):
+    """The space of the smallest dimension make_space accepts, or None
+    when no dimension is legal (reduced spaces of odd p or not Dirichlet)."""
+    for n in range(1, p + 4):
+        try:
+            return make_space(kind, p, n, bc)
+        except ConfigError:
+            pass
+    return None
+
+
+class TestSparseExtraction:
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8, 12, 29])
+    @pytest.mark.parametrize("bc", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["full", "optimal", "reduced"])
+    def test_smallest_spaces(self, kind, bc, p):
+        # the smallest legal n reaches the global null-space branch
+        # (n_el <= p + 1), the empty interior identity of the block
+        # diagonal and the two-element reduced space
+        sp = _smallest_space(kind, p, bc)
+        if sp is None:
+            assert kind == "reduced" and (p % 2 or bc)
+            return
+        e = sp.extraction
+        assert isinstance(e, scipy.sparse.csr_array)
+        assert e.shape == (sp.n, sp.knots.num_basis)
+        assert e.has_canonical_format
+        assert np.linalg.matrix_rank(e.toarray()) == sp.n
+        if kind != "full":
+            assert boundary_residuals(sp) <= 1e-10
+
+    @pytest.mark.parametrize("kind,p,bc", [
+        ("optimal", 5, 0), ("optimal", 5, 1), ("full", 5, 0),
+        ("reduced", 4, 0)])
+    def test_built_without_dense_matrix(self, kind, p, bc):
+        # the dense 2000 x (n_el + p) extraction alone would take 32 MB
+        make_space(kind, p, 2000, bc)
+        tracemalloc.start()
+        try:
+            make_space(kind, p, 2000, bc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestRejections:
@@ -211,7 +261,7 @@ class TestBasisProperties:
     @pytest.mark.parametrize("bc", [0, 1, 2])
     def test_extraction_full_rank(self, bc):
         sp = make_space("optimal", 4, 9, bc)
-        s = np.linalg.svd(sp.extraction, compute_uv=False)
+        s = np.linalg.svd(sp.extraction.toarray(), compute_uv=False)
         assert s[-1] > 1e-10
 
     def test_neumann_space_contains_constants(self):

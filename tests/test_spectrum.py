@@ -24,6 +24,7 @@ from eigenspline import (
     spectrum_1d,
     spectrum_2d,
 )
+from eigenspline import spectrum
 from eigenspline.assembly import quadrature_grid
 from eigenspline.spectrum import EFUN_BLOCK, collate_2d
 from eigenspline.splines import basis_samples
@@ -195,6 +196,28 @@ class TestModeErrors:
         sp = make_space("full", 3, 12, 0)
         rep = mode_errors(sp, spectrum_1d(sp))
         assert np.isnan(rep.bound).all()
+
+    @pytest.mark.parametrize("bc", [0, 1, 2])
+    def test_bound_column_takes_frequencies_once(self, bc, monkeypatch):
+        # the same per-mode arithmetic as eigval_upper_bound, bit for bit,
+        # from one exact_frequencies call per spectrum instead of one per
+        # mode (plus the one for the exact column)
+        sp = make_space("optimal", 4, 30, bc)
+        sp1 = spectrum_1d(sp)
+        expected = [eigval_upper_bound(l, 30, 4, bc) for l in range(1, 31)]
+        sp2 = spectrum_2d(sp, make_space("optimal", 3, 20, bc))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return exact_frequencies(*args)
+
+        monkeypatch.setattr(spectrum, "exact_frequencies", counting)
+        assert mode_errors(sp, sp1).bound.tolist() == expected
+        assert len(calls) == 2
+        del calls[:]
+        assert np.isfinite(mode_errors_2d(sp2).bound).any()
+        assert len(calls) == 4
 
     def test_bound_monotone_in_mode(self):
         b = [eigval_upper_bound(l, 20, 3, 0) for l in range(1, 21)]
