@@ -12,8 +12,7 @@ from .assembly import (SymBandMatrix, assemble_load, assemble_mass,
                        gauss_legendre)
 from .eigensolve import generalized_eigen_sym
 from .exceptions import ConfigError, NumericalError
-from .poisson import (CorrectionSpline, ManufacturedProblem1D,
-                      ManufacturedProblem2D, boundary_correction_2d,
+from .poisson import (ManufacturedProblem1D, ManufacturedProblem2D,
                       fast_diagonalization_solve, hermite_correction_1d,
                       hermite_data_from_problem, l2_projection,
                       ritz_projection, solve_poisson_1d, solve_poisson_2d,
@@ -32,20 +31,17 @@ from .splines import (KnotVector, basis_samples, bspline_eval_batch,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryType", "ConfigError", "CorrectionSpline",
-    "KnotVector", "ManufacturedProblem1D", "ManufacturedProblem2D",
-    "NumericalError", "SpaceKind", "SpaceSpec", "Spectrum1D", "Spectrum2D",
-    "SymBandMatrix", "assemble_load", "assemble_mass", "assemble_stiffness",
-    "basis_samples", "boundary_correction_2d", "boundary_residuals",
-    "bspline_eval_batch", "bspline_gram", "cardinal_bspline",
-    "cardinal_bspline_derivative", "eigval_upper_bound",
-    "eigval_upper_bound_sharp", "exact_eigenfunction",
-    "exact_frequencies", "fast_diagonalization_solve",
-    "function_error", "gauss_legendre", "generalized_eigen_sym",
-    "get_preset", "hermite_correction_1d", "hermite_data_from_problem",
-    "l2_projection", "make_space",
-    "mode_errors", "mode_errors_2d", "optimal_breaks", "outlier_count",
-    "outlier_count_2d", "reduced_basis_matrix", "ritz_projection",
-    "solve_poisson_1d", "solve_poisson_2d", "spectrum_1d", "spectrum_2d",
-    "trace_from_f",
+    "BoundaryType", "ConfigError", "KnotVector", "ManufacturedProblem1D",
+    "ManufacturedProblem2D", "NumericalError", "SpaceKind", "SpaceSpec",
+    "Spectrum1D", "Spectrum2D", "SymBandMatrix", "assemble_load",
+    "assemble_mass", "assemble_stiffness", "basis_samples",
+    "boundary_residuals", "bspline_eval_batch", "bspline_gram",
+    "cardinal_bspline", "cardinal_bspline_derivative", "eigval_upper_bound",
+    "eigval_upper_bound_sharp", "exact_eigenfunction", "exact_frequencies",
+    "fast_diagonalization_solve", "function_error", "gauss_legendre",
+    "generalized_eigen_sym", "get_preset", "hermite_correction_1d",
+    "hermite_data_from_problem", "l2_projection", "make_space", "mode_errors",
+    "mode_errors_2d", "optimal_breaks", "outlier_count", "outlier_count_2d",
+    "reduced_basis_matrix", "ritz_projection", "solve_poisson_1d",
+    "solve_poisson_2d", "spectrum_1d", "spectrum_2d", "trace_from_f",
 ]

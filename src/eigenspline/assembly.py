@@ -142,23 +142,25 @@ def assemble_load(spec: SpaceSpec, f) -> np.ndarray:
     return spec.extraction @ bb
 
 
-def bspline_load(knots: KnotVector, breaks, f, extra=2, d=0):
-    """Load vector of f against the d-th derivatives of all B-splines."""
-    xs, ws = quadrature_grid(breaks, knots.p + 1 + extra)
+def bspline_load(knots: KnotVector, breaks, f, d=0):
+    """Load vector of f against the d-th derivatives of all B-splines,
+    with the p+3-point rule."""
+    xs, ws = quadrature_grid(breaks, knots.p + 3)
     b = basis_samples(knots, xs, d)[d]
     return b.T @ (np.asarray(f(xs), dtype=float) * ws)
 
 
 def error_b_coefficients(knots: KnotVector, breaks, bcoeffs, exact,
-                         exact_d1=None, extra=2):
-    """L2 and H1-seminorm errors of a spline given by B-spline coefficients.
+                         exact_d1=None):
+    """L2 and H1-seminorm errors of a spline given by B-spline coefficients,
+    with the p+3-point rule.
 
     Returns (err_l2, err_h1); err_h1 is None when no derivative of the
     target is supplied.
     """
     bcoeffs = np.asarray(bcoeffs, dtype=float)
     r = 1 if exact_d1 is not None else 0
-    xs, ws = quadrature_grid(breaks, knots.p + 1 + extra)
+    xs, ws = quadrature_grid(breaks, knots.p + 3)
     b = basis_samples(knots, xs, r)
     err_l2 = _error_norm(
         "L2", [(ws, np.asarray(exact(xs), dtype=float) - b[0] @ bcoeffs)])

@@ -47,7 +47,6 @@ def _add_common(sp, bc=False, preset=False, correct=False, dims_list=False):
     if correct:
         sp.add_argument("--correct", choices=["on", "off"], default="off")
     sp.add_argument("--out", default=None, help="CSV output path")
-    sp.add_argument("--seed", type=int, default=0)
 
 
 def build_parser():
@@ -97,7 +96,6 @@ def _config_from_args(args):
         correct=getattr(args, "correct", "off") == "on",
         preset=getattr(args, "preset", None),
         out=args.out,
-        seed=args.seed,
     )
 
 

@@ -50,7 +50,6 @@ class StudyConfig:
     correct: bool = False
     preset: Optional[str] = None
     out: Optional[str] = None
-    seed: int = 0
 
     def single_degree(self):
         if len(self.degrees) != 1:
@@ -198,7 +197,7 @@ def _load_problem(cfg, want_dim):
     if got != want_dim:
         raise ConfigError(
             f"preset {cfg.preset!r} is {got}D but the study is {want_dim}D")
-    prob.validate(seed=cfg.seed)
+    prob.validate()
     return prob
 
 

@@ -97,12 +97,13 @@ def _uniform_layout(p, n_el, den, sigma, clip=False):
     return kv, breaks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceSpec:
     """Fully constructed spline space (build with :func:`make_space`).
 
     ``extraction`` is the (n, n_el + p) ``csr_array`` whose row i holds
-    the B-spline coefficients of basis function i.
+    the B-spline coefficients of basis function i.  Specs compare and hash
+    by identity, so two builds of one space are unequal objects.
     """
 
     kind: SpaceKind

@@ -211,7 +211,7 @@ def mode_errors(spec: SpaceSpec, spectrum: Spectrum1D) -> ModeErrorReport:
                            bound=bound, zero_mode=zero)
 
 
-def outlier_count(report: ModeErrorReport, p=None) -> int:
+def outlier_count(report: ModeErrorReport) -> int:
     """Number of modes whose frequency error leaves the regular branch.
 
     At most p modes can be spurious, so the modes with l <= n - p are
@@ -219,7 +219,7 @@ def outlier_count(report: ModeErrorReport, p=None) -> int:
     outlier when its relative error exceeds twice the branch maximum.
     Requires n > 2p so the branch is long enough to be meaningful.
     """
-    p = report.spec.p if p is None else p
+    p = report.spec.p
     n = report.ls.size
     if n <= 2 * p:
         raise ConfigError("need n > 2p to separate a regular branch")

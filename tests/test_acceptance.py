@@ -75,7 +75,7 @@ def corrected_ladder_1d(p, dims, preset):
     for n in dims:
         sp = make_space("optimal", p, n, 0)
         sol = solve_poisson_1d(sp, prob, correct=True)
-        bcoeffs = sp.extraction.T @ sol.coeffs + sol.correction.coeffs
+        bcoeffs = sp.extraction.T @ sol.coeffs + sol.correction
         ends = [error_b_coefficients(sp.knots, brk, bcoeffs, prob.u)[0]
                 for brk in (sp.breaks[:p + 2], sp.breaks[-(p + 2):])]
         errs.append(sol.err_l2)

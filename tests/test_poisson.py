@@ -15,7 +15,7 @@ from eigenspline import (
     SymBandMatrix,
     assemble_mass,
     assemble_stiffness,
-    boundary_correction_2d,
+    basis_samples,
     fast_diagonalization_solve,
     get_preset,
     hermite_correction_1d,
@@ -29,7 +29,19 @@ from eigenspline import (
     trace_from_f,
 )
 from eigenspline import poisson
-from eigenspline.poisson import hermite_data_orders
+
+
+def spline_values(kv, coeffs, xs, r=0):
+    """Derivatives 0..r at xs of the spline with B-spline coefficients
+    ``coeffs`` (trailing axes carry through): shape (r+1, len(xs), ...)."""
+    return np.stack([b @ coeffs for b in basis_samples(kv, xs, r)])
+
+
+def correction_2d(spec1, spec2, prob):
+    """The Boolean-sum correction of a corrected 2D solve on these spaces."""
+    return poisson._boundary_correction_2d(
+        spec1, spec2, prob,
+        poisson._per_direction(spec1, spec2, poisson._quadrature_samples))
 
 
 class TestPresets:
@@ -75,16 +87,10 @@ class TestPresets:
 
 
 class TestHermiteCorrection:
-    def test_data_orders(self):
-        assert hermite_data_orders(2) == ((0, 2), (1,))
-        assert hermite_data_orders(3) == ((0, 2), (1, 3))
-        assert hermite_data_orders(4) == ((0, 2, 4), (1, 3))
-        assert hermite_data_orders(5) == ((0, 2, 4), (1, 3, 5))
-
     def test_zero_data_gives_zero_spline(self):
         sp = make_space("optimal", 3, 8, 0)
         corr = hermite_correction_1d(sp, [0.0, 0.0], [0.0, 0.0])
-        assert not corr.coeffs.any()
+        assert not corr.any()
 
     def test_quadratic_closed_form(self):
         # with s(0) = s'(0) = 0 and s''(0) = -1 the spline is -x^2/2 on
@@ -93,25 +99,26 @@ class TestHermiteCorrection:
         corr = hermite_correction_1d(sp, [0.0, -1.0], [0.0, 0.0])
         xs = np.array([0.01, 0.04, 0.08])
         assert xs.max() < sp.breaks[1]
-        vals = corr.value(xs, r=2)
+        vals = spline_values(sp.knots, corr, xs, r=2)
         assert_allclose(vals[0], -xs ** 2 / 2, atol=1e-15)
         assert_allclose(vals[1], -xs, atol=1e-14)
         assert_allclose(vals[2], -np.ones_like(xs), rtol=1e-13)
         # zero data at the far end keeps the tail identically zero
-        assert_allclose(corr.value(np.array([0.8, 1.0]))[0], 0.0)
+        tail = spline_values(sp.knots, corr, np.array([0.8, 1.0]))
+        assert_allclose(tail[0], 0.0)
 
     @pytest.mark.parametrize("p,n", [(3, 9), (4, 9), (5, 9)])
     def test_interpolation_conditions(self, p, n):
         sp = make_space("optimal", p, n, 0)
-        even, odd = hermite_data_orders(p)
+        even, odd = range(0, p + 1, 2), range(1, p + 1, 2)
         rng = np.random.default_rng(p)
         left = rng.standard_normal(len(even))
         right = rng.standard_normal(len(even))
         left[0] = right[0] = 0.0
         corr = hermite_correction_1d(sp, left, right)
-        at0 = corr.value(np.array([0.0]), r=p)[:, 0]
-        at1 = corr.value(np.array([1.0]), r=p)[:, 0]
-        scale = np.abs(corr.coeffs).max()
+        at0 = spline_values(sp.knots, corr, np.array([0.0]), r=p)[:, 0]
+        at1 = spline_values(sp.knots, corr, np.array([1.0]), r=p)[:, 0]
+        scale = np.abs(corr).max()
         for k, a in enumerate(even):
             assert_allclose(at0[a], left[k], atol=1e-9 * max(1, scale))
             assert_allclose(at1[a], right[k], atol=1e-9 * max(1, scale))
@@ -246,7 +253,7 @@ class TestFailureContract:
         with pytest.raises(NumericalError, match="endpoint system"):
             hermite_correction_1d(sp, [0.0, 1.0], [0.0, 1.0])
         with pytest.raises(NumericalError, match="endpoint system"):
-            boundary_correction_2d(sp, sp, get_preset("ex75"))
+            correction_2d(sp, sp, get_preset("ex75"))
 
     def test_non_finite_trace_fit_rejected(self):
         prob = get_preset("ex75")
@@ -256,7 +263,7 @@ class TestFailureContract:
                                                                  x1, x2))
         sp = make_space("optimal", 3, 12, 0)
         with pytest.raises(NumericalError, match="trace fit"):
-            boundary_correction_2d(sp, sp, nan_traces)
+            correction_2d(sp, sp, nan_traces)
 
 
 class TestPoisson1D:
@@ -303,7 +310,7 @@ class TestPoisson1D:
         plain = solve_poisson_1d(sp, snapped)
         corrected = solve_poisson_1d(sp, snapped, correct=True)
         assert np.array_equal(plain.coeffs, corrected.coeffs)
-        assert not corrected.correction.coeffs.any()
+        assert not corrected.correction.any()
 
     def test_correction_improves_capped_problem(self):
         sp = make_space("optimal", 3, 32, 0)
@@ -368,7 +375,7 @@ def full_grid_solve_2d(spec1, spec2, prob, correct):
     bb = phi1[0].T @ (wgt * prob.f(*grid)) @ phi2[0]
     corr = 0.0
     if correct:
-        corr = boundary_correction_2d(spec1, spec2, prob)
+        corr = correction_2d(spec1, spec2, prob)
         g1s, g1m, g2s, g2m = (poisson._gram(sp, d).to_dense()
                               for sp in (spec1, spec2) for d in (1, 0))
         bb = bb - g1s @ corr @ g2m - g1m @ corr @ g2s
@@ -415,24 +422,28 @@ def cubic_bubble_problem_2d():
 
 class TestPoisson2D:
     def test_correction_matches_polynomial_traces(self):
-        sp1 = make_space("optimal", 3, 9, 0)
-        sp2 = make_space("optimal", 3, 9, 0)
+        # square and mixed (p, n): the surface must vanish on every edge
+        # and carry the exact second pure-normal trace there, which checks
+        # both directions' terms and the corner term of the Boolean sum
         prob = cubic_bubble_problem_2d()
         prob.validate()
-        c = boundary_correction_2d(sp1, sp2, prob)
-        # the surface must vanish on the edge x1 = 0 and carry the exact
-        # second pure-normal trace there
-        from eigenspline.poisson import CorrectionSpline
-        from eigenspline.splines import bspline_eval_batch
-        x2 = np.linspace(0.0, 1.0, 33)
-        vals2 = np.stack([CorrectionSpline(knots=sp2.knots, coeffs=c[i]).
-                          value(x2)[0] for i in range(c.shape[0])])
-        spans, ev = bspline_eval_batch(sp1.knots, sp1.p, [0.0])
-        lo = spans[0]
-        edge = ev[0] @ vals2[lo:lo + sp1.p + 1, :]
-        assert_allclose(edge[0], 0.0, atol=1e-10)
-        assert_allclose(edge[2], prob.u_mixed(2, 0, 0.0, x2),
-                        rtol=1e-9, atol=1e-9)
+        t = np.linspace(0.0, 1.0, 33)
+        for dims in (((3, 9), (3, 9)), ((3, 9), (4, 11))):
+            sp1, sp2 = (make_space("optimal", p, n, 0) for p, n in dims)
+            c = correction_2d(sp1, sp2, prob)
+            for z in (0.0, 1.0):
+                # x1 = z: normal derivatives in x1, then values along x2
+                normal = spline_values(sp1.knots, c, [z], r=2)[:, 0]
+                edge = spline_values(sp2.knots, normal.T, t)[0].T
+                assert_allclose(edge[0], 0.0, atol=1e-10)
+                assert_allclose(edge[2], prob.u_mixed(2, 0, z, t),
+                                rtol=1e-9, atol=1e-9)
+                # x2 = z
+                normal = spline_values(sp2.knots, c.T, [z], r=2)[:, 0]
+                edge = spline_values(sp1.knots, normal.T, t)[0].T
+                assert_allclose(edge[0], 0.0, atol=1e-10)
+                assert_allclose(edge[2], prob.u_mixed(0, 2, t, z),
+                                rtol=1e-9, atol=1e-9)
 
     def test_corrected_solution_beats_plain(self):
         sp = make_space("optimal", 3, 12, 0)
@@ -531,8 +542,7 @@ class TestPoisson2D:
 
     def test_trace_fit_is_least_squares(self):
         sp = make_space("optimal", 4, 20, 0)
-        _, xs, fit = poisson._correction_data(
-            sp, poisson._quadrature_samples(sp))
+        xs, fit = poisson._trace_fit(poisson._quadrature_samples(sp))
         values = np.sin(3.0 * xs) + xs ** 5
         b = poisson.basis_samples(sp.knots, xs, 0)[0].toarray()
         assert_allclose(fit(values), np.linalg.lstsq(b, values)[0],

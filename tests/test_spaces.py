@@ -169,6 +169,14 @@ class TestDimensions:
         sp = make_space("optimal", 3, 10, 0)
         assert_allclose(sp.h, np.diff(sp.breaks).max())
 
+    def test_specs_compare_and_hash_by_identity(self):
+        # comparing or hashing a spec must not touch its array fields
+        a = make_space("optimal", 3, 8, 0)
+        b = make_space("optimal", 3, 8, 0)
+        assert a == a and not a == b and a != b
+        assert hash(a) == hash(a)
+        assert a in {a} and b not in {a} and len({a, b}) == 2
+
 
 def _smallest_space(kind, p, bc):
     """The space of the smallest dimension make_space accepts, or None
