@@ -23,8 +23,7 @@ from .spaces import (BoundaryType, SpaceKind, SpaceSpec, boundary_residuals,
 from .spectrum import (Spectrum1D, Spectrum2D, eigval_upper_bound,
                        eigval_upper_bound_sharp, exact_eigenfunction,
                        exact_frequencies, mode_errors, mode_errors_2d,
-                       outlier_count, outlier_count_2d, spectrum_1d,
-                       spectrum_2d)
+                       outlier_count, spectrum_1d, spectrum_2d)
 from .splines import (KnotVector, basis_samples, bspline_eval_batch,
                       cardinal_bspline, cardinal_bspline_derivative)
 
@@ -41,7 +40,7 @@ __all__ = [
     "fast_diagonalization_solve", "function_error", "gauss_legendre",
     "generalized_eigen_sym", "get_preset", "hermite_correction_1d",
     "hermite_data_from_problem", "l2_projection", "make_space", "mode_errors",
-    "mode_errors_2d", "optimal_breaks", "outlier_count", "outlier_count_2d",
+    "mode_errors_2d", "optimal_breaks", "outlier_count",
     "reduced_basis_matrix", "ritz_projection", "solve_poisson_1d",
     "solve_poisson_2d", "spectrum_1d", "spectrum_2d", "trace_from_f",
 ]

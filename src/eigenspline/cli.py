@@ -14,7 +14,7 @@ from dataclasses import replace
 from .exceptions import ConfigError, NumericalError
 from .reports import (BC_NAMES, StudyConfig, run_basis_dump,
                       run_convergence_study, run_poisson_study,
-                      run_spectrum2d_study, run_spectrum_study)
+                      run_spectrum_study)
 from .spaces import SpaceKind
 
 
@@ -110,14 +110,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        if cfg.subcommand == "spectrum":
+        if cfg.subcommand in ("spectrum", "spectrum2d"):
             _, summary = run_spectrum_study(cfg)
-        elif cfg.subcommand == "spectrum2d":
-            _, summary = run_spectrum2d_study(cfg)
-        elif cfg.subcommand == "poisson1d":
-            _, summary = run_poisson_study(cfg, want_dim=1)
-        elif cfg.subcommand == "poisson2d":
-            _, summary = run_poisson_study(cfg, want_dim=2)
+        elif cfg.subcommand in ("poisson1d", "poisson2d"):
+            _, summary = run_poisson_study(cfg)
         elif cfg.subcommand == "convergence":
             summary = _run_convergence(cfg)
         else:

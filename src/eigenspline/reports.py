@@ -23,12 +23,11 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import ConfigError
-from .poisson import ManufacturedProblem1D, ManufacturedProblem2D, \
-    solve_poisson_1d, solve_poisson_2d
+from .poisson import ManufacturedProblem2D, solve_poisson_1d, solve_poisson_2d
 from .problems import get_preset
 from .spaces import BoundaryType, SpaceKind, make_space, reduced_basis_matrix
 from .spectrum import mode_errors, mode_errors_2d, outlier_count, \
-    outlier_count_2d, spectrum_1d, spectrum_2d
+    spectrum_1d, spectrum_2d
 
 # Rows formatted per block: bounds the cell strings alive at once.
 CSV_BLOCK = 4096
@@ -153,65 +152,56 @@ def _plot_path(out):
 
 
 def run_spectrum_study(cfg: StudyConfig):
-    """Univariate spectrum study; returns (CsvReport, summary dict)."""
+    """Spectrum study, univariate (``spectrum``) or tensor-product with the
+    same degree and dim per direction (``spectrum2d``); returns
+    (CsvReport, summary dict)."""
     p = cfg.single_degree()
     n = cfg.single_dim()
     spec = make_space(cfg.kind, p, n, cfg.bc)
-    rep = mode_errors(spec, spectrum_1d(spec))
-    csv = CsvReport(columns=("l", "omega_exact", "omega_h", "rel_err_freq",
-                             "rel_err_eigfun", "bound"),
-                    data=(rep.ls, rep.omega_exact, rep.omega_h, rep.e_freq,
-                          rep.e_fun, rep.bound))
+    if cfg.subcommand == "spectrum2d":
+        rep = mode_errors_2d(spectrum_2d(spec, spec))
+    else:
+        rep = mode_errors(spectrum_1d(spec))
+    csv = CsvReport(columns=("l", "l2")[:len(rep.ls)] + (
+        "omega_exact", "omega_h", "rel_err_freq", "rel_err_eigfun", "bound"),
+        data=(*rep.ls, rep.omega_exact, rep.omega_h, rep.e_freq, rep.e_fun,
+              rep.bound))
     summary = {
         "max_rel_err_freq": float(np.max(rep.e_freq[~rep.zero_mode]))
         if np.any(~rep.zero_mode) else None,
         "outliers": outlier_count(rep) if n > 2 * p else None,
     }
-    _write_outputs(csv, cfg, _spectrum_plot(cfg))
+    _write_outputs(csv, cfg, _spectrum_plot(
+        cfg, csv.columns.index("rel_err_freq") + 1))
     return csv, summary
 
 
-def run_spectrum2d_study(cfg: StudyConfig):
-    """Tensor-product spectrum study (same degree and dim per direction)."""
-    p = cfg.single_degree()
-    n = cfg.single_dim()
-    spec = make_space(cfg.kind, p, n, cfg.bc)
-    rep = mode_errors_2d(spectrum_2d(spec, spec))
-    csv = CsvReport(columns=("l", "l2", "omega_exact", "omega_h",
-                             "rel_err_freq", "rel_err_eigfun", "bound"),
-                    data=(rep.l1, rep.l2, rep.omega_exact, rep.omega_h,
-                          rep.e_freq, rep.e_fun, rep.bound))
-    summary = {
-        "max_rel_err_freq": float(np.max(rep.e_freq[~rep.zero_mode])),
-        "outliers": outlier_count_2d(rep) if n > 2 * p else None,
-    }
-    _write_outputs(csv, cfg, _spectrum_plot(cfg, two_d=True))
-    return csv, summary
-
-
-def _load_problem(cfg, want_dim):
+def _load_problem(cfg):
+    """The study's preset, validated.  A ``poisson1d`` or ``poisson2d``
+    study takes only a preset of its own dimension."""
     if cfg.preset is None:
         raise ConfigError("this study needs --preset")
     prob = get_preset(cfg.preset)
     got = 2 if isinstance(prob, ManufacturedProblem2D) else 1
-    if got != want_dim:
+    want = {"poisson1d": 1, "poisson2d": 2}.get(cfg.subcommand, got)
+    if got != want:
         raise ConfigError(
-            f"preset {cfg.preset!r} is {got}D but the study is {want_dim}D")
+            f"preset {cfg.preset!r} is {got}D but the study is {want}D")
     prob.validate()
     return prob
 
 
-def _poisson_report(cfg, ns, want_dim):
+def _poisson_report(cfg, ns):
     """One row per dimension in ``ns``; the orders compare each row with
     the one before, so they are blank on the first row."""
-    prob = _load_problem(cfg, want_dim)
+    prob = _load_problem(cfg)
     hs, errs = [], []
     for n in ns:
         spec = make_space(cfg.kind, cfg.single_degree(), n, cfg.bc)
-        if want_dim == 1:
-            sol = solve_poisson_1d(spec, prob, correct=cfg.correct)
-        else:
+        if isinstance(prob, ManufacturedProblem2D):
             sol = solve_poisson_2d(spec, spec, prob, correct=cfg.correct)
+        else:
+            sol = solve_poisson_1d(spec, prob, correct=cfg.correct)
         if sol.err_l2 is None:
             raise ConfigError("preset carries no exact solution to report")
         hs.append(spec.h)
@@ -225,9 +215,10 @@ def _poisson_report(cfg, ns, want_dim):
                      data=(np.array(ns), h, *err.T, *order.T))
 
 
-def run_poisson_study(cfg: StudyConfig, want_dim):
-    """Single Poisson solve at one dimension; one CSV row."""
-    csv = _poisson_report(cfg, [cfg.single_dim()], want_dim)
+def run_poisson_study(cfg: StudyConfig):
+    """Single Poisson solve at one dimension; one CSV row.  The problem
+    dimension follows the subcommand (``poisson1d`` or ``poisson2d``)."""
+    csv = _poisson_report(cfg, [cfg.single_dim()])
     _write_outputs(csv, cfg)
     err_l2, err_h1 = (float(col[-1]) for col in csv.data[2:4])
     return csv, {"err_l2": err_l2, "err_h1": err_h1}
@@ -237,9 +228,9 @@ def run_convergence_study(cfg: StudyConfig):
     """h-refinement study over the configured dimension list."""
     if len(cfg.dims) < 2:
         raise ConfigError("a convergence study needs at least two dims")
-    prob = get_preset(cfg.preset) if cfg.preset else None
-    want_dim = 2 if isinstance(prob, ManufacturedProblem2D) else 1
-    csv = _poisson_report(cfg, list(cfg.dims), want_dim)
+    if len(set(cfg.dims)) != len(cfg.dims):
+        raise ConfigError("a convergence study needs distinct dims")
+    csv = _poisson_report(cfg, list(cfg.dims))
     _write_outputs(csv, cfg, _convergence_plot(cfg))
     order_l2, order_h1 = (float(col[-1]) for col in csv.data[4:6])
     return csv, {"final_order_l2": order_l2, "final_order_h1": order_h1}
@@ -267,10 +258,9 @@ def run_basis_dump(cfg: StudyConfig):
     return csv, summary
 
 
-def _spectrum_plot(cfg, two_d=False):
+def _spectrum_plot(cfg, err_col):
     if not cfg.out:
         return None
-    err_col = 5 if two_d else 4
     return "\n".join([
         "set datafile separator ','",
         "set logscale y",

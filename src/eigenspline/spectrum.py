@@ -177,10 +177,15 @@ def eigval_upper_bound_sharp(l, n, p, bc):
 
 @dataclass
 class ModeErrorReport:
-    """Per-mode errors of a univariate spectrum, ascending in l."""
+    """Per-mode errors of a univariate or tensor spectrum.
 
-    spec: SpaceSpec
-    ls: np.ndarray
+    ``specs`` holds one space per direction and ``ls`` the matching
+    1-based mode indices, one array per direction; rows ascend in l (1D)
+    or in exact frequency (tensor).
+    """
+
+    specs: tuple
+    ls: tuple
     omega_exact: np.ndarray
     omega_h: np.ndarray
     e_freq: np.ndarray
@@ -189,42 +194,48 @@ class ModeErrorReport:
     zero_mode: np.ndarray
 
 
-def mode_errors(spec: SpaceSpec, spectrum: Spectrum1D) -> ModeErrorReport:
-    """Match discrete to exact modes by ascending order and take errors.
+def _report(specs, ls, omega_exact, omega_h, e_fun, bound):
+    """Relative frequency errors; for an exact zero frequency (the
+    Neumann constant, alone or in a tensor pair) the absolute error is
+    taken instead and the mode is flagged."""
+    zero = omega_exact <= ZERO_MODE_TOL
+    e_freq = np.empty(omega_exact.size)
+    e_freq[~zero] = (omega_h[~zero] - omega_exact[~zero]) / omega_exact[~zero]
+    e_freq[zero] = omega_h[zero]
+    return ModeErrorReport(specs=specs, ls=ls,
+                           omega_exact=omega_exact, omega_h=omega_h,
+                           e_freq=e_freq, e_fun=e_fun, bound=bound,
+                           zero_mode=zero)
 
-    For an exact zero frequency (first Neumann mode) the relative error is
-    replaced by the absolute one and the mode is flagged.
-    """
+
+def mode_errors(spectrum: Spectrum1D) -> ModeErrorReport:
+    """Match discrete to exact modes by ascending order and take errors."""
+    spec = spectrum.spec
     n = spec.n
-    exact = exact_frequencies(spec.bc, n)
-    zero = exact <= ZERO_MODE_TOL
-    e_freq = np.empty(n)
-    e_freq[~zero] = (spectrum.frequencies[~zero] - exact[~zero]) / exact[~zero]
-    e_freq[zero] = spectrum.frequencies[zero]
     if spec.kind == SpaceKind.OPTIMAL:
         bound = _upper_bounds(spec)
     else:
         bound = np.full(n, np.nan)
-    return ModeErrorReport(spec=spec, ls=np.arange(1, n + 1),
-                           omega_exact=exact, omega_h=spectrum.frequencies,
-                           e_freq=e_freq, e_fun=spectrum.e_fun,
-                           bound=bound, zero_mode=zero)
+    return _report((spec,), (np.arange(1, n + 1),),
+                   exact_frequencies(spec.bc, n), spectrum.frequencies,
+                   spectrum.e_fun, bound)
 
 
 def outlier_count(report: ModeErrorReport) -> int:
     """Number of modes whose frequency error leaves the regular branch.
 
-    At most p modes can be spurious, so the modes with l <= n - p are
-    certainly on the regular branch (zero modes excluded); a mode is an
-    outlier when its relative error exceeds twice the branch maximum.
-    Requires n > 2p so the branch is long enough to be meaningful.
+    At most p_i modes per direction can be spurious, so the modes with
+    l_i <= n_i - p_i in every direction are certainly on the regular
+    branch (zero modes excluded); a mode is an outlier when its relative
+    error exceeds twice the branch maximum.  Requires n_i > 2p_i in every
+    direction so the branch is long enough to be meaningful.
     """
-    p = report.spec.p
-    n = report.ls.size
-    if n <= 2 * p:
-        raise ConfigError("need n > 2p to separate a regular branch")
+    if any(s.n <= 2 * s.p for s in report.specs):
+        raise ConfigError("need n > 2p in every direction to separate a "
+                          "regular branch")
     usable = ~report.zero_mode
-    regular = usable & (report.ls <= n - p)
+    regular = usable & np.all([l <= s.n - s.p for s, l
+                               in zip(report.specs, report.ls)], axis=0)
     threshold = 2.0 * np.max(report.e_freq[regular])
     return int(np.sum(report.e_freq[usable] > threshold))
 
@@ -273,22 +284,7 @@ def collate_2d(sp1: Spectrum1D, sp2: Spectrum1D) -> Spectrum2D:
                       omega_h=om_h[order])
 
 
-@dataclass
-class ModeErrorReport2D:
-    """Per-mode errors of a tensor spectrum, sorted by exact frequency."""
-
-    sp: Spectrum2D
-    l1: np.ndarray
-    l2: np.ndarray
-    omega_exact: np.ndarray
-    omega_h: np.ndarray
-    e_freq: np.ndarray
-    e_fun: np.ndarray
-    bound: np.ndarray
-    zero_mode: np.ndarray
-
-
-def mode_errors_2d(sp: Spectrum2D) -> ModeErrorReport2D:
+def mode_errors_2d(sp: Spectrum2D) -> ModeErrorReport:
     """Tensor-mode errors from the univariate ingredients.
 
     The eigenfunction error uses the exact identity
@@ -296,20 +292,12 @@ def mode_errors_2d(sp: Spectrum2D) -> ModeErrorReport2D:
     accurately integrated univariate errors carry over without forming any
     2D quadrature grid.
     """
-    zero = sp.omega_exact <= ZERO_MODE_TOL
-    e_freq = np.empty(sp.omega_exact.size)
-    e_freq[~zero] = (sp.omega_h[~zero] - sp.omega_exact[~zero]) \
-        / sp.omega_exact[~zero]
-    e_freq[zero] = sp.omega_h[zero]
     e1 = sp.sp1.e_fun[sp.l1 - 1]
     e2 = sp.sp2.e_fun[sp.l2 - 1]
     e = np.sqrt(np.clip(e1 ** 2 + e2 ** 2 - 0.5 * e1 ** 2 * e2 ** 2,
                         0.0, None))
-    bound = _bound_2d(sp)
-    return ModeErrorReport2D(sp=sp, l1=sp.l1, l2=sp.l2,
-                             omega_exact=sp.omega_exact, omega_h=sp.omega_h,
-                             e_freq=e_freq, e_fun=e, bound=bound,
-                             zero_mode=zero)
+    return _report((sp.sp1.spec, sp.sp2.spec), (sp.l1, sp.l2),
+                   sp.omega_exact, sp.omega_h, e, _bound_2d(sp))
 
 
 def _bound_2d(sp: Spectrum2D):
@@ -326,20 +314,3 @@ def _bound_2d(sp: Spectrum2D):
     ok = den > 0.0
     out[ok] = np.sqrt(num[ok] / den[ok]) - 1.0
     return out
-
-
-def outlier_count_2d(report: ModeErrorReport2D) -> int:
-    """2D analogue of the outlier count.
-
-    The regular set is the modes with l1 <= n1 - p1 and l2 <= n2 - p2
-    (both univariate factors certainly regular); a mode is an outlier when
-    its relative frequency error exceeds twice the regular maximum.
-    """
-    s1, s2 = report.sp.sp1.spec, report.sp.sp2.spec
-    if s1.n <= 2 * s1.p or s2.n <= 2 * s2.p:
-        raise ConfigError("need n > 2p in both directions")
-    usable = ~report.zero_mode
-    regular = usable & (report.l1 <= s1.n - s1.p) \
-        & (report.l2 <= s2.n - s2.p)
-    threshold = 2.0 * np.max(report.e_freq[regular])
-    return int(np.sum(report.e_freq[usable] > threshold))

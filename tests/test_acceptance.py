@@ -30,7 +30,6 @@ from eigenspline import (
     mode_errors,
     mode_errors_2d,
     outlier_count,
-    outlier_count_2d,
     ritz_projection,
     solve_poisson_1d,
     solve_poisson_2d,
@@ -137,7 +136,7 @@ def test_criterion_3_outlier_counts(acceptance_log):
 
     def count(kind, p, n, bc):
         sp = make_space(kind, p, n, bc)
-        return outlier_count(mode_errors(sp, spectrum_1d(sp)))
+        return outlier_count(mode_errors(spectrum_1d(sp)))
 
     for n in (25, 50, 100):
         got = count("full", 5, n, 0)
@@ -171,7 +170,7 @@ def test_criterion_4_bound_compliance(acceptance_log):
     for p in range(1, 7):
         for bc in (0, 1, 2):
             sp = make_space("optimal", p, 100, bc)
-            rep = mode_errors(sp, spectrum_1d(sp))
+            rep = mode_errors(spectrum_1d(sp))
             ok_modes = ~rep.zero_mode
             min_e = min(min_e, rep.e_freq[ok_modes].min())
             max_excess = max(max_excess,
@@ -283,12 +282,12 @@ def test_criterion_8_2d_spectrum(acceptance_log):
         recomputed = s1.eigenvalues[sp.l1 - 1] + s1.eigenvalues[sp.l2 - 1]
         if not np.array_equal(sp.omega_sq_h, recomputed):
             failures.append(f"p={p}: tensor identity broken")
-        got = outlier_count_2d(mode_errors_2d(sp))
+        got = outlier_count(mode_errors_2d(sp))
         if got != 0:
             failures.append(f"optimal p={p}: {got} outliers")
         full = spectrum_2d(make_space("full", p, n, 0),
                            make_space("full", p, n, 0))
-        fc = outlier_count_2d(mode_errors_2d(full))
+        fc = outlier_count(mode_errors_2d(full))
         full_counts.append(fc)
         if fc == 0:
             failures.append(f"full p={p}: no outlier layer")

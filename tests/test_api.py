@@ -14,9 +14,8 @@ PUBLIC = [
     "generalized_eigen_sym", "get_preset", "hermite_correction_1d",
     "hermite_data_from_problem", "l2_projection", "make_space",
     "mode_errors", "mode_errors_2d", "optimal_breaks", "outlier_count",
-    "outlier_count_2d", "reduced_basis_matrix", "ritz_projection",
-    "solve_poisson_1d", "solve_poisson_2d", "spectrum_1d", "spectrum_2d",
-    "trace_from_f",
+    "reduced_basis_matrix", "ritz_projection", "solve_poisson_1d",
+    "solve_poisson_2d", "spectrum_1d", "spectrum_2d", "trace_from_f",
 ]
 
 

@@ -55,6 +55,10 @@ STUDIES = {
                                    "--degree", "4", "--dim", "16"],
     "spectrum2d-optimal-dirichlet": ["spectrum2d", "--degree", "3",
                                      "--dim", "10"],
+    "spectrum2d-optimal-neumann": ["spectrum2d", "--degree", "3",
+                                   "--dim", "8", "--bc", "neumann"],
+    "spectrum2d-full-mixed": ["spectrum2d", "--space", "full",
+                              "--degree", "3", "--dim", "8", "--bc", "mixed"],
     "poisson1d-ex73-plain": ["poisson1d", "--preset", "ex73",
                              "--degree", "3", "--dim", "20"],
     "poisson1d-ex73-corrected": ["poisson1d", "--preset", "ex73",

@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from eigenspline import ConfigError, ManufacturedProblem1D, NumericalError, \
 from eigenspline.cli import build_parser, main
 from eigenspline.reports import (CsvReport, StudyConfig, run_basis_dump,
                                  run_convergence_study, run_poisson_study,
-                                 run_spectrum2d_study, run_spectrum_study)
+                                 run_spectrum_study)
 from eigenspline.spectrum import EFUN_BLOCK, spectrum_2d
 from test_golden import STUDIES
 
@@ -143,7 +144,7 @@ class TestSpectrumStudies:
     def test_2d_study_shapes(self):
         cfg = StudyConfig(subcommand="spectrum2d", kind="optimal",
                           degrees=(2,), dims=(12,), bc=0)
-        csv, summary = run_spectrum2d_study(cfg)
+        csv, summary = run_spectrum_study(cfg)
         assert csv.columns[:2] == ("l", "l2")
         assert len(csv.rows) == 144
         assert summary["outliers"] == 0
@@ -151,14 +152,14 @@ class TestSpectrumStudies:
     def test_2d_study_matches_two_separate_spaces(self, monkeypatch):
         cfg = StudyConfig(subcommand="spectrum2d", kind="optimal",
                           degrees=(3,), dims=(14,), bc=2)
-        shared, summary = run_spectrum2d_study(cfg)
+        shared, summary = run_spectrum_study(cfg)
 
         def separate(spec1, spec2):
             return spectrum_2d(spec1, make_space(spec2.kind, spec2.p,
                                                  spec2.n, spec2.bc))
 
         monkeypatch.setattr("eigenspline.reports.spectrum_2d", separate)
-        apart, summary_apart = run_spectrum2d_study(cfg)
+        apart, summary_apart = run_spectrum_study(cfg)
         assert shared.to_text() == apart.to_text()
         assert summary == summary_apart
 
@@ -214,11 +215,24 @@ class TestConvergenceStudies:
         with pytest.raises(ConfigError):
             run_convergence_study(cfg)
 
+    def test_repeated_dims_rejected_before_solving(self, tmp_path, capsys):
+        # equal dims give h ratio 1, so an order would be 0/0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["convergence", "--degrees", "1", "--dims", "8,8",
+                         "--preset", "ex73", "--correct", "on",
+                         "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "RuntimeWarning" not in err
+        assert os.listdir(tmp_path) == []
+
     def test_dimension_mismatch_rejected(self):
         cfg = StudyConfig(subcommand="poisson1d", degrees=(3,),
                           dims=(16,), preset="ex75")
         with pytest.raises(ConfigError):
-            run_poisson_study(cfg, want_dim=1)
+            run_poisson_study(cfg)
 
 
 class TestBasisDump:

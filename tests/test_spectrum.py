@@ -19,7 +19,6 @@ from eigenspline import (
     mode_errors,
     mode_errors_2d,
     outlier_count,
-    outlier_count_2d,
     reduced_basis_matrix,
     spectrum_1d,
     spectrum_2d,
@@ -115,7 +114,7 @@ class TestSpectrum1D:
 
     def test_neumann_zero_mode(self):
         sp = make_space("optimal", 3, 10, 1)
-        rep = mode_errors(sp, spectrum_1d(sp))
+        rep = mode_errors(spectrum_1d(sp))
         assert rep.zero_mode[0] and not rep.zero_mode[1:].any()
         assert rep.e_freq[0] == rep.omega_h[0]
         assert rep.e_freq[0] < 1e-6
@@ -187,14 +186,14 @@ class TestModeErrors:
     @pytest.mark.parametrize("p,bc", [(2, 0), (3, 0), (3, 1), (4, 2)])
     def test_optimal_bound_holds(self, p, bc):
         sp = make_space("optimal", p, 14, bc)
-        rep = mode_errors(sp, spectrum_1d(sp))
+        rep = mode_errors(spectrum_1d(sp))
         ok = ~rep.zero_mode
         assert np.all(rep.e_freq[ok] >= -1e-9)
         assert np.all(rep.e_freq[ok] <= rep.bound[ok] + 1e-12)
 
     def test_non_optimal_has_nan_bound(self):
         sp = make_space("full", 3, 12, 0)
-        rep = mode_errors(sp, spectrum_1d(sp))
+        rep = mode_errors(spectrum_1d(sp))
         assert np.isnan(rep.bound).all()
 
     @pytest.mark.parametrize("bc", [0, 1, 2])
@@ -213,7 +212,7 @@ class TestModeErrors:
             return exact_frequencies(*args)
 
         monkeypatch.setattr(spectrum, "exact_frequencies", counting)
-        assert mode_errors(sp, sp1).bound.tolist() == expected
+        assert mode_errors(sp1).bound.tolist() == expected
         assert len(calls) == 2
         del calls[:]
         assert np.isfinite(mode_errors_2d(sp2).bound).any()
@@ -244,22 +243,22 @@ class TestModeErrors:
 class TestOutliers:
     def test_linear_full_space_is_clean(self):
         sp = make_space("full", 1, 30, 0)
-        assert outlier_count(mode_errors(sp, spectrum_1d(sp))) == 0
+        assert outlier_count(mode_errors(spectrum_1d(sp))) == 0
 
     @pytest.mark.parametrize("n", [25, 50])
     def test_full_quintic_count(self, n):
         sp = make_space("full", 5, n, 0)
-        assert outlier_count(mode_errors(sp, spectrum_1d(sp))) == 4
+        assert outlier_count(mode_errors(spectrum_1d(sp))) == 4
 
     @pytest.mark.parametrize("kind", ["optimal", "reduced"])
     def test_outlier_free_spaces(self, kind):
         sp = make_space(kind, 4, 60, 0)
-        assert outlier_count(mode_errors(sp, spectrum_1d(sp))) == 0
+        assert outlier_count(mode_errors(spectrum_1d(sp))) == 0
 
     def test_requires_long_branch(self):
         sp = make_space("optimal", 5, 10, 0)
         with pytest.raises(ConfigError):
-            outlier_count(mode_errors(sp, spectrum_1d(sp)))
+            outlier_count(mode_errors(spectrum_1d(sp)))
 
 
 class TestSpectrum2D:
@@ -303,7 +302,7 @@ class TestSpectrum2D:
         bx = reduced_basis_matrix(spx, xs, r=0)[0]
         by = reduced_basis_matrix(spy, ys, r=0)[0]
         for k in (0, 3, 11):
-            l1, l2 = rep.l1[k], rep.l2[k]
+            l1, l2 = rep.ls[0][k], rep.ls[1][k]
             u1 = exact_eigenfunction(spx.bc, l1)[0](xs)
             u2 = exact_eigenfunction(spy.bc, l2)[0](ys)
             uh1 = bx @ sp.sp1.vectors[:, l1 - 1]
@@ -327,7 +326,7 @@ class TestSpectrum2D:
         shared = spectrum_2d(spec, spec)
         assert len(calls) == 1 and shared.sp1 is shared.sp2
         rep = mode_errors_2d(shared)
-        for name in ("l1", "l2", "omega_exact", "omega_h", "e_freq", "e_fun",
+        for name in ("ls", "omega_exact", "omega_h", "e_freq", "e_fun",
                      "bound", "zero_mode"):
             assert np.array_equal(getattr(rep, name), getattr(separate, name),
                                   equal_nan=name == "bound"), name
@@ -342,21 +341,20 @@ class TestSpectrum2D:
 
     def test_2d_outlier_counts(self):
         opt = make_space("optimal", 3, 25, 0)
-        assert outlier_count_2d(mode_errors_2d(spectrum_2d(opt, opt))) == 0
+        assert outlier_count(mode_errors_2d(spectrum_2d(opt, opt))) == 0
         full = make_space("full", 3, 25, 0)
-        assert outlier_count_2d(
-            mode_errors_2d(spectrum_2d(full, full))) > 0
+        assert outlier_count(mode_errors_2d(spectrum_2d(full, full))) > 0
 
     def test_2d_outliers_require_long_branch(self):
         sp = spectrum_2d(make_space("optimal", 5, 10, 0),
                          make_space("optimal", 5, 30, 0))
         with pytest.raises(ConfigError):
-            outlier_count_2d(mode_errors_2d(sp))
+            outlier_count(mode_errors_2d(sp))
 
     def test_neumann_pair_zero_mode(self):
         sp = spectrum_2d(make_space("optimal", 2, 8, 1),
                          make_space("optimal", 2, 8, 1))
         rep = mode_errors_2d(sp)
         assert rep.zero_mode[0]
-        assert rep.l1[0] == 1 and rep.l2[0] == 1
+        assert rep.ls[0][0] == 1 and rep.ls[1][0] == 1
         assert rep.e_freq[0] < 1e-5
