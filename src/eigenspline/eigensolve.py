@@ -4,6 +4,11 @@ S v = lambda M v is reduced with a Cholesky factor of M and the resulting
 symmetric problem is solved by tridiagonalization with implicit shifts
 (LAPACK, via scipy).  The test suite cross-checks it against an
 independent dense Jacobi-rotation oracle for small pencils.
+
+It is the package's only eigensolver.  Spectra of optimal and reduced
+spaces reach it only when their sampled-wave eigenpairs fail the
+certificate in :mod:`eigenspline.spectrum`; full-space spectra and fast
+diagonalization call it directly.
 """
 
 from __future__ import annotations

@@ -16,11 +16,14 @@ boundary type, and one of three kinds.
 Each reduced basis function is stored as one row of an extraction matrix
 over the n_el + p B-splines of the knot sequence.  The basis is local, so
 the extraction is a ``scipy.sparse.csr_array`` built straight from its
-blocks and never held dense: a unit entry per kept B-spline for full
-spaces; for Dirichlet-type constraints the identity plus the corner
-columns of the closed-form two-block reflection tiling; for the Neumann
-and mixed types the orthonormal null spaces of the endpoint constraint
-functionals around an interior identity.
+entries and never held dense: a unit entry per kept B-spline for full
+spaces, and for every optimal and reduced space one integer reflection
+fold.  Those spaces are the restrictions to [0, 1] of the splines on their
+symmetric knot sequence that are odd about a Dirichlet end and even about
+a Neumann end, so each B-spline adds +1 or -1 to the row of the basis
+function centred where it folds to.  In that basis the sampled waves
+sin(omega c_i) (cos for Neumann), c_i the row centres of
+:func:`_wave_centres`, are the discrete eigenvectors.
 """
 
 from __future__ import annotations
@@ -30,10 +33,9 @@ from enum import Enum, IntEnum
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg import null_space
 
 from .exceptions import ConfigError
-from .splines import KnotVector, active_derivatives, basis_samples
+from .splines import KnotVector, basis_samples
 
 MIN_ELEMENTS = 3
 
@@ -66,14 +68,17 @@ def optimal_breaks(p, n, bc) -> np.ndarray:
     """
     if n < 1:
         raise ConfigError("dimension must be >= 1")
-    den, sigma, n_el = _layout_params(p, n, bc)
+    den, sigma, n_el = _layout_params(SpaceKind.OPTIMAL, p, n, bc)
     return _uniform_layout(p, n_el, den, sigma)[1]
 
 
-def _layout_params(p, n, bc):
-    # Interior breakpoints are (2k - sigma)/den; element width 2/den.
+def _layout_params(kind, p, n, bc):
+    # Interior breakpoints are (2k - sigma)/den; element width 2/den.  The
+    # reduced-uniform grid is the plain one, den = 2n, with n elements.
     bc = BoundaryType(bc)
-    if bc == BoundaryType.DIRICHLET:
+    if SpaceKind(kind) == SpaceKind.REDUCED_UNIFORM:
+        den, sigma, n_el = 2 * n, 0, n
+    elif bc == BoundaryType.DIRICHLET:
         den, sigma, n_el = 2 * (n + 1), p % 2 == 0, n + 1 + (p % 2 == 0)
     elif bc == BoundaryType.NEUMANN:
         den, sigma, n_el = 2 * n, p % 2 == 1, n + (p % 2 == 1)
@@ -139,34 +144,22 @@ def make_space(kind, p, n, bc) -> SpaceSpec:
         kv, breaks = _uniform_layout(p, n_el, 2 * n_el, 0, clip=True)
         h = 1.0 / n_el
         extraction = _selection_extraction(n_el, p, bc)
-    elif kind == SpaceKind.REDUCED_UNIFORM:
-        if p % 2 == 1:
+    else:
+        if kind == SpaceKind.REDUCED_UNIFORM and p % 2 == 1:
             raise ConfigError(
                 "odd-degree reduced-uniform space coincides with the "
                 "optimal one; build that instead")
-        if bc != BoundaryType.DIRICHLET:
+        if kind == SpaceKind.REDUCED_UNIFORM and bc != BoundaryType.DIRICHLET:
             raise ConfigError("reduced-uniform spaces are Dirichlet only")
-        n_el = n
-        # The periodic tiling stays well formed down to two elements, and
-        # the two-element space is a meaningful smallest instance, so the
-        # usual three-element floor is relaxed here.
-        if n_el < 2:
-            raise ConfigError("dimension too small")
-        kv, breaks = _uniform_layout(p, n_el, 2 * n_el, 0)
-        h = 1.0 / n_el
-        extraction = _tiled_extraction(n, p // 2, reduced=True)
-    else:
-        den, sigma, n_el = _layout_params(p, n, bc)
-        kv, breaks = _uniform_layout(p, n_el, den, sigma)
-        if n_el < MIN_ELEMENTS:
+        den, sigma, n_el = _layout_params(kind, p, n, bc)
+        # The reduced fold stays well formed down to two elements, and the
+        # two-element space is a meaningful smallest instance, so the usual
+        # three-element floor is relaxed there.
+        if n_el < (2 if kind == SpaceKind.REDUCED_UNIFORM else MIN_ELEMENTS):
             raise ConfigError("dimension too small for this degree")
+        kv, breaks = _uniform_layout(p, n_el, den, sigma)
         h = 2.0 / den
-        if bc == BoundaryType.DIRICHLET:
-            keep = (p + 1) // 2 if p % 2 == 1 else p // 2 + 1
-            extraction = _tiled_extraction(n, keep, reduced=False)
-        else:
-            extraction = _nullspace_extraction(kv, *constrained_orders(
-                SpaceKind.OPTIMAL, p, bc))
+        extraction = _fold_extraction(p, kv.num_basis, den, sigma, bc)
 
     if extraction.shape != (n, kv.num_basis):
         raise ConfigError("extraction construction lost rank")
@@ -193,36 +186,6 @@ def constrained_orders(kind, p, bc):
     return even, odd
 
 
-def _tiled_extraction(m, keep, reduced):
-    """Extraction from the periodic two-block reflection pattern.
-
-    The m-row pattern repeats with period 2m (reduced) or 2m + 2, built
-    from an identity block and a negated exchange block (with separating
-    zero columns in the non-reduced case).  ``keep`` columns are taken on
-    each side of a central identity, counting outward: left neighbours read
-    the left block from its right edge, right neighbours read the right
-    block from its left edge.  Every pattern column has at most one
-    nonzero, so each block is held as (row, sign) per column, and the
-    matrix is the identity plus the 2 * keep read columns as COO triplets,
-    the zero gap entries dropped.
-    """
-    up = np.arange(m)
-    one = np.ones(m)
-    gap = np.zeros(0 if reduced else 1, dtype=np.intp)
-    bl = np.r_[up, gap, up[::-1], gap], np.r_[one, gap, -one, gap]
-    br = np.r_[gap, up[::-1], gap, up], np.r_[gap, -one, gap, one]
-    period = bl[0].size
-    j = np.arange(1, keep + 1)
-    left = period - 1 - ((j[::-1] - 1) % period)
-    right = (j - 1) % period
-    rows = np.r_[up, bl[0][left], br[0][right]]
-    cols = np.r_[keep + up, j - 1, keep + m + j - 1]
-    vals = np.r_[one, bl[1][left], br[1][right]]
-    nz = vals != 0.0
-    return scipy.sparse.coo_array((vals[nz], (rows[nz], cols[nz])),
-                                  shape=(m, m + 2 * keep)).tocsr()
-
-
 def _selection_extraction(n_el, p, bc):
     """One unit entry per B-spline the boundary type keeps."""
     nb = n_el + p
@@ -231,38 +194,51 @@ def _selection_extraction(n_el, p, bc):
     return scipy.sparse.eye_array(hi - lo, nb, k=lo, format="csr")
 
 
-def _equilibrate(rows):
-    # Unit row norms keep the SVD from trading accuracy in the small-scale
-    # constraints (order 0) against the huge high-order derivative rows.
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+def _fold_extraction(p, nb, den, sigma, bc):
+    """Extraction of a constrained space by reflecting its B-splines.
 
-
-def _nullspace_extraction(kv, left_orders, right_orders):
-    """Orthonormal basis of the constrained subspace, one row per function.
-
-    When the endpoint windows are disjoint the two (p+1)-column systems are
-    solved separately and the matrix is the block diagonal of their null
-    spaces around the identity on the untouched interior B-splines;
-    otherwise one global null space is taken.
+    The space is the restriction to [0, 1] of the splines on the symmetric
+    knot sequence that are odd about a Dirichlet end and even about a
+    Neumann end.  B-spline j's centre is z = 2j - p + 1 - sigma in units
+    of 1/den; written z = 2 den q + m, it folds onto m, or onto 2 den - m
+    with one more reflection at the right end when m > den, and carries
+    the sign (s0 s1)^q (times s1 after that reflection), s being -1 at a
+    Dirichlet end and +1 at a Neumann end.  Each B-spline adds its sign to
+    the row of its folded centre; rows ascend in centre, and a centre that
+    folds onto an odd end is dropped.
     """
-    p, n_el, nb = kv.p, kv.n_el, kv.num_basis
-    cl = _equilibrate(active_derivatives(kv, 0.0)[list(left_orders)])
-    cr = _equilibrate(active_derivatives(kv, 1.0)[list(right_orders)])
-    if n_el > p + 1:
-        kl = null_space(cl).T
-        kr = null_space(cr).T
-        if kl.shape[0] != p + 1 - len(left_orders) \
-                or kr.shape[0] != p + 1 - len(right_orders):
-            raise ConfigError("endpoint constraints are rank deficient")
-        return scipy.sparse.block_diag(
-            (kl, scipy.sparse.eye_array(n_el - p - 2), kr), format="csr")
-    cglob = np.zeros((len(left_orders) + len(right_orders), nb))
-    cglob[:len(left_orders), :p + 1] = cl
-    cglob[len(left_orders):, nb - p - 1:] = cr
-    rows = null_space(cglob).T
-    if rows.shape[0] != nb - cglob.shape[0]:
-        raise ConfigError("endpoint constraints are rank deficient")
-    return scipy.sparse.csr_array(rows)
+    s0, s1 = _end_signs(bc)
+    rows = _fold_centres(p, den, sigma, bc)
+    q, m = np.divmod(2 * np.arange(nb) - p + 1 - sigma, 2 * den)
+    back = m > den
+    centre = np.where(back, 2 * den - m, m)
+    sign = np.where(q % 2 == 0, 1.0, s0 * s1) * np.where(back, s1, 1.0)
+    keep = np.isin(centre, rows)
+    return scipy.sparse.coo_array(
+        (sign[keep], (np.searchsorted(rows, centre[keep]),
+                      np.flatnonzero(keep))),
+        shape=(rows.size, nb)).tocsr()
+
+
+def _end_signs(bc):
+    """Reflection signs (s0, s1) at x = 0 and x = 1: -1 odd, +1 even."""
+    bc = BoundaryType(bc)
+    return (1 if bc == BoundaryType.NEUMANN else -1,
+            -1 if bc == BoundaryType.DIRICHLET else 1)
+
+
+def _fold_centres(p, den, sigma, bc):
+    """Integer centres (units of 1/den) of the fold rows, ascending: every
+    centre in [0, den] of the B-splines' parity, odd ends excluded."""
+    s0, s1 = _end_signs(bc)
+    c = np.arange((1 - p - sigma) % 2, den + 1, 2)
+    return c[((c != 0) | (s0 > 0)) & ((c != den) | (s1 > 0))]
+
+
+def _wave_centres(spec: SpaceSpec) -> np.ndarray:
+    """Row centres c_i in [0, 1] of an optimal or reduced space's fold."""
+    den, sigma, _ = _layout_params(spec.kind, spec.p, spec.n, spec.bc)
+    return _fold_centres(spec.p, den, sigma, spec.bc) / den
 
 
 def reduced_basis_matrix(spec: SpaceSpec, xs, r=0) -> np.ndarray:

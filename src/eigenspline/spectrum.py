@@ -7,6 +7,13 @@ are matched to exact ones by ascending order; in 2D every mode is the
 tensor pair (l1, l2) produced by fast diagonalization, with squared
 frequencies adding.
 
+Eigenpairs of optimal and reduced spaces need no dense solve: in the
+reflection-fold basis of :mod:`eigenspline.spaces` the exact waves sampled
+at the row centres are the discrete eigenvectors, and their Rayleigh
+quotients are samples of the cardinal-spline symbol.  They are accepted
+under a residual, ordering and M-orthonormality certificate; full spaces
+and uncertified waves use the dense generalized eigensolver.
+
 Mode reports carry, per mode, the relative frequency error, the L2
 eigenfunction error (against the unit-norm exact eigenfunction, signs
 aligned by the L2 overlap), and for optimal subspaces the a-priori
@@ -18,7 +25,8 @@ p+1 active B-splines per point.  Modes are then taken in fixed-size
 blocks: each block's eigenvectors are mapped to B-spline coefficients
 through the space's stored sparse extraction, sampled through that matrix
 and compared with the exact modes, so no dense quadrature-points x n basis
-or mode matrix is ever formed.  The bound columns take the exact
+or mode matrix is ever formed; the exact modes come from angle addition
+over the element midpoints.  The bound columns take the exact
 frequencies once per spectrum.
 """
 
@@ -28,16 +36,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import assemble_mass, assemble_stiffness, quadrature_grid
+from .assembly import (assemble_mass, assemble_stiffness, gauss_legendre,
+                       quadrature_grid)
 from .eigensolve import generalized_eigen_sym
 from .exceptions import ConfigError
-from .spaces import BoundaryType, SpaceKind, SpaceSpec
-from .splines import basis_samples
+from .spaces import BoundaryType, SpaceKind, SpaceSpec, _wave_centres
+from .splines import (basis_samples, cardinal_bspline,
+                      cardinal_bspline_derivative)
 
 ZERO_MODE_TOL = 1e-12
-# Modes per block of the eigenfunction-error pass: bounds its working
-# memory at a few (quadrature points x EFUN_BLOCK) arrays.
+# Modes per block of the eigenfunction-error pass and of the wave
+# certificate: bounds their working memory at a few (quadrature points x
+# EFUN_BLOCK) and (n x EFUN_BLOCK) arrays.
 EFUN_BLOCK = 64
+# Wave certificate: allowed residual and M-orthonormality defect, in units
+# of n^2 eps (the growth of cond(S)), and the number of columns sampled
+# for the orthonormality check.
+WAVE_TOL = 64.0
+WAVE_SAMPLE = 32
+# Absolute slack on an optimal mode's a priori bound before it can count
+# as an outlier.
+BOUND_TOL = 1e-10
 
 
 def exact_frequencies(bc, count) -> np.ndarray:
@@ -93,9 +112,7 @@ class Spectrum1D:
 
 def spectrum_1d(spec: SpaceSpec) -> Spectrum1D:
     """Assemble and solve the eigenproblem on the space."""
-    s = assemble_stiffness(spec)
-    m = assemble_mass(spec)
-    w, v = generalized_eigen_sym(s, m)
+    w, v = _eigenpairs(spec, assemble_stiffness(spec), assemble_mass(spec))
     freqs = np.sqrt(np.clip(w, 0.0, None))
     overlaps, e_fun = _eigenfunction_errors(spec, v)
     flip = np.where(overlaps < 0.0, -1.0, 1.0)
@@ -104,27 +121,111 @@ def spectrum_1d(spec: SpaceSpec) -> Spectrum1D:
                       vectors=v, overlaps=overlaps * flip, e_fun=e_fun)
 
 
-def _eigenfunction_errors(spec: SpaceSpec, v):
-    """L2 overlaps (before sign alignment) and sign-aligned L2 errors of
-    the modes ``v[:, k]`` against the exact eigenfunctions l = k+1."""
+def _eigenpairs(spec: SpaceSpec, s, m):
+    """Eigenvalues (ascending) and M-orthonormal eigenvectors of S, M.
+
+    Optimal and reduced spaces try the sampled waves v_l[i] = wave(omega_l
+    c_i) over the fold's row centres c_i, with Rayleigh-quotient
+    eigenvalues, and keep them only under a certificate: every residual
+    |S v - lambda M v| is at most ``WAVE_TOL * n^2 * eps`` times the
+    largest |S v|, the eigenvalues ascend strictly, and |V^T M V - I| on
+    ``WAVE_SAMPLE`` fixed columns is at most the same tolerance.  Full
+    spaces, and waves that fail the certificate, go to the dense solver.
+    The waves are built and checked in blocks of ``EFUN_BLOCK`` columns.
+    """
+    if spec.kind == SpaceKind.FULL:
+        return generalized_eigen_sym(s, m)
     n = spec.n
-    xs, ws = quadrature_grid(spec.breaks, spec.p + 3)
-    b0 = basis_samples(spec.knots, xs, 0)[0]
+    tol = WAVE_TOL * n * n * np.finfo(float).eps
+    c = _wave_centres(spec)
     omega = exact_frequencies(spec.bc, n)
     wave = np.cos if spec.bc == BoundaryType.NEUMANN else np.sin
+    v = np.empty((n, n))
+    lam, res, s_norm = np.empty(n), np.empty(n), np.empty(n)
+    for lo in range(0, n, EFUN_BLOCK):
+        blk = slice(lo, min(lo + EFUN_BLOCK, n))
+        vb = wave(np.outer(c, omega[blk]), out=v[:, blk])
+        sv, mv = s.matvec(vb), m.matvec(vb)
+        scale = 1.0 / np.sqrt(np.einsum("ik,ik->k", vb, mv))
+        lam[blk] = np.einsum("ik,ik->k", vb, sv) * scale ** 2
+        s_norm[blk] = np.linalg.norm(sv, axis=0) * scale
+        sv -= mv * lam[blk]
+        res[blk] = np.linalg.norm(sv, axis=0) * scale
+        vb *= scale
+    vs = v[:, np.unique(np.linspace(0, n - 1, min(n, WAVE_SAMPLE))
+                        .astype(int))]
+    certified = (np.all(np.diff(lam) > 0.0)
+                 and res.max() <= tol * s_norm.max()
+                 and np.abs(vs.T @ m.matvec(vs)
+                            - np.eye(vs.shape[1])).max() <= tol)
+    return (lam, v) if certified else generalized_eigen_sym(s, m)
+
+
+def _symbol_frequencies(spec: SpaceSpec) -> np.ndarray:
+    """Closed-form discrete frequencies of an optimal or reduced space.
+
+    The pencil's symbol at theta_l = omega_l h, with q = 2p + 1 and N_q
+    the cardinal B-spline:
+
+        omega_h^2 = 2 sum_{|k|<=p} N_q''(p+1+k) sin^2(k theta / 2)
+                    / (h^2 sum_{|k|<=p} N_q(p+1+k) cos(k theta)),
+
+    the stiffness numerator in the sin^2 form, which does not cancel at
+    small theta.  Test reference only: studies report computed spectra.
+    """
+    p, h = spec.p, spec.h
+    k = np.arange(1, p + 1)
+    q = 2 * p + 1
+    theta = np.outer(exact_frequencies(spec.bc, spec.n) * h, k)
+    stiff = 4.0 * np.sin(0.5 * theta) ** 2 \
+        @ cardinal_bspline_derivative(q, 2, p + 1 + k)
+    mass = cardinal_bspline(q, p + 1) \
+        + 2.0 * np.cos(theta) @ cardinal_bspline(q, p + 1 + k)
+    return np.sqrt(stiff / mass) / h
+
+
+def _eigenfunction_errors(spec: SpaceSpec, v):
+    """L2 overlaps (before sign alignment) and sign-aligned L2 errors of
+    the modes ``v[:, k]`` against the exact eigenfunctions l = k+1.
+
+    The exact waves at the points mid_e + half_e t_k come from angle
+    addition: sines and cosines at the n_el element midpoints times those
+    at the offsets half t_k, of which there are at most two sets (every
+    layout has at most two element lengths).
+    """
+    n, m = spec.n, spec.p + 3
+    xs, ws = quadrature_grid(spec.breaks, m)
+    b0 = basis_samples(spec.knots, xs, 0)[0]
+    a, b = spec.breaks[:-1], spec.breaks[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    # element lengths agree to round-off within a class
+    _, first, cls = np.unique(np.round(half / half.max(), 6),
+                              return_index=True, return_inverse=True)
+    offsets = half[first][:, None] * gauss_legendre(m)[0]
+    omega = exact_frequencies(spec.bc, n)
+    neumann = spec.bc == BoundaryType.NEUMANN
     overlaps = np.empty(n)
     e_fun = np.empty(n)
     for lo in range(0, n, EFUN_BLOCK):
         blk = slice(lo, min(lo + EFUN_BLOCK, n))
+        ex = np.empty((mid.size, m, blk.stop - lo))
+        w_mid = np.outer(mid, omega[blk])
+        s_mid = np.sqrt(2.0) * np.sin(w_mid)
+        c_mid = np.sqrt(2.0) * np.cos(w_mid)
+        w_off = offsets[:, :, None] * omega[blk]
+        s_off, c_off = np.sin(w_off), np.cos(w_off)
+        # sin(a + d) = sin a cos d + cos a sin d,
+        # cos(a + d) = cos a cos d - sin a sin d
+        f, g = (c_mid, -s_mid) if neumann else (s_mid, c_mid)
+        for k in range(m):
+            ex[:, k] = f * c_off[cls, k] + g * s_off[cls, k]
+        ex = ex.reshape(xs.size, -1)
+        if neumann and lo == 0:
+            ex[:, 0] = 1.0
         uh = b0 @ (spec.extraction.T @ v[:, blk])
-        exact = np.outer(xs, omega[blk])
-        wave(exact, out=exact)
-        exact *= np.sqrt(2.0)
-        if spec.bc == BoundaryType.NEUMANN and lo == 0:
-            exact[:, 0] = 1.0
-        ov = np.einsum("qk,qk->k", exact, uh * ws[:, None])
+        ov = np.einsum("qk,qk->k", ex, uh * ws[:, None])
         uh *= np.where(ov < 0.0, -1.0, 1.0)[None, :]
-        diff = np.subtract(exact, uh, out=exact)
+        diff = np.subtract(ex, uh, out=ex)
         overlaps[blk] = ov
         e_fun[blk] = np.sqrt(np.einsum("qk,qk->k", diff, diff * ws[:, None]))
     return overlaps, e_fun
@@ -227,8 +328,11 @@ def outlier_count(report: ModeErrorReport) -> int:
     At most p_i modes per direction can be spurious, so the modes with
     l_i <= n_i - p_i in every direction are certainly on the regular
     branch (zero modes excluded); a mode is an outlier when its relative
-    error exceeds twice the branch maximum.  Requires n_i > 2p_i in every
-    direction so the branch is long enough to be meaningful.
+    error exceeds twice the branch maximum.  On optimal spaces (every
+    direction optimal) a mode must also exceed its a priori bound by more
+    than ``BOUND_TOL``: a mode inside its bound is on the branch however
+    the branch maximum compares.  Requires n_i > 2p_i in every direction
+    so the branch is long enough to be meaningful.
     """
     if any(s.n <= 2 * s.p for s in report.specs):
         raise ConfigError("need n > 2p in every direction to separate a "
@@ -236,8 +340,10 @@ def outlier_count(report: ModeErrorReport) -> int:
     usable = ~report.zero_mode
     regular = usable & np.all([l <= s.n - s.p for s, l
                                in zip(report.specs, report.ls)], axis=0)
-    threshold = 2.0 * np.max(report.e_freq[regular])
-    return int(np.sum(report.e_freq[usable] > threshold))
+    out = usable & (report.e_freq > 2.0 * np.max(report.e_freq[regular]))
+    if all(s.kind == SpaceKind.OPTIMAL for s in report.specs):
+        out &= report.e_freq > report.bound + BOUND_TOL
+    return int(np.sum(out))
 
 
 @dataclass

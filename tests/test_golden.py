@@ -17,7 +17,9 @@ dumps).  Columns are compared by class:
 * sampled basis values (``phi_*``) within |delta| <= 1e-13 * max|column|.
 
 To regenerate after an intended output change, run from the repo root:
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py NAME...`` rewrites only the
+named studies (so files that should not move cannot be rewritten by
+accident); with no names it rewrites every study.
 """
 
 import glob
@@ -166,15 +168,30 @@ def test_matches_golden(name, tmp_path):
         compare(golden[fname], text)
 
 
-def _regenerate():
+def test_regenerates_only_named_studies(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(globals(), "GOLDEN", str(tmp_path))
+    assert _regenerate(["spectrum-optimal-dirichlet"]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["spectrum-optimal-dirichlet.csv"]
+    assert _regenerate(["no-such-study"]) == 2
+    assert "no-such-study" in capsys.readouterr().err
+
+
+def _regenerate(names):
+    """Rewrite the golden outputs of ``names`` (all studies when empty);
+    returns an exit status."""
+    unknown = sorted(set(names) - set(STUDIES))
+    if unknown:
+        print(f"unknown studies: {', '.join(unknown)}", file=sys.stderr)
+        return 2
     os.makedirs(GOLDEN, exist_ok=True)
-    for name in STUDIES:
+    for name in names or STUDIES:
         for old in _read_outputs(GOLDEN, name):
             os.remove(os.path.join(GOLDEN, old))
         main(STUDIES[name] + ["--out", os.path.join(GOLDEN, f"{name}.csv")])
     for path in glob.glob(os.path.join(GOLDEN, "*.gp")):
         os.remove(path)
+    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(_regenerate())
+    sys.exit(_regenerate(sys.argv[1:]))

@@ -39,6 +39,21 @@ E_RED_6x8 = np.array([
     [0, 0, 0, 0, 0, 0, 1, -1],
 ], float)
 
+# the Neumann and mixed folds: B-splines reflected evenly at a Neumann end
+# and oddly at a Dirichlet end, a centre on a Dirichlet end dropped
+E_NEU_4x8 = np.array([
+    [0, 1, 1, 0, 0, 0, 0, 0],
+    [1, 0, 0, 1, 0, 0, 0, 0],
+    [0, 0, 0, 0, 1, 0, 0, 1],
+    [0, 0, 0, 0, 0, 1, 1, 0],
+], float)
+
+E_MIX_3x7 = np.array([
+    [-1, 0, 1, 0, 0, 0, 0],
+    [0, 0, 0, 1, 0, 0, 1],
+    [0, 0, 0, 0, 1, 1, 0],
+], float)
+
 E_RED_2x10 = np.array([
     [1, 0, 0, -1, 1, 0, 0, -1, 1, 0],
     [0, 1, -1, 0, 0, 1, -1, 0, 0, 1],
@@ -134,6 +149,13 @@ class TestExtractionExamples:
         # +0.0 entries only, no negative zeros
         assert not np.any((e == 0.0) & np.signbit(e))
 
+    @pytest.mark.parametrize("p,n,bc,expected", [
+        (3, 4, 1, E_NEU_4x8), (3, 3, 2, E_MIX_3x7)])
+    def test_fold_examples(self, p, n, bc, expected):
+        sp = make_space("optimal", p, n, bc)
+        assert np.array_equal(sp.extraction.toarray(), expected)
+        assert boundary_residuals(sp) <= 1e-14
+
     def test_parity_coincidence(self):
         # even degree p and odd degree p + 1 share the Dirichlet extraction
         # matrix at equal dimension, only the knot grids differ
@@ -194,9 +216,9 @@ class TestSparseExtraction:
     @pytest.mark.parametrize("bc", [0, 1, 2])
     @pytest.mark.parametrize("kind", ["full", "optimal", "reduced"])
     def test_smallest_spaces(self, kind, bc, p):
-        # the smallest legal n reaches the global null-space branch
-        # (n_el <= p + 1), the empty interior identity of the block
-        # diagonal and the two-element reduced space
+        # the smallest legal n folds B-splines back across both ends
+        # (n_el <= p + 1), several times over for large p, and reaches
+        # the two-element reduced space
         sp = _smallest_space(kind, p, bc)
         if sp is None:
             assert kind == "reduced" and (p % 2 or bc)

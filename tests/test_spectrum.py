@@ -25,6 +25,7 @@ from eigenspline import (
 )
 from eigenspline import spectrum
 from eigenspline.assembly import quadrature_grid
+from eigenspline.cli import main
 from eigenspline.spectrum import EFUN_BLOCK, collate_2d
 from eigenspline.splines import basis_samples
 
@@ -125,7 +126,7 @@ class TestEigenfunctionErrorPass:
         ("full", 3, 20, 0), ("full", 4, 20, 1), ("full", 5, 20, 2),
         ("optimal", 3, 20, 0), ("optimal", 4, 20, 1), ("optimal", 5, 20, 2),
         ("reduced", 4, 20, 0), ("reduced", 2, 2, 0),
-        # endpoint windows overlap: one global null space
+        # n_el <= p + 1: B-splines fold back across both ends
         ("optimal", 5, 3, 1), ("optimal", 6, 4, 2),
         # mode counts around the block size
         ("optimal", 3, EFUN_BLOCK - 1, 0), ("optimal", 4, EFUN_BLOCK, 1),
@@ -164,14 +165,14 @@ class TestEigenfunctionErrorPass:
         assert not dense
 
     def test_working_memory_far_below_dense_samples(self, monkeypatch):
-        # the dense eigensolve is solved outside the measurement; what is
+        # the eigenpairs are computed outside the measurement; what is
         # left is assembly plus the error pass, which must hold no
         # (quadrature points x n) array
         sp = make_space("optimal", 5, 1000, 0)
-        pair = generalized_eigen_sym(assemble_stiffness(sp),
-                                     assemble_mass(sp))
-        monkeypatch.setattr("eigenspline.spectrum.generalized_eigen_sym",
-                            lambda s, m: pair)
+        pair = spectrum._eigenpairs(sp, assemble_stiffness(sp),
+                                    assemble_mass(sp))
+        monkeypatch.setattr("eigenspline.spectrum._eigenpairs",
+                            lambda spec, s, m: pair)
         tracemalloc.start()
         try:
             spectrum_1d(sp)
@@ -180,6 +181,115 @@ class TestEigenfunctionErrorPass:
             tracemalloc.stop()
         one_array = 8 * sp.n_el * (sp.p + 3) * sp.n
         assert peak < one_array / 3
+
+
+def _counting_eigensolver(monkeypatch):
+    calls = []
+
+    def counting(s, m):
+        calls.append(s.n)
+        return generalized_eigen_sym(s, m)
+
+    monkeypatch.setattr("eigenspline.spectrum.generalized_eigen_sym",
+                        counting)
+    return calls
+
+
+class TestWaveEigenpairs:
+    @pytest.mark.parametrize("kind,p,n,bc,dense", [
+        ("optimal", 3, 40, 0, 0), ("optimal", 4, 40, 1, 0),
+        ("optimal", 5, 40, 2, 0), ("reduced", 4, 40, 0, 0),
+        ("optimal", 2, 2 * EFUN_BLOCK + 7, 1, 0), ("full", 3, 40, 0, 1),
+    ])
+    def test_dense_solver_only_for_full_spaces(self, monkeypatch, kind, p,
+                                               n, bc, dense):
+        calls = _counting_eigensolver(monkeypatch)
+        spectrum_1d(make_space(kind, p, n, bc))
+        assert len(calls) == dense
+
+    @pytest.mark.parametrize("kind,p,n,bc", [
+        ("optimal", 3, 30, 0), ("optimal", 4, 30, 1), ("optimal", 6, 30, 2),
+        ("reduced", 4, 30, 0), ("optimal", 5, 3, 1),
+    ])
+    def test_waves_match_dense_solver(self, kind, p, n, bc):
+        sp = make_space(kind, p, n, bc)
+        s, m = assemble_stiffness(sp), assemble_mass(sp)
+        w, v = spectrum._eigenpairs(sp, s, m)
+        w_ref, v_ref = generalized_eigen_sym(s, m)
+        assert_allclose(w, w_ref, rtol=1e-11, atol=1e-11)
+        # the same M-orthonormal vectors up to sign
+        assert_allclose(np.abs(v.T @ m.to_dense() @ v_ref), np.eye(n),
+                        atol=1e-9)
+
+    @pytest.mark.parametrize("bc", [0, 1, 2])
+    def test_failed_certificate_falls_back(self, monkeypatch, bc):
+        # no residual can meet a zero tolerance: the dense solver runs once
+        # and its pairs are returned unchanged
+        sp = make_space("optimal", 4, 30, bc)
+        s, m = assemble_stiffness(sp), assemble_mass(sp)
+        w_ref, v_ref = generalized_eigen_sym(s, m)
+        calls = _counting_eigensolver(monkeypatch)
+        monkeypatch.setattr(spectrum, "WAVE_TOL", 0.0)
+        w, v = spectrum._eigenpairs(sp, s, m)
+        assert len(calls) == 1
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+        assert np.array_equal(spectrum_1d(sp).eigenvalues, w_ref)
+
+    def test_wrong_centres_fail_the_certificate(self, monkeypatch):
+        # waves sampled off the fold's centres are not eigenvectors; the
+        # certificate must reject them rather than report their quotients
+        sp = make_space("optimal", 3, 30, 2)
+        calls = _counting_eigensolver(monkeypatch)
+        real = spectrum._wave_centres
+        monkeypatch.setattr(spectrum, "_wave_centres",
+                            lambda spec: real(spec) * 0.99)
+        w = spectrum_1d(sp).eigenvalues
+        assert len(calls) == 1
+        w_ref, _ = generalized_eigen_sym(assemble_stiffness(sp),
+                                         assemble_mass(sp))
+        assert np.array_equal(w, w_ref)
+
+
+# Symbol-oracle window in units of n^2 eps (the growth of cond(S)); the
+# largest gap measured over the grid below is 10.5 n^2 eps (p=10, n=12).
+SYMBOL_WINDOW = 32.0
+
+
+class TestSymbolOracle:
+    """The computed spectra of optimal and reduced spaces against the
+    closed-form cardinal-spline symbol at theta_l = omega_l h."""
+
+    @staticmethod
+    def _gap(sp):
+        w, _ = spectrum._eigenpairs(sp, assemble_stiffness(sp),
+                                    assemble_mass(sp))
+        ref = spectrum._symbol_frequencies(sp)
+        ok = ref > 0.0  # the Neumann constant has no relative gap
+        gap = np.abs(np.sqrt(np.clip(w[ok], 0.0, None)) / ref[ok] - 1.0)
+        return gap.max() / (sp.n ** 2 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("kind,bc", [("optimal", 0), ("optimal", 1),
+                                         ("optimal", 2), ("reduced", 0)])
+    def test_degree_sweep(self, kind, bc):
+        for p in range(1, 11):
+            if kind == "reduced" and p % 2:
+                continue
+            for n in (12, 60, 200):
+                assert self._gap(make_space(kind, p, n, bc)) \
+                    <= SYMBOL_WINDOW, (p, n)
+
+    @pytest.mark.parametrize("kind,p,bc", [
+        ("optimal", 3, 0), ("optimal", 4, 1), ("optimal", 5, 2),
+        ("reduced", 4, 0)])
+    def test_large_dimension(self, kind, p, bc):
+        assert self._gap(make_space(kind, p, 2000, bc)) <= SYMBOL_WINDOW
+
+    def test_one_mode_shift_is_caught(self):
+        sp = make_space("optimal", 3, 60, 0)
+        w = spectrum_1d(sp).frequencies
+        ref = spectrum._symbol_frequencies(sp)
+        shifted = np.abs(w[1:] / ref[:-1] - 1.0).max()
+        assert shifted > 1e6 * SYMBOL_WINDOW * 60 ** 2 * np.finfo(float).eps
 
 
 class TestModeErrors:
@@ -254,6 +364,28 @@ class TestOutliers:
     def test_outlier_free_spaces(self, kind):
         sp = make_space(kind, 4, 60, 0)
         assert outlier_count(mode_errors(spectrum_1d(sp))) == 0
+
+    @pytest.mark.parametrize("p,n,bc", [(8, 60, 0), (12, 60, 0),
+                                        (6, 30, 1)])
+    def test_optimal_modes_inside_their_bound(self, p, n, bc):
+        # top modes here exceed twice the branch maximum while staying
+        # inside their a priori bound, so none of them is an outlier
+        rep = mode_errors(spectrum_1d(make_space("optimal", p, n, bc)))
+        assert outlier_count(rep) == 0
+
+    def test_optimal_sweep_is_clean(self):
+        for bc in (0, 1, 2):
+            for p in range(1, 17):
+                for n in (2 * p + 1, 4 * p + 20):
+                    sp = make_space("optimal", p, n, bc)
+                    assert outlier_count(mode_errors(spectrum_1d(sp))) == 0, \
+                        (p, n, bc)
+
+    def test_mode_leaving_its_bound_counts(self):
+        rep = mode_errors(spectrum_1d(make_space("optimal", 4, 40, 0)))
+        rep.e_freq[-1] = rep.bound[-1] + 10 * spectrum.BOUND_TOL \
+            + 2.0 * rep.e_freq.max()
+        assert outlier_count(rep) == 1
 
     def test_requires_long_branch(self):
         sp = make_space("optimal", 5, 10, 0)
@@ -344,6 +476,12 @@ class TestSpectrum2D:
         assert outlier_count(mode_errors_2d(spectrum_2d(opt, opt))) == 0
         full = make_space("full", 3, 25, 0)
         assert outlier_count(mode_errors_2d(spectrum_2d(full, full))) > 0
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_2d_optimal_cli_study_is_clean(self, bc, capsys):
+        assert main(["spectrum2d", "--degree", "3", "--dim", "8",
+                     "--bc", bc]) == 0
+        assert "outliers=0" in capsys.readouterr().out
 
     def test_2d_outliers_require_long_branch(self):
         sp = spectrum_2d(make_space("optimal", 5, 10, 0),
