@@ -145,17 +145,18 @@ def make_space(kind, p, n, bc) -> SpaceSpec:
         h = 1.0 / n_el
         extraction = _selection_extraction(n_el, p, bc)
     else:
-        if kind == SpaceKind.REDUCED_UNIFORM and p % 2 == 1:
+        reduced = kind == SpaceKind.REDUCED_UNIFORM
+        if reduced and p % 2 == 1:
             raise ConfigError(
                 "odd-degree reduced-uniform space coincides with the "
                 "optimal one; build that instead")
-        if kind == SpaceKind.REDUCED_UNIFORM and bc != BoundaryType.DIRICHLET:
+        if reduced and bc != BoundaryType.DIRICHLET:
             raise ConfigError("reduced-uniform spaces are Dirichlet only")
         den, sigma, n_el = _layout_params(kind, p, n, bc)
         # The reduced fold stays well formed down to two elements, and the
         # two-element space is a meaningful smallest instance, so the usual
         # three-element floor is relaxed there.
-        if n_el < (2 if kind == SpaceKind.REDUCED_UNIFORM else MIN_ELEMENTS):
+        if n_el < (2 if reduced else MIN_ELEMENTS):
             raise ConfigError("dimension too small for this degree")
         kv, breaks = _uniform_layout(p, n_el, den, sigma)
         h = 2.0 / den

@@ -144,12 +144,13 @@ def _eigenpairs(spec: SpaceSpec, s, m):
     lam, res, s_norm = np.empty(n), np.empty(n), np.empty(n)
     for lo in range(0, n, EFUN_BLOCK):
         blk = slice(lo, min(lo + EFUN_BLOCK, n))
-        vb = wave(np.outer(c, omega[blk]), out=v[:, blk])
+        vb = wave(np.outer(c, omega[blk], out=v[:, blk]), out=v[:, blk])
         sv, mv = s.matvec(vb), m.matvec(vb)
         scale = 1.0 / np.sqrt(np.einsum("ik,ik->k", vb, mv))
         lam[blk] = np.einsum("ik,ik->k", vb, sv) * scale ** 2
         s_norm[blk] = np.linalg.norm(sv, axis=0) * scale
-        sv -= mv * lam[blk]
+        mv *= lam[blk]
+        sv -= mv
         res[blk] = np.linalg.norm(sv, axis=0) * scale
         vb *= scale
     vs = v[:, np.unique(np.linspace(0, n - 1, min(n, WAVE_SAMPLE))
@@ -188,10 +189,8 @@ def _eigenfunction_errors(spec: SpaceSpec, v):
     """L2 overlaps (before sign alignment) and sign-aligned L2 errors of
     the modes ``v[:, k]`` against the exact eigenfunctions l = k+1.
 
-    The exact waves at the points mid_e + half_e t_k come from angle
-    addition: sines and cosines at the n_el element midpoints times those
-    at the offsets half t_k, of which there are at most two sets (every
-    layout has at most two element lengths).
+    The exact waves come from :func:`_exact_waves`, in blocks of
+    ``EFUN_BLOCK`` modes.
     """
     n, m = spec.n, spec.p + 3
     xs, ws = quadrature_grid(spec.breaks, m)
@@ -208,18 +207,7 @@ def _eigenfunction_errors(spec: SpaceSpec, v):
     e_fun = np.empty(n)
     for lo in range(0, n, EFUN_BLOCK):
         blk = slice(lo, min(lo + EFUN_BLOCK, n))
-        ex = np.empty((mid.size, m, blk.stop - lo))
-        w_mid = np.outer(mid, omega[blk])
-        s_mid = np.sqrt(2.0) * np.sin(w_mid)
-        c_mid = np.sqrt(2.0) * np.cos(w_mid)
-        w_off = offsets[:, :, None] * omega[blk]
-        s_off, c_off = np.sin(w_off), np.cos(w_off)
-        # sin(a + d) = sin a cos d + cos a sin d,
-        # cos(a + d) = cos a cos d - sin a sin d
-        f, g = (c_mid, -s_mid) if neumann else (s_mid, c_mid)
-        for k in range(m):
-            ex[:, k] = f * c_off[cls, k] + g * s_off[cls, k]
-        ex = ex.reshape(xs.size, -1)
+        ex = _exact_waves(mid, offsets, cls, omega[blk], neumann)
         if neumann and lo == 0:
             ex[:, 0] = 1.0
         uh = b0 @ (spec.extraction.T @ v[:, blk])
@@ -229,6 +217,32 @@ def _eigenfunction_errors(spec: SpaceSpec, v):
         overlaps[blk] = ov
         e_fun[blk] = np.sqrt(np.einsum("qk,qk->k", diff, diff * ws[:, None]))
     return overlaps, e_fun
+
+
+def _exact_waves(mid, offsets, cls, omega, neumann):
+    """sqrt(2) sin(omega x) (cos for Neumann) at the points x = mid_e +
+    offsets[cls_e, k], as an (elements * points, modes) array.
+
+    Angle addition evaluates sines and cosines only at the element
+    midpoints and at the offsets, of which there are at most two sets
+    (every layout has at most two element lengths).
+    """
+    ex = np.empty((mid.size, offsets.shape[1], omega.size))
+    c_mid = np.outer(mid, omega)
+    s_mid = np.sin(c_mid)
+    np.cos(c_mid, out=c_mid)
+    w_off = offsets[:, :, None] * omega
+    s_off, c_off = np.sin(w_off), np.cos(w_off)
+    # sin(a + d) = sin a cos d + cos a sin d,
+    # cos(a + d) = cos a cos d - sin a sin d
+    f, g = (c_mid, np.negative(s_mid, out=s_mid)) if neumann \
+        else (s_mid, c_mid)
+    f *= np.sqrt(2.0)
+    g *= np.sqrt(2.0)
+    for k in range(offsets.shape[1]):
+        np.multiply(f, c_off[cls, k], out=ex[:, k])
+        ex[:, k] += g * s_off[cls, k]
+    return ex.reshape(-1, omega.size)
 
 
 def eigval_upper_bound(l, n, p, bc) -> float:

@@ -235,6 +235,19 @@ class TestWaveEigenpairs:
         assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
         assert np.array_equal(spectrum_1d(sp).eigenvalues, w_ref)
 
+    def test_certificate_works_in_column_blocks(self):
+        # beyond the returned n x n vectors the waves and their checks hold
+        # only (n x EFUN_BLOCK) blocks
+        sp = make_space("optimal", 5, 1000, 0)
+        s, m = assemble_stiffness(sp), assemble_mass(sp)
+        tracemalloc.start()
+        try:
+            spectrum._eigenpairs(sp, s, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * sp.n * (sp.n + 8 * EFUN_BLOCK)
+
     def test_wrong_centres_fail_the_certificate(self, monkeypatch):
         # waves sampled off the fold's centres are not eigenvectors; the
         # certificate must reject them rather than report their quotients
