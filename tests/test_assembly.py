@@ -206,7 +206,7 @@ class TestGramOracles:
         ("optimal", 4, 9, 1, None), ("optimal", 5, 9, 2, None),
         ("reduced", 4, 9, 0, None),
         ("reduced", 2, 2, 0, None),    # two elements
-        ("optimal", 5, 3, 1, None),    # n_el <= p + 1: global null space
+        ("optimal", 5, 3, 1, None),    # n_el <= p + 1: fold across both ends
         ("optimal", 3, 9, 0, 7),       # non-default rule
     ])
     def test_band_gram_matches_dense_oracle(self, kind, p, n, bc, rule):
