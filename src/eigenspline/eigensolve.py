@@ -7,8 +7,8 @@ independent dense Jacobi-rotation oracle for small pencils.
 
 It is the package's only eigensolver.  Spectra of optimal and reduced
 spaces reach it only when their sampled-wave eigenpairs fail the
-certificate in :mod:`eigenspline.spectrum`; full-space spectra and fast
-diagonalization call it directly.
+certificate in :mod:`eigenspline.spectrum`; full-space spectra always
+reach it, and fast diagonalization calls it directly.
 """
 
 from __future__ import annotations

@@ -90,9 +90,10 @@ def _layout_params(kind, p, n, bc):
 def _uniform_layout(p, n_el, den, sigma, clip=False):
     """Knot vector and breaks with knots (2k - sigma)/den, k = -p..n_el+p.
 
-    The optimal layouts take den and sigma from :func:`_layout_params`;
-    the plain uniform grid is den = 2 n_el, sigma = 0, and the open
-    uniform (full-space) sequence is that grid clipped to [0, 1].
+    The optimal and reduced layouts take den and sigma from
+    :func:`_layout_params` (the reduced one is the plain uniform grid,
+    den = 2 n_el, sigma = 0); the open uniform (full-space) sequence is
+    the plain grid clipped to [0, 1].
     """
     knots = (2 * np.arange(-p, n_el + p + 1) - sigma) / den
     if clip:
