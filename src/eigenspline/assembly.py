@@ -16,22 +16,35 @@ the reduced basis exists in the test suite as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse
 
 from .exceptions import ConfigError, NumericalError
-from .spaces import SpaceSpec
+from .spaces import MAX_DEGREE, SpaceSpec
 from .splines import KnotVector, basis_samples, bspline_eval_batch
 
-MAX_GAUSS = 32
+MAX_GAUSS = MAX_DEGREE + 3
 
 
 def gauss_legendre(m):
-    """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1]."""
+    """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1].
+
+    Each rule is computed once and shared, as read-only arrays: every
+    Gram, load, error integral and eigenfunction-error pass asks for one.
+    """
     if not 1 <= m <= MAX_GAUSS:
         raise ConfigError("gauss rule size out of range")
-    return np.polynomial.legendre.leggauss(m)
+    return _gauss_rule(int(m))
+
+
+@lru_cache(maxsize=None)
+def _gauss_rule(m):
+    # at most MAX_GAUSS entries: gauss_legendre validates m first
+    x, w = np.polynomial.legendre.leggauss(m)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def quadrature_grid(breaks, m):
@@ -69,15 +82,36 @@ class SymBandMatrix:
         return a
 
     def matvec(self, x):
-        """A @ x for a vector or an (n, k) block, in O(bandwidth * n * k)."""
-        x = np.asarray(x, dtype=float)
-        band = self.band if x.ndim == 1 else self.band[:, :, None]
-        y = band[0] * x
-        for d in range(1, self.bandwidth + 1):
-            b = band[d, :self.n - d]
-            y[d:] += b * x[:-d]
-            y[:-d] += b * x[d:]
-        return y
+        """A @ x for a vector or an (n, k) block, in O(bandwidth * n * k).
+
+        One sparse product through :attr:`_csr`, whose row i lists its
+        entries in the order diagonal, then (i - d, i + d) for
+        d = 1, ..., bandwidth.  Each output entry therefore sums the same
+        products in the same order as a loop over the diagonals (centre
+        first, then the lower and upper neighbour at each distance), so
+        the result equals that loop's bitwise, up to the sign of a zero
+        entry.
+        """
+        return self._csr @ np.asarray(x, dtype=float)
+
+    @cached_property
+    def _csr(self):
+        # One gather over the (n, 2 bandwidth + 1) table of columns
+        # j = i + off, off = 0, -1, 1, -2, 2, ...: A[i, j] is
+        # band[|off|, min(i, j)].  Entries off the matrix are dropped,
+        # explicit zeros inside the band are kept.  ``band`` is never
+        # mutated after construction, so this is built once per matrix.
+        n = self.n
+        d = np.arange(1, self.bandwidth + 1)
+        off = np.concatenate(([0], np.column_stack((-d, d)).ravel()))
+        i = np.arange(n)[:, None]
+        cols = i + off
+        keep = (cols >= 0) & (cols < n)
+        flat = (np.abs(off) * n + np.minimum(off, 0) + i)[keep]
+        indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep,
+                                                                 axis=1))))
+        return scipy.sparse.csr_array((self.band.ravel()[flat], cols[keep],
+                                       indptr), shape=(n, n))
 
 
 def bspline_gram(knots: KnotVector, breaks, d, rule=None):

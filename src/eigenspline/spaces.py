@@ -38,6 +38,9 @@ from .exceptions import ConfigError
 from .splines import KnotVector, basis_samples
 
 MIN_ELEMENTS = 3
+# Loads and errors on a space integrate with the (p+3)-point Gauss rule,
+# whose size :mod:`eigenspline.assembly` caps at MAX_DEGREE + 3.
+MAX_DEGREE = 29
 
 
 class BoundaryType(IntEnum):
@@ -127,12 +130,15 @@ def make_space(kind, p, n, bc) -> SpaceSpec:
     """Construct a space of the given kind, degree, dimension and boundary.
 
     Rejects inconsistent combinations (odd-degree or non-Dirichlet
-    ReducedUniform, dimensions that leave fewer than three elements).
+    ReducedUniform, dimensions that leave fewer than three elements) and
+    degrees above ``MAX_DEGREE``.
     """
     kind = SpaceKind(kind)
     bc = BoundaryType(bc)
     if p < 1:
         raise ConfigError("degree must be >= 1")
+    if p > MAX_DEGREE:
+        raise ConfigError(f"degree must be <= {MAX_DEGREE}")
     if n < 1:
         raise ConfigError("dimension must be >= 1")
 

@@ -21,13 +21,15 @@ relative bound 1/(1 - (omega_l/omega_{n+1})^{p+1}) - 1.
 
 The eigenfunction errors use the p+3-point rule on every element.  The
 B-splines are sampled once on the whole grid into a sparse matrix with the
-p+1 active B-splines per point.  Modes are then taken in fixed-size
-blocks: each block's eigenvectors are mapped to B-spline coefficients
-through the space's stored sparse extraction, sampled through that matrix
-and compared with the exact modes, so no dense quadrature-points x n basis
-or mode matrix is ever formed; the exact modes come from angle addition
-over the element midpoints.  The bound columns take the exact
-frequencies once per spectrum.
+p+1 active B-splines per point, each row scaled by the square root of its
+quadrature weight.  Modes are then taken in fixed-size blocks: each
+block's eigenvectors are mapped to B-spline coefficients through the
+space's stored sparse extraction and sampled through that matrix.  The
+exact modes, weighted alike, come from angle addition over the element
+midpoints, broadcast over the majority element length.  Overlaps and
+errors are then plain sums of products, so no dense quadrature-points x n
+basis or mode matrix is ever formed and no block is multiplied by the
+weights.  The bound columns take the exact frequencies once per spectrum.
 """
 
 from __future__ import annotations
@@ -70,25 +72,6 @@ def exact_frequencies(bc, count) -> np.ndarray:
     if bc == BoundaryType.NEUMANN:
         return (l - 1.0) * np.pi
     return (l - 0.5) * np.pi
-
-
-def exact_eigenfunction(bc, l):
-    """Unit-L2-norm exact eigenfunction of mode l and its derivative."""
-    bc = BoundaryType(bc)
-    if l < 1:
-        raise ConfigError("mode index starts at 1")
-    s = np.sqrt(2.0)
-    if bc == BoundaryType.DIRICHLET:
-        w = l * np.pi
-        return (lambda x: s * np.sin(w * x)), (lambda x: s * w * np.cos(w * x))
-    if bc == BoundaryType.NEUMANN:
-        w = (l - 1) * np.pi
-        if l == 1:
-            return (lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                    lambda x: np.zeros_like(np.asarray(x, dtype=float)))
-        return (lambda x: s * np.cos(w * x)), (lambda x: -s * w * np.sin(w * x))
-    w = (l - 0.5) * np.pi
-    return (lambda x: s * np.sin(w * x)), (lambda x: s * w * np.cos(w * x))
 
 
 @dataclass
@@ -189,59 +172,73 @@ def _eigenfunction_errors(spec: SpaceSpec, v):
     """L2 overlaps (before sign alignment) and sign-aligned L2 errors of
     the modes ``v[:, k]`` against the exact eigenfunctions l = k+1.
 
-    The exact waves come from :func:`_exact_waves`, in blocks of
-    ``EFUN_BLOCK`` modes.
+    Both sides are sampled pre-weighted: the B-spline samples carry
+    sqrt(w) per quadrature point, the exact waves from
+    :func:`_exact_waves` sqrt(2 w), so each block of ``EFUN_BLOCK`` modes
+    is one sparse product, two plain sums of products, a sign flip and a
+    subtraction.
     """
     n, m = spec.n, spec.p + 3
     xs, ws = quadrature_grid(spec.breaks, m)
+    sw = np.sqrt(ws)
     b0 = basis_samples(spec.knots, xs, 0)[0]
+    b0.data *= np.repeat(sw, spec.p + 1)
     a, b = spec.breaks[:-1], spec.breaks[1:]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     # element lengths agree to round-off within a class
     _, first, cls = np.unique(np.round(half / half.max(), 6),
                               return_index=True, return_inverse=True)
-    offsets = half[first][:, None] * gauss_legendre(m)[0]
+    x, w = gauss_legendre(m)
+    offsets = half[first][:, None] * x
+    scale = np.sqrt(2.0 * half[first][:, None] * w)
     omega = exact_frequencies(spec.bc, n)
     neumann = spec.bc == BoundaryType.NEUMANN
     overlaps = np.empty(n)
     e_fun = np.empty(n)
     for lo in range(0, n, EFUN_BLOCK):
         blk = slice(lo, min(lo + EFUN_BLOCK, n))
-        ex = _exact_waves(mid, offsets, cls, omega[blk], neumann)
+        ex = _exact_waves(mid, offsets, scale, cls, omega[blk], neumann)
         if neumann and lo == 0:
-            ex[:, 0] = 1.0
+            ex[:, 0] = sw
         uh = b0 @ (spec.extraction.T @ v[:, blk])
-        ov = np.einsum("qk,qk->k", ex, uh * ws[:, None])
-        uh *= np.where(ov < 0.0, -1.0, 1.0)[None, :]
+        ov = np.einsum("qk,qk->k", ex, uh)
+        uh *= np.where(ov < 0.0, -1.0, 1.0)
         diff = np.subtract(ex, uh, out=ex)
         overlaps[blk] = ov
-        e_fun[blk] = np.sqrt(np.einsum("qk,qk->k", diff, diff * ws[:, None]))
+        e_fun[blk] = np.sqrt(np.einsum("qk,qk->k", diff, diff))
+        # free this block's samples before the next block allocates its own
+        del ex, uh, diff
     return overlaps, e_fun
 
 
-def _exact_waves(mid, offsets, cls, omega, neumann):
-    """sqrt(2) sin(omega x) (cos for Neumann) at the points x = mid_e +
-    offsets[cls_e, k], as an (elements * points, modes) array.
+def _exact_waves(mid, offsets, scale, cls, omega, neumann):
+    """scale * sin(omega x) (cos for Neumann) at the points x = mid_e +
+    offsets[cls_e, j], scale = scale[cls_e, j], as an (elements * points,
+    modes) array.
 
     Angle addition evaluates sines and cosines only at the element
-    midpoints and at the offsets, of which there are at most two sets
-    (every layout has at most two element lengths).
+    midpoints and at the offsets.  Every layout has at most two element
+    lengths, and the shorter one at most at the two end elements, so the
+    majority class is broadcast over all elements and only the others
+    are rewritten.
     """
-    ex = np.empty((mid.size, offsets.shape[1], omega.size))
     c_mid = np.outer(mid, omega)
     s_mid = np.sin(c_mid)
     np.cos(c_mid, out=c_mid)
     w_off = offsets[:, :, None] * omega
-    s_off, c_off = np.sin(w_off), np.cos(w_off)
+    s_off = np.sin(w_off)
+    c_off = np.cos(w_off, out=w_off)
     # sin(a + d) = sin a cos d + cos a sin d,
     # cos(a + d) = cos a cos d - sin a sin d
-    f, g = (c_mid, np.negative(s_mid, out=s_mid)) if neumann \
-        else (s_mid, c_mid)
-    f *= np.sqrt(2.0)
-    g *= np.sqrt(2.0)
-    for k in range(offsets.shape[1]):
-        np.multiply(f, c_off[cls, k], out=ex[:, k])
-        ex[:, k] += g * s_off[cls, k]
+    s_off *= (-scale if neumann else scale)[:, :, None]
+    c_off *= scale[:, :, None]
+    f, g = (c_mid, s_mid) if neumann else (s_mid, c_mid)
+    major = np.bincount(cls).argmax()
+    ex = np.multiply(f[:, None, :], c_off[major])
+    ex += g[:, None, :] * s_off[major]
+    minor = np.flatnonzero(cls != major)
+    ex[minor] = f[minor, None, :] * c_off[cls[minor]] \
+        + g[minor, None, :] * s_off[cls[minor]]
     return ex.reshape(-1, omega.size)
 
 
@@ -268,26 +265,6 @@ def _upper_bounds(spec: SpaceSpec):
     freqs = exact_frequencies(spec.bc, spec.n + 1)
     return np.array([_upper_bound(wl, freqs[spec.n], spec.p)
                      for wl in freqs[:spec.n]])
-
-
-def eigval_upper_bound_sharp(l, n, p, bc):
-    """Sharper bound variant with explicit applicability flag.
-
-    Returns (bound, applicable).  The refinement holds only while
-    sqrt(l) * (omega_l/omega_1)^2 * (omega_l/omega_{n+1})^{2p} < 1/2; when
-    that fails (or the first frequency vanishes, as for Neumann) the flag
-    is False and the plain bound should be used instead.
-    """
-    if not 1 <= l <= n:
-        raise ConfigError("mode index out of range")
-    freqs = exact_frequencies(bc, n + 1)
-    wl, w1, wtop = freqs[l - 1], freqs[0], freqs[n]
-    if w1 == 0.0:
-        return np.nan, False
-    q = np.sqrt(l) * (wl / w1) ** 2 * (wl / wtop) ** (2 * p)
-    if q >= 0.5:
-        return np.nan, False
-    return 1.0 / np.sqrt(1.0 - 2.0 * q) - 1.0, True
 
 
 @dataclass

@@ -1,0 +1,49 @@
+"""Closed-form eigenfunctions and the sharper a-priori bound, for tests.
+
+The library builds its exact waves inline in the error pass and reports
+only the plain bound; these are the per-mode references the tests
+compare against.
+"""
+
+import numpy as np
+
+from eigenspline import BoundaryType, ConfigError, exact_frequencies
+
+
+def exact_eigenfunction(bc, l):
+    """Unit-L2-norm exact eigenfunction of mode l and its derivative."""
+    bc = BoundaryType(bc)
+    if l < 1:
+        raise ConfigError("mode index starts at 1")
+    s = np.sqrt(2.0)
+    if bc == BoundaryType.DIRICHLET:
+        w = l * np.pi
+        return (lambda x: s * np.sin(w * x)), (lambda x: s * w * np.cos(w * x))
+    if bc == BoundaryType.NEUMANN:
+        w = (l - 1) * np.pi
+        if l == 1:
+            return (lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                    lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+        return (lambda x: s * np.cos(w * x)), (lambda x: -s * w * np.sin(w * x))
+    w = (l - 0.5) * np.pi
+    return (lambda x: s * np.sin(w * x)), (lambda x: s * w * np.cos(w * x))
+
+
+def eigval_upper_bound_sharp(l, n, p, bc):
+    """Sharper bound variant with explicit applicability flag.
+
+    Returns (bound, applicable).  The refinement holds only while
+    sqrt(l) * (omega_l/omega_1)^2 * (omega_l/omega_{n+1})^{2p} < 1/2; when
+    that fails (or the first frequency vanishes, as for Neumann) the flag
+    is False and the plain bound should be used instead.
+    """
+    if not 1 <= l <= n:
+        raise ConfigError("mode index out of range")
+    freqs = exact_frequencies(bc, n + 1)
+    wl, w1, wtop = freqs[l - 1], freqs[0], freqs[n]
+    if w1 == 0.0:
+        return np.nan, False
+    q = np.sqrt(l) * (wl / w1) ** 2 * (wl / wtop) ** (2 * p)
+    if q >= 0.5:
+        return np.nan, False
+    return 1.0 / np.sqrt(1.0 - 2.0 * q) - 1.0, True

@@ -1,0 +1,76 @@
+"""Loop references for the banded product and the eigenfunction-error pass.
+
+Test-only.  ``band_matvec`` is the diagonal loop that
+``SymBandMatrix.matvec`` must match bitwise; ``eigenfunction_errors`` is
+the error pass that weights every block by the quadrature weights
+explicitly and gathers each element's offset table, which
+``spectrum._eigenfunction_errors`` must match to round-off.
+"""
+
+import numpy as np
+
+from eigenspline import BoundaryType, basis_samples, exact_frequencies
+from eigenspline.assembly import gauss_legendre, quadrature_grid
+from eigenspline.spectrum import EFUN_BLOCK
+
+
+def band_matvec(a, x):
+    """A @ x for a SymBandMatrix ``a``, one pass per diagonal: each entry
+    sums the diagonal term, then the lower and the upper neighbour at
+    distance 1, 2, ..., bandwidth."""
+    x = np.asarray(x, dtype=float)
+    band = a.band if x.ndim == 1 else a.band[:, :, None]
+    y = band[0] * x
+    for d in range(1, a.bandwidth + 1):
+        b = band[d, :a.n - d]
+        y[d:] += b * x[:-d]
+        y[:-d] += b * x[d:]
+    return y
+
+
+def eigenfunction_errors(spec, v):
+    """L2 overlaps (before sign alignment) and sign-aligned L2 errors of
+    the modes ``v[:, k]`` against the exact eigenfunctions l = k+1."""
+    n, m = spec.n, spec.p + 3
+    xs, ws = quadrature_grid(spec.breaks, m)
+    b0 = basis_samples(spec.knots, xs, 0)[0]
+    a, b = spec.breaks[:-1], spec.breaks[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    _, first, cls = np.unique(np.round(half / half.max(), 6),
+                              return_index=True, return_inverse=True)
+    offsets = half[first][:, None] * gauss_legendre(m)[0]
+    omega = exact_frequencies(spec.bc, n)
+    neumann = spec.bc == BoundaryType.NEUMANN
+    overlaps = np.empty(n)
+    e_fun = np.empty(n)
+    for lo in range(0, n, EFUN_BLOCK):
+        blk = slice(lo, min(lo + EFUN_BLOCK, n))
+        ex = _exact_waves(mid, offsets, cls, omega[blk], neumann)
+        if neumann and lo == 0:
+            ex[:, 0] = 1.0
+        uh = b0 @ (spec.extraction.T @ v[:, blk])
+        ov = np.einsum("qk,qk->k", ex, uh * ws[:, None])
+        uh *= np.where(ov < 0.0, -1.0, 1.0)[None, :]
+        diff = np.subtract(ex, uh, out=ex)
+        overlaps[blk] = ov
+        e_fun[blk] = np.sqrt(np.einsum("qk,qk->k", diff, diff * ws[:, None]))
+    return overlaps, e_fun
+
+
+def _exact_waves(mid, offsets, cls, omega, neumann):
+    # sqrt(2) sin(omega x) (cos for Neumann) at x = mid_e + offsets[cls_e,
+    # k] by angle addition, every element gathering its class's row
+    ex = np.empty((mid.size, offsets.shape[1], omega.size))
+    c_mid = np.outer(mid, omega)
+    s_mid = np.sin(c_mid)
+    np.cos(c_mid, out=c_mid)
+    w_off = offsets[:, :, None] * omega
+    s_off, c_off = np.sin(w_off), np.cos(w_off)
+    f, g = (c_mid, np.negative(s_mid, out=s_mid)) if neumann \
+        else (s_mid, c_mid)
+    f *= np.sqrt(2.0)
+    g *= np.sqrt(2.0)
+    for k in range(offsets.shape[1]):
+        np.multiply(f, c_off[cls, k], out=ex[:, k])
+        ex[:, k] += g * s_off[cls, k]
+    return ex.reshape(-1, omega.size)

@@ -8,8 +8,8 @@ PUBLIC = [
     "Spectrum1D", "Spectrum2D", "SymBandMatrix", "assemble_load",
     "assemble_mass", "assemble_stiffness", "basis_samples",
     "boundary_residuals", "bspline_eval_batch", "bspline_gram",
-    "cardinal_bspline", "cardinal_bspline_derivative", "eigval_upper_bound",
-    "eigval_upper_bound_sharp", "exact_eigenfunction", "exact_frequencies",
+    "cardinal_bspline", "cardinal_bspline_derivative",
+    "eigval_upper_bound", "exact_frequencies",
     "fast_diagonalization_solve", "function_error", "gauss_legendre",
     "generalized_eigen_sym", "get_preset", "hermite_correction_1d",
     "hermite_data_from_problem", "l2_projection", "make_space",

@@ -17,7 +17,9 @@ from eigenspline import (
     reduced_basis_matrix,
 )
 from eigenspline.assembly import bspline_load, quadrature_grid
+from eigenspline.poisson import _gram
 from eigenspline.splines import bspline_eval_batch
+from kernel_oracles import band_matvec
 
 
 def band_from_dense(a):
@@ -72,6 +74,16 @@ class TestGauss:
         with pytest.raises(ConfigError):
             gauss_legendre(33)
 
+    def test_shared_rule_is_read_only(self):
+        # every caller gets the same arrays, so none may write to them
+        x, w = gauss_legendre(5)
+        assert gauss_legendre(5)[0] is x
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w *= 2.0
+        assert_allclose(w.sum(), 2.0, rtol=1e-14)
+
     def test_grid_covers_elements(self):
         breaks = np.array([0.0, 0.25, 0.5, 1.0])
         xs, ws = quadrature_grid(breaks, 4)
@@ -123,6 +135,40 @@ class TestBandMatrix:
         assert_allclose(m.matvec(x), dense @ x, rtol=1e-14, atol=1e-14)
         assert_allclose(m.matvec(xs), dense @ xs, rtol=1e-14, atol=1e-14)
         assert m.matvec(xs).shape == (n, 4)
+
+    def test_matvec_bitwise_against_diagonal_loop(self):
+        # the sparse product sums each row in the loop's order, so the two
+        # agree exactly for vectors, C- and F-ordered blocks, every legal
+        # bandwidth (at most n - 1) and n up to 2000
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 5, 11, 40, 97, 300, 1287, 2000):
+            for bw in range(min(10, n - 1) + 1):
+                band = rng.standard_normal((bw + 1, n))
+                for d in range(1, bw + 1):
+                    band[d, n - d:] = 0.0
+                a = SymBandMatrix(n=n, bandwidth=bw, band=band)
+                for x in (rng.standard_normal(n), rng.standard_normal((n, 5)),
+                          rng.standard_normal((3, n)).T):
+                    y = a.matvec(x)
+                    assert y.shape == x.shape
+                    assert np.array_equal(y, band_matvec(a, x))
+
+    @pytest.mark.parametrize("kind,p,n,bc", [
+        ("optimal", 3, 12, 0), ("optimal", 4, 9, 1), ("full", 5, 14, 2),
+        ("reduced", 6, 10, 0),
+    ])
+    def test_matvec_bitwise_on_2d_correction_products(self, kind, p, n, bc):
+        # the (nb, nb) products G1 C G2 = (G2 (G1 C)^T)^T of the 2D
+        # boundary correction, on the B-spline Gram matrices it uses
+        sp = make_space(kind, p, n, bc)
+        g_s, g_m = _gram(sp, 1), _gram(sp, 0)
+        nb = sp.knots.num_basis
+        corr = np.random.default_rng(p + n).standard_normal((nb, nb))
+        new = g_m.matvec(g_s.matvec(corr).T).T \
+            + g_s.matvec(g_m.matvec(corr).T).T
+        ref = band_matvec(g_m, band_matvec(g_s, corr).T).T \
+            + band_matvec(g_s, band_matvec(g_m, corr).T).T
+        assert np.array_equal(new, ref)
 
 
 class TestClosedForms:

@@ -14,6 +14,7 @@ from eigenspline.cli import build_parser, main
 from eigenspline.reports import (CsvReport, StudyConfig, run_basis_dump,
                                  run_convergence_study, run_poisson_study,
                                  run_spectrum_study)
+from eigenspline.spaces import MAX_DEGREE
 from eigenspline.spectrum import EFUN_BLOCK, spectrum_2d
 from test_golden import STUDIES
 
@@ -434,6 +435,31 @@ class TestCli:
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() \
                 == (tmp_path / "b" / name).read_bytes()
+
+    # The smallest legal dimension of each space kind and boundary at the
+    # top degree.  Reduced spaces take even degrees only: at the (odd) top
+    # degree every dimension exits 2, so they are also run one degree lower.
+    @pytest.mark.parametrize("space,bc,p,n", [
+        ("full", "dirichlet", MAX_DEGREE, 30),
+        ("full", "neumann", MAX_DEGREE, 32),
+        ("full", "mixed", MAX_DEGREE, 31),
+        ("optimal", "dirichlet", MAX_DEGREE, 2),
+        ("optimal", "neumann", MAX_DEGREE, 2),
+        ("optimal", "mixed", MAX_DEGREE, 2),
+        ("reduced", "dirichlet", MAX_DEGREE, 2),
+        ("reduced", "dirichlet", MAX_DEGREE - 1, 2),
+    ])
+    def test_degree_limit_at_smallest_dim(self, tmp_path, capsys, space, bc,
+                                          p, n):
+        args = ["spectrum", "--space", space, "--bc", bc, "--dim"]
+        out = ["--out", str(tmp_path / "s.csv")]
+        code = main(args + [str(n), "--degree", str(p)] + out)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+        assert main(args + [str(n - 1), "--degree", str(p)] + out) == 2
+        assert main(args + [str(n), "--degree", str(MAX_DEGREE + 1)]
+                    + out) == 2
+        assert "must be <=" in capsys.readouterr().err
 
     def test_missing_dim_rejected(self, capsys):
         code = main(["convergence", "--degree", "3", "--preset", "sin2pi"])

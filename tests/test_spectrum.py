@@ -7,12 +7,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eigenspline import (
+    BoundaryType,
     ConfigError,
+    SpaceKind,
+    SymBandMatrix,
     assemble_mass,
     assemble_stiffness,
     eigval_upper_bound,
-    eigval_upper_bound_sharp,
-    exact_eigenfunction,
     exact_frequencies,
     generalized_eigen_sym,
     make_space,
@@ -28,6 +29,9 @@ from eigenspline.assembly import quadrature_grid
 from eigenspline.cli import main
 from eigenspline.spectrum import EFUN_BLOCK, collate_2d
 from eigenspline.splines import basis_samples
+from exact_modes import eigval_upper_bound_sharp, exact_eigenfunction
+from kernel_oracles import band_matvec
+from kernel_oracles import eigenfunction_errors as loop_errors
 
 
 def _dense_mode_errors(sp, vectors):
@@ -167,20 +171,80 @@ class TestEigenfunctionErrorPass:
     def test_working_memory_far_below_dense_samples(self, monkeypatch):
         # the eigenpairs are computed outside the measurement; what is
         # left is assembly plus the error pass, which must hold no
-        # (quadrature points x n) array
-        sp = make_space("optimal", 5, 1000, 0)
+        # (quadrature points x n) array, and which must peak below the
+        # same study run with the loop pass (explicit weight products and
+        # per-element offset gathers)
+        sp = make_space("optimal", 5, 1287, 0)
         pair = spectrum._eigenpairs(sp, assemble_stiffness(sp),
                                     assemble_mass(sp))
         monkeypatch.setattr("eigenspline.spectrum._eigenpairs",
                             lambda spec, s, m: pair)
-        tracemalloc.start()
-        try:
-            spectrum_1d(sp)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peaks = []
+        for errors in (spectrum._eigenfunction_errors, loop_errors):
+            monkeypatch.setattr(spectrum, "_eigenfunction_errors", errors)
+            tracemalloc.start()
+            try:
+                spectrum_1d(sp)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
         one_array = 8 * sp.n_el * (sp.p + 3) * sp.n
-        assert peak < one_array / 3
+        assert peaks[0] < one_array / 3
+        assert peaks[0] < peaks[1]
+
+
+def _oracle_spaces():
+    """kind x bc x p <= 10 x n in {2p + 3, 97}, legal spaces.  n = 97
+    spans a full and a partial block of ``EFUN_BLOCK`` modes, so larger
+    n add run time but no code path."""
+    for kind in SpaceKind:
+        for bc in BoundaryType:
+            for p in range(1, 11):
+                for n in (2 * p + 3, 97):
+                    try:
+                        yield make_space(kind, p, n, bc)
+                    except ConfigError:
+                        pass
+
+
+@pytest.fixture(scope="module")
+def loop_oracle_sweep():
+    """Each space of the sweep solved as shipped and through the loop
+    references: (kind, bc, p, n), whether the eigenpairs agree bitwise,
+    and the largest gap of the error pass's ``e_fun`` and ``overlaps``.
+
+    ``spectrum_1d`` returns these eigenpairs with columns flipped by the
+    sign of the overlaps.  Full spaces take the dense solver, which calls
+    no matvec, so only their error pass is compared."""
+    rows = []
+    with pytest.MonkeyPatch.context() as loops:
+        for sp in _oracle_spaces():
+            s, m = assemble_stiffness(sp), assemble_mass(sp)
+            w, v = spectrum._eigenpairs(sp, s, m)
+            same = True
+            if sp.kind != SpaceKind.FULL:
+                loops.setattr(SymBandMatrix, "matvec", band_matvec)
+                w_ref, v_ref = spectrum._eigenpairs(sp, s, m)
+                loops.undo()
+                same = np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+            overlaps, e_fun = spectrum._eigenfunction_errors(sp, v)
+            overlaps_ref, e_fun_ref = loop_errors(sp, v)
+            gap = max(np.abs(e_fun - e_fun_ref).max(),
+                      np.abs(overlaps - overlaps_ref).max())
+            rows.append(((sp.kind.value, int(sp.bc), sp.p, sp.n), same, gap))
+    return rows
+
+
+class TestLoopOracles:
+    def test_eigenpairs_bitwise_against_loop_matvec(self, loop_oracle_sweep):
+        waves = [r for r in loop_oracle_sweep if r[0][0] != "full"]
+        assert len(waves) == 70
+        assert [case for case, same, _ in waves if not same] == []
+
+    def test_error_pass_matches_loop_pass(self, loop_oracle_sweep):
+        assert len(loop_oracle_sweep) == 130
+        worst = max(loop_oracle_sweep, key=lambda r: r[2])
+        assert worst[2] <= 1e-13, worst
 
 
 def _counting_eigensolver(monkeypatch):
