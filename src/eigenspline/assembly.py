@@ -84,32 +84,32 @@ class SymBandMatrix:
     def matvec(self, x):
         """A @ x for a vector or an (n, k) block, in O(bandwidth * n * k).
 
-        One sparse product through :attr:`_csr`, whose row i lists its
-        entries in the order diagonal, then (i - d, i + d) for
-        d = 1, ..., bandwidth.  Each output entry therefore sums the same
-        products in the same order as a loop over the diagonals (centre
-        first, then the lower and upper neighbour at each distance), so
-        the result equals that loop's bitwise, up to the sign of a zero
-        entry.
+        One sparse product through :attr:`_csr`, whose row i lists the
+        diagonal, then (i - d, i + d) for d = 1, ..., bandwidth: each entry
+        sums the products of a loop over the diagonals in that loop's
+        order, so the two agree bitwise (up to the sign of a zero).
         """
         return self._csr @ np.asarray(x, dtype=float)
 
     @cached_property
     def _csr(self):
-        # One gather over the (n, 2 bandwidth + 1) table of columns
-        # j = i + off, off = 0, -1, 1, -2, 2, ...: A[i, j] is
-        # band[|off|, min(i, j)].  Entries off the matrix are dropped,
-        # explicit zeros inside the band are kept.  ``band`` is never
-        # mutated after construction, so this is built once per matrix.
+        # One gather of A[i, i + off] = band[|off|, min(i, i + off)] over
+        # off = 0, -1, 1, -2, 2, ...; entries off the matrix are dropped,
+        # zeros inside the band kept.  ``band`` is never mutated after
+        # construction, so this is built once per matrix.  The flat index
+        # into ``band`` stays below band.size, so 32-bit indices (what
+        # scipy stores) suffice below 2**31 entries.
         n = self.n
-        d = np.arange(1, self.bandwidth + 1)
-        off = np.concatenate(([0], np.column_stack((-d, d)).ravel()))
-        i = np.arange(n)[:, None]
+        idx = np.int32 if self.band.size < 2 ** 31 else np.int64
+        d = np.arange(1, self.bandwidth + 1, dtype=idx)
+        off = np.concatenate(([0], np.column_stack((-d, d)).ravel()),
+                             dtype=idx)
+        i = np.arange(n, dtype=idx)[:, None]
         cols = i + off
         keep = (cols >= 0) & (cols < n)
         flat = (np.abs(off) * n + np.minimum(off, 0) + i)[keep]
-        indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep,
-                                                                 axis=1))))
+        indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
         return scipy.sparse.csr_array((self.band.ravel()[flat], cols[keep],
                                        indptr), shape=(n, n))
 
