@@ -212,9 +212,8 @@ def _eigenfunction_errors(spec: SpaceSpec, v):
 
 
 def _exact_waves(mid, offsets, scale, cls, omega, neumann):
-    """scale * sin(omega x) (cos for Neumann) at the points x = mid_e +
-    offsets[cls_e, j], scale = scale[cls_e, j], as an (elements * points,
-    modes) array.
+    """scale[cls_e, j] sin(omega x) (cos for Neumann) at the points
+    x = mid_e + offsets[cls_e, j], as an (elements * points, modes) array.
 
     Angle addition evaluates sines and cosines only at the element
     midpoints and at the offsets.  Every layout has at most two element
