@@ -36,12 +36,12 @@ def gauss_legendre(m):
     """
     if not 1 <= m <= MAX_GAUSS:
         raise ConfigError("gauss rule size out of range")
-    return _gauss_rule(int(m))
+    return _gauss_rule(m)
 
 
 @lru_cache(maxsize=None)
 def _gauss_rule(m):
-    # at most MAX_GAUSS entries: gauss_legendre validates m first
+    # bounded: gauss_legendre admits only 1 <= m <= MAX_GAUSS
     x, w = np.polynomial.legendre.leggauss(m)
     x.flags.writeable = w.flags.writeable = False
     return x, w
