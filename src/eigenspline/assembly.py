@@ -16,7 +16,6 @@ the reduced basis exists in the test suite as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse
@@ -29,22 +28,10 @@ MAX_GAUSS = MAX_DEGREE + 3
 
 
 def gauss_legendre(m):
-    """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1].
-
-    Each rule is computed once and shared, as read-only arrays: every
-    Gram, load, error integral and eigenfunction-error pass asks for one.
-    """
+    """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1]."""
     if not 1 <= m <= MAX_GAUSS:
         raise ConfigError("gauss rule size out of range")
-    return _gauss_rule(m)
-
-
-@lru_cache(maxsize=None)
-def _gauss_rule(m):
-    # bounded: gauss_legendre admits only 1 <= m <= MAX_GAUSS
-    x, w = np.polynomial.legendre.leggauss(m)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    return np.polynomial.legendre.leggauss(m)
 
 
 def quadrature_grid(breaks, m):
@@ -84,34 +71,25 @@ class SymBandMatrix:
     def matvec(self, x):
         """A @ x for a vector or an (n, k) block, in O(bandwidth * n * k).
 
-        One sparse product through :attr:`_csr`, whose row i lists the
-        diagonal, then (i - d, i + d) for d = 1, ..., bandwidth: each entry
-        sums the products of a loop over the diagonals in that loop's
-        order, so the two agree bitwise (up to the sign of a zero).
+        One sparse product through a diagonal-format copy of ``band``,
+        built per call, whose diagonals run 0, -1, 1, -2, 2, ...,
+        -bandwidth, bandwidth: scipy adds them into each entry in that
+        order, the order of a loop over the diagonals, so the two agree
+        bitwise (up to the sign of a zero).
         """
-        return self._csr @ np.asarray(x, dtype=float)
-
-    @cached_property
-    def _csr(self):
-        # One gather of A[i, i + off] = band[|off|, min(i, i + off)] over
-        # off = 0, -1, 1, -2, 2, ...; entries off the matrix are dropped,
-        # zeros inside the band kept.  ``band`` is never mutated after
-        # construction, so this is built once per matrix.  The flat index
-        # into ``band`` stays below band.size, so 32-bit indices (what
-        # scipy stores) suffice below 2**31 entries.
-        n = self.n
-        idx = np.int32 if self.band.size < 2 ** 31 else np.int64
-        d = np.arange(1, self.bandwidth + 1, dtype=idx)
-        off = np.concatenate(([0], np.column_stack((-d, d)).ravel()),
-                             dtype=idx)
-        i = np.arange(n, dtype=idx)[:, None]
-        cols = i + off
-        keep = (cols >= 0) & (cols < n)
-        flat = (np.abs(off) * n + np.minimum(off, 0) + i)[keep]
-        indptr = np.zeros(n + 1, dtype=idx)
-        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-        return scipy.sparse.csr_array((self.band.ravel()[flat], cols[keep],
-                                       indptr), shape=(n, n))
+        n, bw = self.n, self.bandwidth
+        d = np.arange(1, bw + 1)
+        off = np.zeros(2 * bw + 1, dtype=np.int32)
+        off[1::2], off[2::2] = -d, d
+        # column j of diagonal off holds A[j - off, j]; lower diagonals
+        # read band[d] as stored, upper ones shifted right by d
+        data = np.zeros((2 * bw + 1, n))
+        data[0] = self.band[0]
+        data[1::2] = self.band[1:]
+        for k in d:
+            data[2 * k, k:] = self.band[k, :n - k]
+        return scipy.sparse.dia_array((data, off), shape=(n, n)) \
+            @ np.asarray(x, dtype=float)
 
 
 def bspline_gram(knots: KnotVector, breaks, d, rule=None):
