@@ -196,11 +196,14 @@ class TestEigenfunctionErrorPass:
 def _oracle_spaces():
     """kind x bc x p <= 10 x n in {2p + 3, 97}, legal spaces.  n = 97
     spans a full and a partial block of ``EFUN_BLOCK`` modes, so larger
-    n add run time but no code path."""
+    n add run time but no code path.  Full spaces, whose eigenpairs come
+    from the dense solver and feed only the error pass, run at n = 2p + 3
+    only: the pass's block loop does not depend on the kind."""
     for kind in SpaceKind:
+        sizes = 1 if kind == SpaceKind.FULL else 2
         for bc in BoundaryType:
             for p in range(1, 11):
-                for n in (2 * p + 3, 97):
+                for n in (2 * p + 3, 97)[:sizes]:
                     try:
                         yield make_space(kind, p, n, bc)
                     except ConfigError:
@@ -242,7 +245,7 @@ class TestLoopOracles:
         assert [case for case, same, _ in waves if not same] == []
 
     def test_error_pass_matches_loop_pass(self, loop_oracle_sweep):
-        assert len(loop_oracle_sweep) == 130
+        assert len(loop_oracle_sweep) == 100
         worst = max(loop_oracle_sweep, key=lambda r: r[2])
         assert worst[2] <= 1e-13, worst
 
