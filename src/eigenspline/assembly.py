@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from .exceptions import ConfigError, NumericalError
@@ -52,30 +53,33 @@ class SymBandMatrix:
 
     ``band[d, j] == A[j + d, j]`` for 0 <= d <= bandwidth (entries running
     past the matrix edge are zero), the layout accepted by scipy's
-    symmetric banded solvers.
+    symmetric banded solvers.  Only this class touches that layout; other
+    code converts through :meth:`from_sparse` and :meth:`to_sparse`.
     """
 
     n: int
     bandwidth: int
     band: np.ndarray
 
-    def to_dense(self):
-        a = np.zeros((self.n, self.n))
-        for d in range(self.bandwidth + 1):
-            idx = np.arange(self.n - d)
-            a[idx + d, idx] = self.band[d, :self.n - d]
-            if d:
-                a[idx, idx + d] = self.band[d, :self.n - d]
-        return a
+    @classmethod
+    def from_sparse(cls, a):
+        """Band the lower triangle of the symmetric sparse matrix ``a``;
+        exact zeros are dropped, and the bandwidth is read from the rest."""
+        a = scipy.sparse.csr_array(a)
+        a.sum_duplicates()
+        a = a.tocoo()
+        keep = (a.row >= a.col) & (a.data != 0)
+        offs, cols = a.row[keep] - a.col[keep], a.col[keep]
+        bw = int(offs.max()) if offs.size else 0
+        band = np.zeros((bw + 1, a.shape[0]))
+        band[offs, cols] = a.data[keep]
+        return cls(n=a.shape[0], bandwidth=bw, band=band)
 
-    def matvec(self, x):
-        """A @ x for a vector or an (n, k) block, in O(bandwidth * n * k).
-
-        One sparse product through a diagonal-format copy of ``band``,
-        built per call, whose diagonals run 0, -1, 1, -2, 2, ...,
-        -bandwidth, bandwidth: scipy adds them into each entry in that
-        order, the order of a loop over the diagonals, so the two agree
-        bitwise (up to the sign of a zero).
+    def to_sparse(self):
+        """Diagonal-format copy of the matrix, built per call, diagonals
+        0, -1, 1, ..., -bandwidth, bandwidth: scipy adds them into each
+        product entry in that order, the order of a loop over the
+        diagonals, so products match that loop bitwise (up to zero signs).
         """
         n, bw = self.n, self.bandwidth
         d = np.arange(1, bw + 1)
@@ -88,14 +92,30 @@ class SymBandMatrix:
         data[1::2] = self.band[1:]
         for k in d:
             data[2 * k, k:] = self.band[k, :n - k]
-        return scipy.sparse.dia_array((data, off), shape=(n, n)) \
-            @ np.asarray(x, dtype=float)
+        return scipy.sparse.dia_array((data, off), shape=(n, n))
+
+    def to_dense(self):
+        return self.to_sparse().toarray()
+
+    def matvec(self, x):
+        """A @ x for a vector or an (n, k) block, in O(bandwidth * n * k)."""
+        return self.to_sparse() @ np.asarray(x, dtype=float)
+
+    def solve(self, rhs, what):
+        """x with A x = rhs for positive definite A.  Non-finite data and
+        factorization failures raise NumericalError naming ``what``."""
+        _finite(rhs, f"{what} solve: right-hand side")
+        try:
+            x = scipy.linalg.solveh_banded(self.band, rhs, lower=True)
+        except (scipy.linalg.LinAlgError, ValueError) as exc:
+            raise NumericalError(f"{what} solve failed: {exc}") from exc
+        return _finite(x, f"{what} solve: solution")
 
 
-def bspline_gram(knots: KnotVector, breaks, d, rule=None):
+def bspline_gram(knots: KnotVector, breaks, d):
     """Gram matrix of the d-th derivatives of all B-splines on the knots.
 
-    Integration runs over [0, 1] only.  The default rule (p+1 points) is
+    Integration runs over [0, 1] only, with the p+1-point rule, which is
     exact for the piecewise-polynomial integrand.  Returns the packed
     lower band of shape (p+1, nb), ``band[k, j] == G[j + k, j]`` (the
     :class:`SymBandMatrix` layout with bandwidth p, nb = n_el + p).
@@ -103,7 +123,7 @@ def bspline_gram(knots: KnotVector, breaks, d, rule=None):
     p = knots.p
     if not 0 <= d <= p:
         raise ConfigError("derivative order out of range")
-    m = p + 1 if rule is None else rule
+    m = p + 1
     n_el = len(breaks) - 1
     xs, ws = quadrature_grid(breaks, m)
     spans, vals = bspline_eval_batch(knots, d, xs)
@@ -121,21 +141,17 @@ def bspline_gram(knots: KnotVector, breaks, d, rule=None):
     return band
 
 
+def _gram(spec: SpaceSpec, d) -> SymBandMatrix:
+    """Banded Gram matrix of the d-th derivatives of the spec's B-splines."""
+    kv = spec.knots
+    return SymBandMatrix(n=kv.num_basis, bandwidth=kv.p,
+                         band=bspline_gram(kv, spec.breaks, d))
+
+
 def _congruence(spec: SpaceSpec, d):
-    band = bspline_gram(spec.knots, spec.breaks, d)
-    p, nb = band.shape[0] - 1, band.shape[1]
-    offsets = range(-p, p + 1)
-    g = scipy.sparse.diags_array([band[abs(k), :nb - abs(k)] for k in offsets],
-                                 offsets=offsets, shape=(nb, nb))
-    a = spec.extraction @ g @ spec.extraction.T
-    a = (0.5 * (a + a.T)).tocoo()
-    keep = (a.row >= a.col) & (a.data != 0)
-    rows, cols, vals = a.row[keep], a.col[keep], a.data[keep]
-    offs = rows - cols
-    bw = int(offs.max()) if offs.size else 0
-    out = np.zeros((bw + 1, spec.n))
-    out[offs, cols] = vals
-    return SymBandMatrix(n=spec.n, bandwidth=bw, band=out)
+    e = spec.extraction
+    a = e @ _gram(spec, d).to_sparse() @ e.T
+    return SymBandMatrix.from_sparse(0.5 * (a + a.T))
 
 
 def assemble_mass(spec: SpaceSpec) -> SymBandMatrix:

@@ -30,10 +30,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
-from .assembly import (SymBandMatrix, _error_norm, _finite, assemble_mass,
-                       assemble_stiffness, bspline_gram, bspline_load,
+from .assembly import (SymBandMatrix, _error_norm, _finite, _gram,
+                       assemble_mass, assemble_stiffness, bspline_load,
                        error_b_coefficients, quadrature_grid)
 from .eigensolve import generalized_eigen_sym
 from .exceptions import ConfigError, NumericalError
@@ -78,13 +77,12 @@ class ManufacturedProblem1D:
 class ManufacturedProblem2D:
     """Problem -(u_x1x1 + u_x2x2) = f on the unit square, u = 0 on the edge.
 
-    ``f_mixed(a1, a2, x1, x2)`` and ``u_mixed`` evaluate mixed derivatives
-    (broadcasting); they feed the boundary correction traces.
+    ``u_mixed(a1, a2, x1, x2)`` evaluates mixed derivatives of u
+    (broadcasting); it feeds the boundary correction traces.
     """
 
     name: str
     f: Callable
-    f_mixed: Optional[Callable] = None
     u: Optional[Callable] = None
     u_x1: Optional[Callable] = None
     u_x2: Optional[Callable] = None
@@ -196,7 +194,7 @@ def solve_poisson_1d(spec: SpaceSpec, prob: ManufacturedProblem1D,
         corr = hermite_correction_1d(
             spec, *hermite_data_from_problem(spec, prob))
         bb = bb - _gram(spec, 1).matvec(corr)
-    coeffs = _solve_banded(s, spec.extraction @ bb, "stiffness")
+    coeffs = s.solve(spec.extraction @ bb, "stiffness")
     err_l2 = err_h1 = None
     if prob.u is not None:
         bc_total = spec.extraction.T @ coeffs
@@ -211,32 +209,14 @@ def solve_poisson_1d(spec: SpaceSpec, prob: ManufacturedProblem1D,
 def l2_projection(spec: SpaceSpec, f) -> np.ndarray:
     """Coefficients of the L2-orthogonal projection of f onto the space."""
     rhs = spec.extraction @ bspline_load(spec.knots, spec.breaks, f)
-    return _solve_banded(assemble_mass(spec), rhs, "mass")
+    return assemble_mass(spec).solve(rhs, "mass")
 
 
 def ritz_projection(spec: SpaceSpec, f_d1) -> np.ndarray:
     """Coefficients of the H1-seminorm-best approximation (for spaces on
     which the stiffness is definite, i.e. Dirichlet-type)."""
     rhs = spec.extraction @ bspline_load(spec.knots, spec.breaks, f_d1, d=1)
-    return _solve_banded(assemble_stiffness(spec), rhs, "stiffness")
-
-
-def _gram(spec: SpaceSpec, d) -> SymBandMatrix:
-    """Banded Gram matrix of the d-th derivatives of the spec's B-splines."""
-    kv = spec.knots
-    return SymBandMatrix(n=kv.num_basis, bandwidth=kv.p,
-                         band=bspline_gram(kv, spec.breaks, d))
-
-
-def _solve_banded(a: SymBandMatrix, rhs, what) -> np.ndarray:
-    """Solve A x = rhs for symmetric positive definite banded A; non-finite
-    data and factorization failures raise NumericalError."""
-    _finite(rhs, f"{what} solve: right-hand side")
-    try:
-        x = scipy.linalg.solveh_banded(a.band, rhs, lower=True)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"{what} solve failed: {exc}") from exc
-    return _finite(x, f"{what} solve: solution")
+    return assemble_stiffness(spec).solve(rhs, "stiffness")
 
 
 def _per_direction(arg1, arg2, build):
@@ -274,13 +254,10 @@ def _trace_fit(samples):
     normal equations.  The grid and its order-0 B-spline samples come from
     ``samples``, the direction's :func:`_quadrature_samples`."""
     xs, _, (b, *_) = samples
-    w = b.indptr[1]  # p + 1 active B-splines per sample row
-    g = b.T @ b
-    gram = SymBandMatrix(n=b.shape[1], bandwidth=w - 1, band=np.stack(
-        [np.pad(g.diagonal(-k), (0, k)) for k in range(w)]))
+    gram = SymBandMatrix.from_sparse(b.T @ b)
 
     def solve(values):
-        return _solve_banded(gram, b.T @ values, "trace fit")
+        return gram.solve(b.T @ values, "trace fit")
 
     return xs, solve
 
@@ -316,26 +293,6 @@ def _boundary_correction_2d(spec1, spec2, prob, samples):
         for z2 in (0.0, 1.0)]
     return (_hermite(kv1, *t1) + _hermite(kv2, *t2).T
             - _hermite(kv2, *k).T)
-
-
-def trace_from_f(prob: ManufacturedProblem2D, alpha, z, x2):
-    """Even pure-normal trace derivative at an x1-boundary, derived from f.
-
-    Implements the repeated-differentiation identity: for even alpha,
-    the normal derivative of u on the edge x1 = z is a signed sum of mixed
-    f derivatives (the trailing pure-tangential term of u vanishes on a
-    homogeneous edge).  Requires ``f_mixed``.
-    """
-    if alpha % 2 != 0 or alpha < 2:
-        raise ConfigError("the f-route covers even orders >= 2 only")
-    if prob.f_mixed is None:
-        raise ConfigError("problem carries no mixed-derivative data for f")
-    x2 = np.asarray(x2, dtype=float)
-    out = np.zeros_like(x2)
-    for r in range(1, alpha // 2 + 1):
-        out = out + (-1.0) ** r * prob.f_mixed(alpha - 2 * r, 2 * (r - 1),
-                                               z, x2)
-    return out
 
 
 @dataclass

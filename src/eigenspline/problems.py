@@ -86,7 +86,6 @@ def preset_ex75() -> ManufacturedProblem2D:
     return ManufacturedProblem2D(
         name="ex75",
         f=lambda x1, x2: f_mixed(0, 0, x1, x2),
-        f_mixed=f_mixed,
         u=lambda x1, x2: u_mixed(0, 0, x1, x2),
         u_x1=lambda x1, x2: u_mixed(1, 0, x1, x2),
         u_x2=lambda x1, x2: u_mixed(0, 1, x1, x2),

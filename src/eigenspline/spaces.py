@@ -55,11 +55,13 @@ class SpaceKind(str, Enum):
     REDUCED_UNIFORM = "reduced"
 
 
-def optimal_breaks(p, n, bc) -> np.ndarray:
-    """Break sequence of the dimension-n optimal subspace.
+def _layout_params(kind, p, n, bc):
+    """(den, sigma, n_el) of a dimension-n optimal or reduced space.
 
-    The interior breakpoints sit on a uniform grid whose spacing and
-    half-step shift depend on the boundary type and the parity of p:
+    Interior breakpoints are (2k - sigma)/den, element width h = 2/den.
+    The reduced-uniform grid is the plain one, den = 2n, with n elements.
+    On the optimal subspaces the spacing and half-step shift depend on
+    the boundary type and the parity of p:
 
     =========  ==========  =======================================
     boundary   spacing h   interior breaks
@@ -69,15 +71,6 @@ def optimal_breaks(p, n, bc) -> np.ndarray:
     mixed      2/(2n+1)    k*h (p odd) or (k - 1/2)*h (p even)
     =========  ==========  =======================================
     """
-    if n < 1:
-        raise ConfigError("dimension must be >= 1")
-    den, sigma, n_el = _layout_params(SpaceKind.OPTIMAL, p, n, bc)
-    return _uniform_layout(p, n_el, den, sigma)[1]
-
-
-def _layout_params(kind, p, n, bc):
-    # Interior breakpoints are (2k - sigma)/den; element width 2/den.  The
-    # reduced-uniform grid is the plain one, den = 2n, with n elements.
     bc = BoundaryType(bc)
     if SpaceKind(kind) == SpaceKind.REDUCED_UNIFORM:
         den, sigma, n_el = 2 * n, 0, n

@@ -241,26 +241,14 @@ def _exact_waves(mid, offsets, scale, cls, omega, neumann):
     return ex.reshape(-1, omega.size)
 
 
-def eigval_upper_bound(l, n, p, bc) -> float:
-    """Relative a-priori bound on the frequency error of mode l.
-
-    Valid for the optimal subspace of dimension n: the discrete frequency
-    never exceeds omega_l / (1 - (omega_l/omega_{n+1})^{p+1}).  Returns
-    that guarantee as a bound on (omega_h - omega)/omega.
-    """
-    if not 1 <= l <= n:
-        raise ConfigError("mode index out of range")
-    freqs = exact_frequencies(bc, n + 1)
-    return _upper_bound(freqs[l - 1], freqs[n], p)
-
-
 def _upper_bound(wl, wtop, p):
     return 0.0 if wl == 0.0 else 1.0 / (1.0 - (wl / wtop) ** (p + 1)) - 1.0
 
 
 def _upper_bounds(spec: SpaceSpec):
-    """:func:`eigval_upper_bound` for modes 1..n of the space, with the
-    exact frequencies taken once."""
+    """Bounds on (omega_h - omega)/omega, modes 1..n of an optimal space:
+    omega_h <= omega_l / (1 - (omega_l/omega_{n+1})^{p+1}), per mode in
+    scalar arithmetic (the golden bound column is compared bitwise)."""
     freqs = exact_frequencies(spec.bc, spec.n + 1)
     return np.array([_upper_bound(wl, freqs[spec.n], spec.p)
                      for wl in freqs[:spec.n]])

@@ -1,15 +1,21 @@
-"""Loop references for the banded product and the eigenfunction-error pass.
+"""Loop references for the band layout, the banded product and the
+eigenfunction-error pass.
 
 Test-only.  ``band_matvec`` is the diagonal loop that
-``SymBandMatrix.matvec`` must match bitwise; ``eigenfunction_errors`` is
+``SymBandMatrix.matvec`` must match bitwise, and ``band_to_dense``,
+``congruence_band`` and ``trace_fit_band`` are the hand-written band
+conversions that ``SymBandMatrix.to_dense``, ``assembly._congruence`` and
+``poisson._trace_fit`` must match bitwise; ``eigenfunction_errors`` is
 the error pass that weights every block by the quadrature weights
 explicitly and gathers each element's offset table, which
 ``spectrum._eigenfunction_errors`` must match to round-off.
 """
 
 import numpy as np
+import scipy.sparse
 
-from eigenspline import BoundaryType, basis_samples, exact_frequencies
+from eigenspline import (BoundaryType, SymBandMatrix, basis_samples,
+                         bspline_gram, exact_frequencies)
 from eigenspline.assembly import gauss_legendre, quadrature_grid
 from eigenspline.spectrum import EFUN_BLOCK
 
@@ -26,6 +32,45 @@ def band_matvec(a, x):
         y[d:] += b * x[:-d]
         y[:-d] += b * x[d:]
     return y
+
+
+def band_to_dense(a):
+    """The dense matrix of a SymBandMatrix, one diagonal at a time."""
+    out = np.zeros((a.n, a.n))
+    for d in range(a.bandwidth + 1):
+        idx = np.arange(a.n - d)
+        out[idx + d, idx] = a.band[d, :a.n - d]
+        if d:
+            out[idx, idx + d] = a.band[d, :a.n - d]
+    return out
+
+
+def congruence_band(spec, d):
+    """(bandwidth, band) of E G E^T for the d-th derivative Gram G: G as a
+    sparse matrix of diagonals -p..p, the symmetrised product scattered
+    from COO triplets into the packed lower band."""
+    band = bspline_gram(spec.knots, spec.breaks, d)
+    p, nb = band.shape[0] - 1, band.shape[1]
+    offsets = range(-p, p + 1)
+    g = scipy.sparse.diags_array([band[abs(k), :nb - abs(k)] for k in offsets],
+                                 offsets=offsets, shape=(nb, nb))
+    a = spec.extraction @ g @ spec.extraction.T
+    a = (0.5 * (a + a.T)).tocoo()
+    keep = (a.row >= a.col) & (a.data != 0)
+    offs = a.row[keep] - a.col[keep]
+    bw = int(offs.max()) if offs.size else 0
+    out = np.zeros((bw + 1, spec.n))
+    out[offs, a.col[keep]] = a.data[keep]
+    return bw, out
+
+
+def trace_fit_band(b):
+    """The normal-equation matrix B^T B of the sampled B-splines ``b``
+    (CSR, p + 1 entries per row), banded diagonal by diagonal."""
+    w = b.indptr[1]
+    g = b.T @ b
+    return SymBandMatrix(n=b.shape[1], bandwidth=w - 1, band=np.stack(
+        [np.pad(g.diagonal(-k), (0, k)) for k in range(w)]))
 
 
 def eigenfunction_errors(spec, v):

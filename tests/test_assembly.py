@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 from numpy.testing import assert_allclose
 
 from eigenspline import (
@@ -16,10 +17,11 @@ from eigenspline import (
     make_space,
     reduced_basis_matrix,
 )
-from eigenspline.assembly import bspline_load, quadrature_grid
-from eigenspline.poisson import _gram
+from eigenspline import poisson
+from eigenspline.assembly import _gram, bspline_load, quadrature_grid
 from eigenspline.splines import bspline_eval_batch
-from kernel_oracles import band_matvec
+from kernel_oracles import (band_matvec, band_to_dense, congruence_band,
+                            trace_fit_band)
 
 
 def band_from_dense(a):
@@ -39,9 +41,28 @@ def band_from_dense(a):
     return SymBandMatrix(n=n, bandwidth=bw, band=band)
 
 
-def _gram_dense(sp, d, rule=None):
-    return SymBandMatrix(sp.knots.num_basis, sp.p,
-                         bspline_gram(sp.knots, sp.breaks, d, rule)).to_dense()
+def _gram_dense(sp, d):
+    return _gram(sp, d).to_dense()
+
+
+def _layout_sweep():
+    """Every kind x bc x p <= 10 at n = 25 and 97, where the space exists."""
+    for kind in ("full", "optimal", "reduced"):
+        for bc in (0, 1, 2):
+            for p in range(1, 11):
+                for n in (25, 97):
+                    try:
+                        yield make_space(kind, p, n, bc)
+                    except ConfigError:
+                        pass
+
+
+def _random_band(rng, n, bw):
+    """SymBandMatrix with random entries, zero past the matrix edge."""
+    band = rng.standard_normal((bw + 1, n))
+    for d in range(1, bw + 1):
+        band[d, n - d:] = 0.0
+    return SymBandMatrix(n=n, bandwidth=bw, band=band)
 
 
 def _dense_gram_oracle(knots, breaks, d, m):
@@ -134,16 +155,38 @@ class TestBandMatrix:
         rng = np.random.default_rng(12)
         for n in (1, 2, 3, 5, 11, 40, 97, 300, 1287, 2000):
             for bw in range(min(10, n - 1) + 1):
-                band = rng.standard_normal((bw + 1, n))
-                for d in range(1, bw + 1):
-                    band[d, n - d:] = 0.0
-                a = SymBandMatrix(n=n, bandwidth=bw, band=band)
+                a = _random_band(rng, n, bw)
                 for x in (rng.standard_normal(n), rng.standard_normal((n, 5)),
                           rng.standard_normal((3, n)).T,
                           rng.standard_normal((n, 9))[:, 2:7]):
                     y = a.matvec(x)
                     assert y.shape == x.shape
                     assert np.array_equal(y, band_matvec(a, x))
+
+    def test_sparse_round_trip(self):
+        # from_sparse(to_sparse(a)) gives a back, bandwidth included, and
+        # the dense form equals the diagonal loop's; an all-zero outer
+        # diagonal is not kept
+        rng = np.random.default_rng(14)
+        for n in (1, 2, 3, 5, 11, 40, 97):
+            for bw in range(min(10, n - 1) + 1):
+                a = _random_band(rng, n, bw)
+                b = SymBandMatrix.from_sparse(a.to_sparse())
+                assert (b.n, b.bandwidth) == (n, bw)
+                assert np.array_equal(b.band, a.band)
+                assert np.array_equal(a.to_dense(), band_to_dense(a))
+        a = _random_band(rng, 9, 3)
+        a.band[3] = 0.0
+        b = SymBandMatrix.from_sparse(a.to_sparse())
+        assert b.bandwidth == 2 and np.array_equal(b.band, a.band[:3])
+
+    def test_from_sparse_sums_duplicates(self):
+        a = scipy.sparse.coo_array(([1.0, 2.0, 3.0, 3.0],
+                                    ([0, 1, 1, 0], [0, 1, 1, 1])),
+                                   shape=(2, 2))
+        b = SymBandMatrix.from_sparse(a)
+        assert b.bandwidth == 0
+        assert np.array_equal(b.band, [[1.0, 5.0]])
 
     def test_matvec_reads_band_as_it_stands(self):
         # nothing is cached from an earlier product: a band written in
@@ -248,9 +291,10 @@ class TestGramOracles:
         # p+1 Gauss points already integrate the products exactly
         sp = make_space("optimal", 4, 9, 0)
         g1 = _gram_dense(sp, 0)
-        g2 = _gram_dense(sp, 0, rule=sp.p + 4)
+        g2 = _dense_gram_oracle(sp.knots, sp.breaks, 0, sp.p + 4)
         assert_allclose(g1, g2, atol=1e-15)
 
+    # rule: Gauss points of the dense oracle, None for the band's p + 1
     @pytest.mark.parametrize("kind,p,n,bc,rule", [
         ("full", 3, 9, 0, None), ("full", 2, 9, 1, None),
         ("full", 4, 9, 2, None), ("optimal", 3, 9, 0, None),
@@ -258,14 +302,14 @@ class TestGramOracles:
         ("reduced", 4, 9, 0, None),
         ("reduced", 2, 2, 0, None),    # two elements
         ("optimal", 5, 3, 1, None),    # n_el <= p + 1: fold across both ends
-        ("optimal", 3, 9, 0, 7),       # non-default rule
+        ("optimal", 3, 9, 0, 7),       # finer oracle rule
     ])
     def test_band_gram_matches_dense_oracle(self, kind, p, n, bc, rule):
         sp = make_space(kind, p, n, bc)
         nb = sp.knots.num_basis
         m = p + 1 if rule is None else rule
         for d in (0, 1, p):
-            band = bspline_gram(sp.knots, sp.breaks, d, rule)
+            band = bspline_gram(sp.knots, sp.breaks, d)
             assert isinstance(band, np.ndarray) and band.shape == (p + 1, nb)
             for k in range(1, p + 1):
                 assert not band[k, nb - k:].any()
@@ -304,6 +348,29 @@ class TestGramOracles:
             assert (got.n, got.bandwidth) == (ref.n, ref.bandwidth)
             assert_allclose(got.to_dense(), ref.to_dense(), rtol=0,
                             atol=1e-15 * np.abs(ref.band).max())
+
+    def test_layout_bitwise_against_hand_banding(self):
+        # the congruence bands and the trace-fit normal equations equal
+        # the hand-written banding they replace byte for byte, bandwidths
+        # included, and the dense form equals the diagonal loop's
+        checked = 0
+        for sp in _layout_sweep():
+            for d, assemble in ((0, assemble_mass), (1, assemble_stiffness)):
+                got = assemble(sp)
+                bw, band = congruence_band(sp, d)
+                assert (got.n, got.bandwidth) == (sp.n, bw)
+                assert got.band.tobytes() == band.tobytes()
+                assert np.array_equal(got.to_dense(), band_to_dense(got))
+            samples = poisson._quadrature_samples(sp)
+            b = samples[2][0]
+            got, ref = SymBandMatrix.from_sparse(b.T @ b), trace_fit_band(b)
+            assert (got.n, got.bandwidth) == (ref.n, ref.bandwidth)
+            assert got.band.tobytes() == ref.band.tobytes()
+            xs, fit = poisson._trace_fit(samples)
+            v = np.cos(3.0 * xs)
+            assert np.array_equal(fit(v), ref.solve(b.T @ v, "reference"))
+            checked += 1
+        assert checked >= 120
 
     def test_derivative_order_out_of_range(self):
         sp = make_space("optimal", 3, 9, 0)

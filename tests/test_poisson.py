@@ -26,7 +26,6 @@ from eigenspline import (
     ritz_projection,
     solve_poisson_1d,
     solve_poisson_2d,
-    trace_from_f,
 )
 from eigenspline import poisson
 
@@ -348,22 +347,6 @@ class TestFastDiagonalization:
             fast_diagonalization_solve(s, m, s, m, np.ones((8, 8)))
 
 
-class TestTraceFromF:
-    @pytest.mark.parametrize("alpha", [2, 4])
-    @pytest.mark.parametrize("z", [0.0, 1.0])
-    def test_agrees_with_u_route(self, alpha, z):
-        # on a homogeneous edge the normal derivatives of u follow from f
-        prob = get_preset("ex75")
-        x2 = np.linspace(0.1, 0.9, 9)
-        via_f = trace_from_f(prob, alpha, z, x2)
-        via_u = prob.u_mixed(alpha, 0, z, x2)
-        assert_allclose(via_f, via_u, rtol=1e-10, atol=1e-10)
-
-    def test_rejects_odd_order(self):
-        with pytest.raises(ConfigError):
-            trace_from_f(get_preset("ex75"), 3, 0.0, np.array([0.5]))
-
-
 def full_grid_solve_2d(spec1, spec2, prob, correct):
     """Oracle for solve_poisson_2d: (coeffs, err_l2, err_h1) with the load
     and the error integrals taken over the whole nq1 x nq2 Gauss grid at
@@ -412,8 +395,6 @@ def cubic_bubble_problem_2d():
     return ManufacturedProblem2D(
         name="cubic-bubble",
         f=lambda x1, x2: -(q(2, x1) * q(0, x2) + q(0, x1) * q(2, x2)),
-        f_mixed=lambda a1, a2, x1, x2: -(q(a1 + 2, x1) * q(a2, x2)
-                                         + q(a1, x1) * q(a2 + 2, x2)),
         u=lambda x1, x2: q(0, x1) * q(0, x2),
         u_x1=lambda x1, x2: q(1, x1) * q(0, x2),
         u_x2=lambda x1, x2: q(0, x1) * q(1, x2),
@@ -470,7 +451,7 @@ class TestPoisson2D:
                                correct=correct)
         calls = dict.fromkeys(("generalized_eigen_sym", "assemble_stiffness",
                                "assemble_mass", "basis_samples",
-                               "bspline_gram"), 0)
+                               "_gram"), 0)
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -486,7 +467,7 @@ class TestPoisson2D:
         assert calls == {"generalized_eigen_sym": 1, "assemble_stiffness": 1,
                          "assemble_mass": 1,
                          "basis_samples": 1,
-                         "bspline_gram": 2 if correct else 0}
+                         "_gram": 2 if correct else 0}
         assert np.array_equal(one.coeffs, two.coeffs)
         assert (one.err_l2, one.err_h1) == (two.err_l2, two.err_h1)
         if correct:

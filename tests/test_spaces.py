@@ -12,7 +12,6 @@ from eigenspline import (
     assemble_mass,
     boundary_residuals,
     make_space,
-    optimal_breaks,
     reduced_basis_matrix,
 )
 
@@ -60,12 +59,16 @@ E_RED_2x10 = np.array([
 ], float)
 
 
+def _breaks(p, n, bc):
+    return make_space("optimal", p, n, bc).breaks
+
+
 class TestBreaks:
     def test_odd_degree_uniform(self):
-        assert_allclose(optimal_breaks(3, 4, 0), np.linspace(0, 1, 6))
+        assert_allclose(_breaks(3, 4, 0), np.linspace(0, 1, 6))
 
     def test_even_degree_half_boundary_elements(self):
-        b = optimal_breaks(2, 6, 0)
+        b = _breaks(2, 6, 0)
         widths = np.diff(b)
         assert_allclose(widths[0], widths[1] / 2)
         assert_allclose(widths[-1], widths[-2] / 2)
@@ -73,12 +76,12 @@ class TestBreaks:
 
     @pytest.mark.parametrize("p,n,bc", [(3, 10, 0), (4, 9, 1), (5, 8, 2)])
     def test_breaks_cover_unit_interval(self, p, n, bc):
-        b = optimal_breaks(p, n, bc)
+        b = _breaks(p, n, bc)
         assert b[0] == 0.0 and b[-1] == 1.0
         assert np.all(np.diff(b) > 0)
 
     def test_mixed_breaks_asymmetric(self):
-        b = optimal_breaks(2, 6, 2)
+        b = _breaks(2, 6, 2)
         widths = np.diff(b)
         assert not np.allclose(widths[0], widths[-1])
 
@@ -126,9 +129,6 @@ class TestLayout:
                         assert sp.knots.values.tobytes() == knots.tobytes()
                         assert sp.breaks.tobytes() == breaks.tobytes()
                         assert sp.h == h
-                        if kind == "optimal":
-                            assert optimal_breaks(p, n, bc).tobytes() \
-                                == breaks.tobytes()
                         checked += 1
         assert checked >= 150
 

@@ -13,7 +13,6 @@ from eigenspline import (
     SymBandMatrix,
     assemble_mass,
     assemble_stiffness,
-    eigval_upper_bound,
     exact_frequencies,
     generalized_eigen_sym,
     make_space,
@@ -29,7 +28,8 @@ from eigenspline.assembly import quadrature_grid
 from eigenspline.cli import main
 from eigenspline.spectrum import EFUN_BLOCK, collate_2d
 from eigenspline.splines import basis_samples
-from exact_modes import eigval_upper_bound_sharp, exact_eigenfunction
+from exact_modes import (eigval_upper_bound, eigval_upper_bound_sharp,
+                         exact_eigenfunction)
 from kernel_oracles import band_matvec
 from kernel_oracles import eigenfunction_errors as loop_errors
 
@@ -388,7 +388,8 @@ class TestModeErrors:
 
     @pytest.mark.parametrize("bc", [0, 1, 2])
     def test_bound_column_takes_frequencies_once(self, bc, monkeypatch):
-        # the same per-mode arithmetic as eigval_upper_bound, bit for bit,
+        # the same per-mode arithmetic as the scalar reference
+        # eigval_upper_bound, bit for bit,
         # from one exact_frequencies call per spectrum instead of one per
         # mode (plus the one for the exact column)
         sp = make_space("optimal", 4, 30, bc)
