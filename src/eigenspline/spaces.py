@@ -23,7 +23,10 @@ symmetric knot sequence that are odd about a Dirichlet end and even about
 a Neumann end, so each B-spline adds +1 or -1 to the row of the basis
 function centred where it folds to.  In that basis the sampled waves
 sin(omega c_i) (cos for Neumann), c_i the row centres of
-:func:`_wave_centres`, are the discrete eigenvectors.
+:func:`_wave_centres`, are the discrete eigenvectors, and since the fold
+signs are the wave's odd and even reflections, ``extraction.T @ v`` of
+such a wave v is the same wave sampled at every B-spline centre, those
+outside [0, 1] included.
 """
 
 from __future__ import annotations

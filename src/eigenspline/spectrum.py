@@ -19,16 +19,26 @@ eigenfunction error (against the unit-norm exact eigenfunction, signs
 aligned by the L2 overlap), and for optimal subspaces the a-priori
 relative bound 1/(1 - (omega_l/omega_{n+1})^{p+1}) - 1.
 
-The eigenfunction errors use the p+3-point rule on every element.  The
-B-splines are sampled once on the whole grid into a sparse matrix with the
-p+1 active B-splines per point, each row scaled by the square root of its
+The eigenfunction errors use the p+3-point rule on every element, by one
+of two routes.  Certified waves take a closed form: their B-spline
+coefficients are the wave sampled at the B-spline centres, so on every
+knot span the discrete and the exact mode are both the sine and cosine at
+the span midpoint times fixed functions of the offset.  Each mode's
+squared error is then a quadratic form in the midpoint sums of sin^2 and
+cos^2 (the cross term vanishes by symmetry), plus the same form for each
+of the at most two end elements that the boundary cuts short; no B-spline
+is sampled and no table larger than elements x block is formed.
+
+Full spaces and uncertified waves take the sampled pass.  The B-splines
+are sampled once on the whole grid into a sparse matrix with the p+1
+active B-splines per point, each row scaled by the square root of its
 quadrature weight.  Modes are then taken in fixed-size blocks: each
 block's eigenvectors are mapped to B-spline coefficients through the
 space's stored sparse extraction and sampled through that matrix.  The
-exact modes, weighted alike, come from angle addition over the element
-midpoints, broadcast over the majority element length.  Overlaps and
-errors are then plain sums of products, so no dense quadrature-points x n
-basis or mode matrix is ever formed and no block is multiplied by the
+exact modes, weighted alike, come from angle addition over the span
+midpoints, broadcast over the elements that fill their span.  Overlaps
+and errors are then plain sums of products, so no dense quadrature-points
+x n basis or mode matrix is ever formed and no block is multiplied by the
 weights.  The bound columns take the exact frequencies once per spectrum.
 """
 
@@ -42,7 +52,8 @@ from .assembly import (assemble_mass, assemble_stiffness, gauss_legendre,
                        quadrature_grid)
 from .eigensolve import generalized_eigen_sym
 from .exceptions import ConfigError
-from .spaces import BoundaryType, SpaceKind, SpaceSpec, _wave_centres
+from .spaces import (BoundaryType, SpaceKind, SpaceSpec, _layout_params,
+                     _wave_centres)
 from .splines import (basis_samples, cardinal_bspline,
                       cardinal_bspline_derivative)
 
@@ -82,7 +93,8 @@ class Spectrum1D:
     fixed so its overlap with the exact eigenfunction is nonnegative.
     ``overlaps[k]`` is that L2 overlap and ``e_fun[k]`` the L2 distance to
     the unit-norm exact eigenfunction, both integrated with the p+3-point
-    rule element by element, in blocks of ``EFUN_BLOCK`` modes.
+    rule element by element, in blocks of ``EFUN_BLOCK`` modes: in closed
+    form for certified waves, from the sampled B-splines otherwise.
     """
 
     spec: SpaceSpec
@@ -95,9 +107,11 @@ class Spectrum1D:
 
 def spectrum_1d(spec: SpaceSpec) -> Spectrum1D:
     """Assemble and solve the eigenproblem on the space."""
-    w, v = _eigenpairs(spec, assemble_stiffness(spec), assemble_mass(spec))
+    w, v, nu = _eigenpairs(spec, assemble_stiffness(spec),
+                           assemble_mass(spec))
     freqs = np.sqrt(np.clip(w, 0.0, None))
-    overlaps, e_fun = _eigenfunction_errors(spec, v)
+    overlaps, e_fun = (_eigenfunction_errors(spec, v) if nu is None
+                       else _wave_errors(spec, nu))
     flip = np.where(overlaps < 0.0, -1.0, 1.0)
     v *= flip[None, :]
     return Spectrum1D(spec=spec, eigenvalues=w, frequencies=freqs,
@@ -105,7 +119,8 @@ def spectrum_1d(spec: SpaceSpec) -> Spectrum1D:
 
 
 def _eigenpairs(spec: SpaceSpec, s, m):
-    """Eigenvalues (ascending) and M-orthonormal eigenvectors of S, M.
+    """Eigenvalues (ascending), M-orthonormal eigenvectors of S, M and
+    the wave amplitudes nu (None unless the waves are certified).
 
     Optimal and reduced spaces try the sampled waves v_l[i] = wave(omega_l
     c_i) over the fold's row centres c_i, with Rayleigh-quotient
@@ -114,22 +129,23 @@ def _eigenpairs(spec: SpaceSpec, s, m):
     largest |S v|, the eigenvalues ascend strictly, and |V^T M V - I| on
     ``WAVE_SAMPLE`` fixed columns is at most the same tolerance.  Full
     spaces, and waves that fail the certificate, go to the dense solver.
-    The waves are built and checked in blocks of ``EFUN_BLOCK`` columns.
+    The waves are built and checked in blocks of ``EFUN_BLOCK`` columns;
+    certified column l is nu_l wave(omega_l c_i).
     """
     if spec.kind == SpaceKind.FULL:
-        return generalized_eigen_sym(s, m)
+        return (*generalized_eigen_sym(s, m), None)
     n = spec.n
     tol = WAVE_TOL * n * n * np.finfo(float).eps
     c = _wave_centres(spec)
     omega = exact_frequencies(spec.bc, n)
     wave = np.cos if spec.bc == BoundaryType.NEUMANN else np.sin
     v = np.empty((n, n))
-    lam, res, s_norm = np.empty(n), np.empty(n), np.empty(n)
+    lam, nu, res, s_norm = np.empty((4, n))
     for lo in range(0, n, EFUN_BLOCK):
         blk = slice(lo, min(lo + EFUN_BLOCK, n))
         vb = wave(np.outer(c, omega[blk], out=v[:, blk]), out=v[:, blk])
         sv, mv = s.matvec(vb), m.matvec(vb)
-        scale = 1.0 / np.sqrt(np.einsum("ik,ik->k", vb, mv))
+        scale = nu[blk] = 1.0 / np.sqrt(np.einsum("ik,ik->k", vb, mv))
         lam[blk] = np.einsum("ik,ik->k", vb, sv) * scale ** 2
         s_norm[blk] = np.linalg.norm(sv, axis=0) * scale
         mv *= lam[blk]
@@ -142,7 +158,9 @@ def _eigenpairs(spec: SpaceSpec, s, m):
                  and res.max() <= tol * s_norm.max()
                  and np.abs(vs.T @ m.matvec(vs)
                             - np.eye(vs.shape[1])).max() <= tol)
-    return (lam, v) if certified else generalized_eigen_sym(s, m)
+    if certified:
+        return lam, v, nu
+    return (*generalized_eigen_sym(s, m), None)
 
 
 def _symbol_frequencies(spec: SpaceSpec) -> np.ndarray:
@@ -183,14 +201,8 @@ def _eigenfunction_errors(spec: SpaceSpec, v):
     sw = np.sqrt(ws)
     b0 = basis_samples(spec.knots, xs, 0)[0]
     b0.data *= np.repeat(sw, spec.p + 1)
-    a, b = spec.breaks[:-1], spec.breaks[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    # element lengths agree to round-off within a class
-    _, first, cls = np.unique(np.round(half / half.max(), 6),
-                              return_index=True, return_inverse=True)
-    x, w = gauss_legendre(m)
-    offsets = half[first][:, None] * x
-    scale = np.sqrt(2.0 * half[first][:, None] * w)
+    mid, offsets, weights, cls = _element_classes(spec, m)
+    scale = np.sqrt(2.0 * weights)
     omega = exact_frequencies(spec.bc, n)
     neumann = spec.bc == BoundaryType.NEUMANN
     overlaps = np.empty(n)
@@ -211,15 +223,35 @@ def _eigenfunction_errors(spec: SpaceSpec, v):
     return overlaps, e_fun
 
 
+def _element_classes(spec: SpaceSpec, m):
+    """(mid, offsets, weights, cls) of the m-point rule on every element.
+
+    Element e lies in the knot span [xi_e, xi_{e+1}], whose midpoint is
+    ``mid[e]``; its points are mid_e + offsets[cls_e] with quadrature
+    weights ``weights[cls_e]``.  Elements that fill their span share class
+    0; an end element that the boundary cuts short (shifted layouts have
+    at most two, and class 0 is never empty) is a class of its own.
+    """
+    t = spec.knots.values[spec.p:spec.p + spec.n_el + 1]
+    a, b = spec.breaks[:-1], spec.breaks[1:]
+    cut = (a != t[:-1]) | (b != t[1:])
+    cls = np.cumsum(cut) * cut
+    first = np.concatenate(([np.argmin(cut)], np.flatnonzero(cut)))
+    mid = 0.5 * (t[:-1] + t[1:])
+    half = 0.5 * (b - a)[first, None]
+    x, w = gauss_legendre(m)
+    offsets = (0.5 * (a + b) - mid)[first, None] + half * x
+    return mid, offsets, half * w, cls
+
+
 def _exact_waves(mid, offsets, scale, cls, omega, neumann):
     """scale[cls_e, j] sin(omega x) (cos for Neumann) at the points
     x = mid_e + offsets[cls_e, j], as an (elements * points, modes) array.
 
-    Angle addition evaluates sines and cosines only at the element
-    midpoints and at the offsets.  Every layout has at most two element
-    lengths, and the shorter one at most at the two end elements, so the
-    majority class is broadcast over all elements and only the others
-    are rewritten.
+    Angle addition evaluates sines and cosines only at the span midpoints
+    and at the offsets.  Class 0 (see :func:`_element_classes`) is
+    broadcast over all elements and only the cut end elements are
+    rewritten.
     """
     c_mid = np.outer(mid, omega)
     s_mid = np.sin(c_mid)
@@ -232,13 +264,85 @@ def _exact_waves(mid, offsets, scale, cls, omega, neumann):
     s_off *= (-scale if neumann else scale)[:, :, None]
     c_off *= scale[:, :, None]
     f, g = (c_mid, s_mid) if neumann else (s_mid, c_mid)
-    major = np.bincount(cls).argmax()
-    ex = np.multiply(f[:, None, :], c_off[major])
-    ex += g[:, None, :] * s_off[major]
-    minor = np.flatnonzero(cls != major)
-    ex[minor] = f[minor, None, :] * c_off[cls[minor]] \
-        + g[minor, None, :] * s_off[cls[minor]]
+    ex = np.multiply(f[:, None, :], c_off[0])
+    ex += g[:, None, :] * s_off[0]
+    cut = np.flatnonzero(cls)
+    ex[cut] = f[cut, None, :] * c_off[cls[cut]] \
+        + g[cut, None, :] * s_off[cls[cut]]
     return ex.reshape(-1, omega.size)
+
+
+def _wave_errors(spec: SpaceSpec, nu):
+    """Overlaps and errors, as :func:`_eigenfunction_errors` returns them,
+    of certified waves with amplitudes ``nu``, in closed form.
+
+    Mode l's B-spline coefficients are nu wave(omega t_j) at the B-spline
+    centres t_j (see :mod:`eigenspline.spaces`).  On a knot span with
+    midpoint c the p+1 active B-splines are centred at c + delta_r,
+    delta_r = (r - p/2) h, with pieces phi_r, so by angle addition
+
+        u_h(c + y) = nu (f A(y) + g B(y)),
+        exact(c + y) = a (f cos(omega y) + g sin(omega y)),
+
+    with A = sum_r cos(omega delta_r) phi_r, B = sum_r sin(omega delta_r)
+    phi_r, (f, g) = (sin, cos)(omega c) (for Neumann (cos, sin)(omega c),
+    with B and the sine negated) and a = sqrt(2) (1 for the Neumann
+    constant).  The error at an element's points is f alpha + g beta, with
+    alpha and beta the sign-aligned differences of the two parts at its
+    class's points (:func:`_element_classes`), so the squared error summed
+    over a class is the 2 x 2 form alpha^2 F + 2 alpha beta H + beta^2 G,
+    with F, H, G the class sums of f^2, f g, g^2.  The form is diagonal:
+    alpha is even and beta odd in y, so sum alpha beta vanishes on the
+    symmetric rule of class 0, and a cut end element is half a span
+    centred on an end of [0, 1], where f g = 0.  The overlap splits alike.
+    F and G follow from the double angle, whose cosines are looked up
+    exactly reduced.  Modes go in blocks of ``EFUN_BLOCK``, so only
+    (elements x ``EFUN_BLOCK``) tables are formed.
+    """
+    n, p = spec.n, spec.p
+    _, offsets, weights, cls = _element_classes(spec, p + 3)
+    sw = np.sqrt(weights)[:, :, None]
+    member = (cls == np.arange(offsets.shape[0])[:, None]).astype(float)
+    count = member.sum(axis=1)[:, None]
+    # At span e's midpoint c, 2 omega c = pi k (2e + 1 - sigma) / den with
+    # k = 2 omega / pi an integer, so cos(2 omega c) is a table entry.
+    den, sigma, _ = _layout_params(spec.kind, p, n, spec.bc)
+    cos_table = np.cos(np.pi / den * np.arange(2 * den))
+    mid_num = 2 * np.arange(spec.n_el) + 1 - sigma
+    r = np.arange(p + 1)
+    phi = cardinal_bspline(p, offsets[:, :, None] / spec.h + p + 0.5 - r)
+    delta = (r - 0.5 * p) * spec.h
+    omega = exact_frequencies(spec.bc, n)
+    neumann = spec.bc == BoundaryType.NEUMANN
+    amp = np.full(n, np.sqrt(2.0))
+    if neumann:
+        amp[0] = 1.0
+    odd = -1.0 if neumann else 1.0
+    k = np.rint(2.0 * omega / np.pi).astype(int)
+    overlaps = np.empty(n)
+    e_fun = np.empty(n)
+    for lo in range(0, n, EFUN_BLOCK):
+        blk = slice(lo, min(lo + EFUN_BLOCK, n))
+        om = omega[blk]
+        wy = offsets[:, :, None] * om
+        ex_a = np.cos(wy) * sw * amp[blk]
+        ex_b = np.sin(wy, out=wy) * sw * (odd * amp[blk])
+        wd = np.outer(delta, om)
+        uh_a = phi @ np.cos(wd) * sw * nu[blk]
+        uh_b = phi @ np.sin(wd) * sw * (odd * nu[blk])
+        # f^2, g^2 = (1 -+ cos 2 omega c) / 2
+        c2 = odd * (member @ cos_table[np.outer(mid_num, k[blk]) % (2 * den)])
+        ff, gg = 0.5 * (count - c2), 0.5 * (count + c2)
+        ov = (np.einsum("ckb,ckb,cb->b", ex_a, uh_a, ff)
+              + np.einsum("ckb,ckb,cb->b", ex_b, uh_b, gg))
+        sign = np.where(ov < 0.0, -1.0, 1.0)
+        ex_a -= uh_a * sign
+        ex_b -= uh_b * sign
+        e2 = (np.einsum("ckb,ckb,cb->b", ex_a, ex_a, ff)
+              + np.einsum("ckb,ckb,cb->b", ex_b, ex_b, gg))
+        overlaps[blk] = ov
+        e_fun[blk] = np.sqrt(e2)
+    return overlaps, e_fun
 
 
 def _upper_bound(wl, wtop, p):

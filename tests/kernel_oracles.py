@@ -8,7 +8,8 @@ conversions that ``SymBandMatrix.to_dense``, ``assembly._congruence`` and
 ``poisson._trace_fit`` must match bitwise; ``eigenfunction_errors`` is
 the error pass that weights every block by the quadrature weights
 explicitly and gathers each element's offset table, which
-``spectrum._eigenfunction_errors`` must match to round-off.
+``spectrum._eigenfunction_errors``, and for certified waves
+``spectrum._wave_errors``, must match to round-off.
 """
 
 import numpy as np

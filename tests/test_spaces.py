@@ -11,9 +11,11 @@ from eigenspline import (
     ConfigError,
     assemble_mass,
     boundary_residuals,
+    exact_frequencies,
     make_space,
     reduced_basis_matrix,
 )
+from eigenspline.spaces import _wave_centres
 
 # explicit extraction matrices for small spaces, rows = basis functions,
 # columns = scaled cardinal B-splines on the matching knot sequence
@@ -230,6 +232,25 @@ class TestSparseExtraction:
         assert np.linalg.matrix_rank(e.toarray()) == sp.n
         if kind != "full":
             assert boundary_residuals(sp) <= 1e-10
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 12])
+    @pytest.mark.parametrize("kind,bc", [
+        ("optimal", 0), ("optimal", 1), ("optimal", 2), ("reduced", 0)])
+    def test_waves_fold_to_bspline_centres(self, kind, bc, p):
+        # E^T of a wave sampled at the row centres is the wave sampled at
+        # every B-spline centre, those outside [0, 1] included; the
+        # closed-form error pass rests on this
+        for n in (1, 2, 3, 17):
+            try:
+                sp = make_space(kind, p, n, bc)
+            except ConfigError:
+                continue
+            omega = exact_frequencies(bc, n)
+            wave = np.cos if bc == 1 else np.sin
+            t = 0.5 * (sp.knots.values[:-p - 1] + sp.knots.values[p + 1:])
+            assert_allclose(sp.extraction.T @ wave(np.outer(
+                _wave_centres(sp), omega)), wave(np.outer(t, omega)),
+                rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("kind,p,bc", [
         ("optimal", 5, 0), ("optimal", 5, 1), ("full", 5, 0),

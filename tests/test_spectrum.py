@@ -147,6 +147,7 @@ class TestEigenfunctionErrorPass:
         assert np.all(spec.overlaps >= 0.0)
 
     def test_one_basis_evaluation_and_no_dense_basis(self, monkeypatch):
+        # the sampled pass, which full spaces take
         evals, dense = [], []
 
         def counting(*args, **kwargs):
@@ -161,7 +162,7 @@ class TestEigenfunctionErrorPass:
         for target in ("eigenspline.spaces", "eigenspline.spectrum"):
             monkeypatch.setattr(f"{target}.reduced_basis_matrix", forbidden,
                                 raising=False)
-        sp = make_space("optimal", 5, 2 * EFUN_BLOCK + 7, 0)
+        sp = make_space("full", 5, 2 * EFUN_BLOCK + 7, 0)
         spectrum_1d(sp)
         assert len(evals) == 1
         assert evals[0][2] == 0
@@ -169,16 +170,17 @@ class TestEigenfunctionErrorPass:
         assert not dense
 
     def test_working_memory_far_below_dense_samples(self, monkeypatch):
-        # the eigenpairs are computed outside the measurement; what is
-        # left is assembly plus the error pass, which must hold no
+        # the eigenpairs are computed outside the measurement, and handed
+        # back without their wave amplitudes so that the sampled pass runs;
+        # what is left is assembly plus the error pass, which must hold no
         # (quadrature points x n) array, and which must peak below the
         # same study run with the loop pass (explicit weight products and
         # per-element offset gathers)
         sp = make_space("optimal", 5, 1287, 0)
-        pair = spectrum._eigenpairs(sp, assemble_stiffness(sp),
-                                    assemble_mass(sp))
+        w, v, _ = spectrum._eigenpairs(sp, assemble_stiffness(sp),
+                                       assemble_mass(sp))
         monkeypatch.setattr("eigenspline.spectrum._eigenpairs",
-                            lambda spec, s, m: pair)
+                            lambda spec, s, m: (w, v, None))
         peaks = []
         for errors in (spectrum._eigenfunction_errors, loop_errors):
             monkeypatch.setattr(spectrum, "_eigenfunction_errors", errors)
@@ -191,6 +193,75 @@ class TestEigenfunctionErrorPass:
         one_array = 8 * sp.n_el * (sp.p + 3) * sp.n
         assert peaks[0] < one_array / 3
         assert peaks[0] < peaks[1]
+
+    def test_wave_errors_hold_no_element_by_mode_array(self):
+        # the closed form sums the midpoints per class in blocks: a few
+        # (elements x EFUN_BLOCK) tables, here a fifth of one (elements x
+        # n) array
+        sp = make_space("optimal", 5, 1287, 0)
+        _, _, nu = spectrum._eigenpairs(sp, assemble_stiffness(sp),
+                                        assemble_mass(sp))
+        tracemalloc.start()
+        try:
+            spectrum._wave_errors(sp, nu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * sp.n_el * EFUN_BLOCK
+
+
+class TestErrorPassRouting:
+    """Certified waves take the closed form, everything else the sampled
+    pass; both must match the dense route."""
+
+    @staticmethod
+    def _passes(monkeypatch):
+        calls = []
+
+        def sampling(*args, **kwargs):
+            calls.append("basis_samples")
+            return basis_samples(*args, **kwargs)
+
+        def sampled(*args, **kwargs):
+            calls.append("_eigenfunction_errors")
+            return errors(*args, **kwargs)
+
+        errors = spectrum._eigenfunction_errors
+        monkeypatch.setattr("eigenspline.spectrum.basis_samples", sampling)
+        monkeypatch.setattr(spectrum, "_eigenfunction_errors", sampled)
+        return calls
+
+    @staticmethod
+    def _check_against_dense(sp, result):
+        overlaps, e_fun = _dense_mode_errors(sp, result.vectors)
+        assert_allclose(result.e_fun, e_fun, rtol=0, atol=1e-13)
+        assert_allclose(result.overlaps, overlaps, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("kind,p,n,bc,sampled", [
+        ("optimal", 3, 30, 0, False), ("optimal", 4, 30, 1, False),
+        ("optimal", 5, 30, 2, False), ("reduced", 4, 30, 0, False),
+        ("optimal", 2, 1, 0, False), ("full", 3, 30, 0, True),
+        ("full", 4, 30, 1, True), ("full", 5, 30, 2, True),
+    ])
+    def test_route_by_space(self, monkeypatch, kind, p, n, bc, sampled):
+        calls = self._passes(monkeypatch)
+        sp = make_space(kind, p, n, bc)
+        result = spectrum_1d(sp)
+        expected = ["_eigenfunction_errors", "basis_samples"] if sampled \
+            else []
+        assert calls == expected
+        self._check_against_dense(sp, result)
+
+    @pytest.mark.parametrize("bc", [0, 1, 2])
+    def test_failed_certificate_takes_sampled_pass(self, monkeypatch, bc):
+        calls = self._passes(monkeypatch)
+        monkeypatch.setattr(spectrum, "WAVE_TOL", 0.0)
+        sp = make_space("optimal", 4, 30, bc)
+        assert spectrum._eigenpairs(sp, assemble_stiffness(sp),
+                                    assemble_mass(sp))[2] is None
+        result = spectrum_1d(sp)
+        assert calls == ["_eigenfunction_errors", "basis_samples"]
+        self._check_against_dense(sp, result)
 
 
 def _oracle_spaces():
@@ -214,7 +285,9 @@ def _oracle_spaces():
 def loop_oracle_sweep():
     """Each space of the sweep solved as shipped and through the loop
     references: (kind, bc, p, n), whether the eigenpairs agree bitwise,
-    and the largest gap of the error pass's ``e_fun`` and ``overlaps``.
+    the largest gap of the sampled error pass's ``e_fun`` and
+    ``overlaps``, and that of the closed form (None when the waves are
+    not certified).
 
     ``spectrum_1d`` returns these eigenpairs with columns flipped by the
     sign of the overlaps.  Full spaces take the dense solver, which calls
@@ -223,18 +296,24 @@ def loop_oracle_sweep():
     with pytest.MonkeyPatch.context() as loops:
         for sp in _oracle_spaces():
             s, m = assemble_stiffness(sp), assemble_mass(sp)
-            w, v = spectrum._eigenpairs(sp, s, m)
+            w, v, nu = spectrum._eigenpairs(sp, s, m)
             same = True
             if sp.kind != SpaceKind.FULL:
                 loops.setattr(SymBandMatrix, "matvec", band_matvec)
-                w_ref, v_ref = spectrum._eigenpairs(sp, s, m)
+                w_ref, v_ref, _ = spectrum._eigenpairs(sp, s, m)
                 loops.undo()
                 same = np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
             overlaps, e_fun = spectrum._eigenfunction_errors(sp, v)
             overlaps_ref, e_fun_ref = loop_errors(sp, v)
             gap = max(np.abs(e_fun - e_fun_ref).max(),
                       np.abs(overlaps - overlaps_ref).max())
-            rows.append(((sp.kind.value, int(sp.bc), sp.p, sp.n), same, gap))
+            wave_gap = None
+            if nu is not None:
+                overlaps, e_fun = spectrum._wave_errors(sp, nu)
+                wave_gap = max(np.abs(e_fun - e_fun_ref).max(),
+                               np.abs(overlaps - overlaps_ref).max())
+            rows.append(((sp.kind.value, int(sp.bc), sp.p, sp.n), same, gap,
+                         wave_gap))
     return rows
 
 
@@ -242,12 +321,44 @@ class TestLoopOracles:
     def test_eigenpairs_bitwise_against_loop_matvec(self, loop_oracle_sweep):
         waves = [r for r in loop_oracle_sweep if r[0][0] != "full"]
         assert len(waves) == 70
-        assert [case for case, same, _ in waves if not same] == []
+        assert [case for case, same, _, _ in waves if not same] == []
 
     def test_error_pass_matches_loop_pass(self, loop_oracle_sweep):
         assert len(loop_oracle_sweep) == 100
         worst = max(loop_oracle_sweep, key=lambda r: r[2])
         assert worst[2] <= 1e-13, worst
+
+    def test_wave_errors_match_loop_pass(self, loop_oracle_sweep):
+        # every optimal and reduced space of the sweep is certified
+        waves = [r for r in loop_oracle_sweep if r[3] is not None]
+        assert len(waves) == 70
+        worst = max(waves, key=lambda r: r[3])
+        assert worst[3] <= 1e-13, worst
+
+    @pytest.mark.parametrize("kind,p,n,bc", [
+        # the benchmark's two certified spectra
+        ("optimal", 5, 1287, 0), ("optimal", 4, 1200, 1),
+        # n_el <= p + 1: B-splines fold back across both ends
+        ("optimal", 5, 3, 1), ("optimal", 6, 4, 2), ("reduced", 2, 2, 0),
+        # three elements, both ends cut to half spans (Dirichlet, even p;
+        # Neumann, odd p), or the right end only (mixed, odd p)
+        ("optimal", 2, 1, 0), ("optimal", 6, 1, 0), ("optimal", 3, 2, 1),
+        ("optimal", 3, 2, 2),
+    ])
+    def test_wave_errors_match_loop_pass_off_the_sweep(self, kind, p, n,
+                                                        bc):
+        sp = make_space(kind, p, n, bc)
+        _, v, nu = spectrum._eigenpairs(sp, assemble_stiffness(sp),
+                                        assemble_mass(sp))
+        assert nu is not None
+        overlaps, e_fun = spectrum._wave_errors(sp, nu)
+        overlaps_ref, e_fun_ref = loop_errors(sp, v)
+        assert_allclose(e_fun, e_fun_ref, rtol=0, atol=1e-13)
+        assert_allclose(overlaps, overlaps_ref, rtol=0, atol=1e-13)
+        # flipped waves: overlaps flip, the sign-aligned errors stay
+        flipped, e_fun_flipped = spectrum._wave_errors(sp, -nu)
+        assert np.array_equal(flipped, -overlaps)
+        assert np.array_equal(e_fun_flipped, e_fun)
 
 
 def _counting_eigensolver(monkeypatch):
@@ -281,7 +392,7 @@ class TestWaveEigenpairs:
     def test_waves_match_dense_solver(self, kind, p, n, bc):
         sp = make_space(kind, p, n, bc)
         s, m = assemble_stiffness(sp), assemble_mass(sp)
-        w, v = spectrum._eigenpairs(sp, s, m)
+        w, v, _ = spectrum._eigenpairs(sp, s, m)
         w_ref, v_ref = generalized_eigen_sym(s, m)
         assert_allclose(w, w_ref, rtol=1e-11, atol=1e-11)
         # the same M-orthonormal vectors up to sign
@@ -297,7 +408,7 @@ class TestWaveEigenpairs:
         w_ref, v_ref = generalized_eigen_sym(s, m)
         calls = _counting_eigensolver(monkeypatch)
         monkeypatch.setattr(spectrum, "WAVE_TOL", 0.0)
-        w, v = spectrum._eigenpairs(sp, s, m)
+        w, v, _ = spectrum._eigenpairs(sp, s, m)
         assert len(calls) == 1
         assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
         assert np.array_equal(spectrum_1d(sp).eigenvalues, w_ref)
@@ -341,8 +452,8 @@ class TestSymbolOracle:
 
     @staticmethod
     def _gap(sp):
-        w, _ = spectrum._eigenpairs(sp, assemble_stiffness(sp),
-                                    assemble_mass(sp))
+        w, _, _ = spectrum._eigenpairs(sp, assemble_stiffness(sp),
+                                       assemble_mass(sp))
         ref = spectrum._symbol_frequencies(sp)
         ok = ref > 0.0  # the Neumann constant has no relative gap
         gap = np.abs(np.sqrt(np.clip(w[ok], 0.0, None)) / ref[ok] - 1.0)
