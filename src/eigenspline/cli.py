@@ -15,7 +15,7 @@ from .exceptions import ConfigError, NumericalError
 from .reports import (BC_NAMES, StudyConfig, run_basis_dump,
                       run_convergence_study, run_poisson_study,
                       run_spectrum_study)
-from .spaces import SpaceKind
+from .spaces import SpaceKind, make_space
 
 
 def _int_list(text):
@@ -87,6 +87,11 @@ def _config_from_args(args):
         if dim is None:
             raise ConfigError("pass --dim or --dims")
         dims = (dim,)
+    if args.out:
+        folder = os.path.dirname(args.out) or "."
+        if os.path.isdir(args.out) or not os.path.isdir(folder) \
+                or not os.access(folder, os.W_OK):
+            raise ConfigError(f"cannot write --out {args.out}")
     return StudyConfig(
         subcommand=args.command,
         kind=SpaceKind(args.space),
@@ -132,6 +137,13 @@ def _run_convergence(cfg):
     if len(cfg.degrees) == 1:
         _, summary = run_convergence_study(cfg)
         return summary
+    if len(set(cfg.degrees)) != len(cfg.degrees):
+        raise ConfigError("a degree sweep needs distinct degrees")
+    # build every space of the sweep before any study, so that a bad
+    # degree or dimension stops it before the first degree writes files
+    for p in cfg.degrees:
+        for n in cfg.dims:
+            make_space(cfg.kind, p, n, cfg.bc)
     summary = {}
     for p in cfg.degrees:
         sub = replace(cfg, degrees=(p,))

@@ -5,10 +5,10 @@ symmetric problem is solved by tridiagonalization with implicit shifts
 (LAPACK, via scipy).  The test suite cross-checks it against an
 independent dense Jacobi-rotation oracle for small pencils.
 
-It is the package's only eigensolver.  Spectra of optimal and reduced
-spaces reach it only when their sampled-wave eigenpairs fail the
-certificate in :mod:`eigenspline.spectrum`; full-space spectra always
-reach it, and fast diagonalization calls it directly.
+It is the package's only eigensolver and the only code that forms an
+eigenvector matrix: optimal and reduced spectra reach it only when their
+sampled waves fail the certificate in :mod:`eigenspline.spectrum`, full
+spectra always, and fast diagonalization calls it directly.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ Eigenpairs of optimal and reduced spaces need no dense solve: in the
 reflection-fold basis of :mod:`eigenspline.spaces` the exact waves sampled
 at the row centres are the discrete eigenvectors, and their Rayleigh
 quotients are samples of the cardinal-spline symbol.  They are accepted
-under a residual, ordering and M-orthonormality certificate; full spaces
-and uncertified waves use the dense generalized eigensolver.
+under a residual, ordering and M-orthonormality certificate and kept as
+eigenvalues and amplitudes only; full spaces and uncertified waves use the
+dense generalized eigensolver.  No spectrum keeps its eigenvectors.
 
 Mode reports carry, per mode, the relative frequency error, the L2
 eigenfunction error (against the unit-norm exact eigenfunction, signs
@@ -20,26 +21,19 @@ aligned by the L2 overlap), and for optimal subspaces the a-priori
 relative bound 1/(1 - (omega_l/omega_{n+1})^{p+1}) - 1.
 
 The eigenfunction errors use the p+3-point rule on every element, by one
-of two routes.  Certified waves take a closed form: their B-spline
+of two routes that take the exact waves from the same per-class tables at
+the element offsets.  Certified waves take a closed form: their B-spline
 coefficients are the wave sampled at the B-spline centres, so on every
 knot span the discrete and the exact mode are both the sine and cosine at
-the span midpoint times fixed functions of the offset.  Each mode's
-squared error is then a quadratic form in the midpoint sums of sin^2 and
-cos^2 (the cross term vanishes by symmetry), plus the same form for each
-of the at most two end elements that the boundary cuts short; no B-spline
-is sampled and no table larger than elements x block is formed.
-
-Full spaces and uncertified waves take the sampled pass.  The B-splines
-are sampled once on the whole grid into a sparse matrix with the p+1
-active B-splines per point, each row scaled by the square root of its
-quadrature weight.  Modes are then taken in fixed-size blocks: each
-block's eigenvectors are mapped to B-spline coefficients through the
-space's stored sparse extraction and sampled through that matrix.  The
-exact modes, weighted alike, come from angle addition over the span
-midpoints, broadcast over the elements that fill their span.  Overlaps
-and errors are then plain sums of products, so no dense quadrature-points
-x n basis or mode matrix is ever formed and no block is multiplied by the
-weights.  The bound columns take the exact frequencies once per spectrum.
+the span midpoint times fixed functions of the offset, and each mode's
+squared error is a quadratic form in the midpoint sums of sin^2 and cos^2;
+no B-spline is sampled.  Full spaces and uncertified waves take the
+sampled pass: the B-splines are sampled once into a sparse matrix, rows
+scaled by the square roots of the weights, and each block of modes is
+mapped through the stored sparse extraction and sampled through it, the
+exact waves coming from angle addition over the span midpoints.  Modes go
+in fixed-size blocks, so no dense quadrature-points x n array is formed.
+The bound columns take the exact frequencies once per spectrum.
 """
 
 from __future__ import annotations
@@ -87,63 +81,59 @@ def exact_frequencies(bc, count) -> np.ndarray:
 
 @dataclass
 class Spectrum1D:
-    """Solved univariate eigenproblem on a space.
+    """Solved univariate eigenproblem on a space; no eigenvector is kept.
 
-    ``vectors[:, k]`` is mode k+1, M-orthonormal (unit L2 norm) with sign
-    fixed so its overlap with the exact eigenfunction is nonnegative.
-    ``overlaps[k]`` is that L2 overlap and ``e_fun[k]`` the L2 distance to
-    the unit-norm exact eigenfunction, both integrated with the p+3-point
-    rule element by element, in blocks of ``EFUN_BLOCK`` modes: in closed
-    form for certified waves, from the sampled B-splines otherwise.
+    Mode k+1 is M-orthonormal (unit L2 norm) with sign fixed so that
+    ``overlaps[k]``, its L2 overlap with the exact eigenfunction, is
+    nonnegative; ``e_fun[k]`` is its L2 distance to the unit-norm exact
+    eigenfunction.  Both are integrated with the p+3-point rule, element by
+    element: in closed form for certified waves, sampled otherwise.
     """
 
     spec: SpaceSpec
     eigenvalues: np.ndarray
     frequencies: np.ndarray
-    vectors: np.ndarray
     overlaps: np.ndarray = field(repr=False)
     e_fun: np.ndarray = field(repr=False)
 
 
 def spectrum_1d(spec: SpaceSpec) -> Spectrum1D:
-    """Assemble and solve the eigenproblem on the space."""
-    w, v, nu = _eigenpairs(spec, assemble_stiffness(spec),
-                           assemble_mass(spec))
-    freqs = np.sqrt(np.clip(w, 0.0, None))
-    overlaps, e_fun = (_eigenfunction_errors(spec, v) if nu is None
-                       else _wave_errors(spec, nu))
-    flip = np.where(overlaps < 0.0, -1.0, 1.0)
-    v *= flip[None, :]
-    return Spectrum1D(spec=spec, eigenvalues=w, frequencies=freqs,
-                      vectors=v, overlaps=overlaps * flip, e_fun=e_fun)
+    """Assemble and solve the eigenproblem on the space: certified waves
+    where they hold, else the dense solver and the sampled error pass."""
+    s, m = assemble_stiffness(spec), assemble_mass(spec)
+    waves = spec.kind != SpaceKind.FULL and _certified_waves(spec, s, m)
+    if waves:
+        w, nu = waves
+        overlaps, e_fun = _wave_errors(spec, nu)
+    else:
+        w, v = generalized_eigen_sym(s, m)
+        overlaps, e_fun = _eigenfunction_errors(spec, v)
+    return Spectrum1D(spec=spec, eigenvalues=w,
+                      frequencies=np.sqrt(np.clip(w, 0.0, None)),
+                      overlaps=np.abs(overlaps), e_fun=e_fun)
 
 
-def _eigenpairs(spec: SpaceSpec, s, m):
-    """Eigenvalues (ascending), M-orthonormal eigenvectors of S, M and
-    the wave amplitudes nu (None unless the waves are certified).
+def _certified_waves(spec: SpaceSpec, s, m):
+    """(eigenvalues ascending, amplitudes nu) of an optimal or reduced
+    pencil S, M, or None when the waves fail the certificate.
 
-    Optimal and reduced spaces try the sampled waves v_l[i] = wave(omega_l
-    c_i) over the fold's row centres c_i, with Rayleigh-quotient
-    eigenvalues, and keep them only under a certificate: every residual
-    |S v - lambda M v| is at most ``WAVE_TOL * n^2 * eps`` times the
-    largest |S v|, the eigenvalues ascend strictly, and |V^T M V - I| on
-    ``WAVE_SAMPLE`` fixed columns is at most the same tolerance.  Full
-    spaces, and waves that fail the certificate, go to the dense solver.
-    The waves are built and checked in blocks of ``EFUN_BLOCK`` columns;
-    certified column l is nu_l wave(omega_l c_i).
+    Mode l is the wave nu_l wave(omega_l c_i) over the fold's row centres
+    c_i, M-normalised, with its Rayleigh quotient as eigenvalue.  The
+    certificate: every residual |S v - lambda M v| is at most ``WAVE_TOL *
+    n^2 * eps`` times the largest |S v|, the eigenvalues ascend strictly,
+    and |V^T M V - I| on ``WAVE_SAMPLE`` fixed columns (rebuilt from nu)
+    is at most the same tolerance.  Waves are built and checked in blocks
+    of ``EFUN_BLOCK`` columns, so no n x n array is formed.
     """
-    if spec.kind == SpaceKind.FULL:
-        return (*generalized_eigen_sym(s, m), None)
     n = spec.n
     tol = WAVE_TOL * n * n * np.finfo(float).eps
     c = _wave_centres(spec)
     omega = exact_frequencies(spec.bc, n)
     wave = np.cos if spec.bc == BoundaryType.NEUMANN else np.sin
-    v = np.empty((n, n))
     lam, nu, res, s_norm = np.empty((4, n))
     for lo in range(0, n, EFUN_BLOCK):
         blk = slice(lo, min(lo + EFUN_BLOCK, n))
-        vb = wave(np.outer(c, omega[blk], out=v[:, blk]), out=v[:, blk])
+        vb = wave(np.outer(c, omega[blk]))
         sv, mv = s.matvec(vb), m.matvec(vb)
         scale = nu[blk] = 1.0 / np.sqrt(np.einsum("ik,ik->k", vb, mv))
         lam[blk] = np.einsum("ik,ik->k", vb, sv) * scale ** 2
@@ -151,16 +141,13 @@ def _eigenpairs(spec: SpaceSpec, s, m):
         mv *= lam[blk]
         sv -= mv
         res[blk] = np.linalg.norm(sv, axis=0) * scale
-        vb *= scale
-    vs = v[:, np.unique(np.linspace(0, n - 1, min(n, WAVE_SAMPLE))
-                        .astype(int))]
+    idx = np.unique(np.linspace(0, n - 1, min(n, WAVE_SAMPLE)).astype(int))
+    vs = wave(np.outer(c, omega[idx])) * nu[idx]
     certified = (np.all(np.diff(lam) > 0.0)
                  and res.max() <= tol * s_norm.max()
                  and np.abs(vs.T @ m.matvec(vs)
-                            - np.eye(vs.shape[1])).max() <= tol)
-    if certified:
-        return lam, v, nu
-    return (*generalized_eigen_sym(s, m), None)
+                            - np.eye(idx.size)).max() <= tol)
+    return (lam, nu) if certified else None
 
 
 def _symbol_frequencies(spec: SpaceSpec) -> np.ndarray:
@@ -192,26 +179,22 @@ def _eigenfunction_errors(spec: SpaceSpec, v):
 
     Both sides are sampled pre-weighted: the B-spline samples carry
     sqrt(w) per quadrature point, the exact waves from
-    :func:`_exact_waves` sqrt(2 w), so each block of ``EFUN_BLOCK`` modes
-    is one sparse product, two plain sums of products, a sign flip and a
-    subtraction.
+    :func:`_exact_waves` the same factor (see :func:`_offset_waves`), so
+    each block of ``EFUN_BLOCK`` modes is one sparse product, two plain
+    sums of products, a sign flip and a subtraction.
     """
     n, m = spec.n, spec.p + 3
     xs, ws = quadrature_grid(spec.breaks, m)
-    sw = np.sqrt(ws)
     b0 = basis_samples(spec.knots, xs, 0)[0]
-    b0.data *= np.repeat(sw, spec.p + 1)
+    b0.data *= np.repeat(np.sqrt(ws), spec.p + 1)
     mid, offsets, weights, cls = _element_classes(spec, m)
-    scale = np.sqrt(2.0 * weights)
     omega = exact_frequencies(spec.bc, n)
     neumann = spec.bc == BoundaryType.NEUMANN
     overlaps = np.empty(n)
     e_fun = np.empty(n)
     for lo in range(0, n, EFUN_BLOCK):
         blk = slice(lo, min(lo + EFUN_BLOCK, n))
-        ex = _exact_waves(mid, offsets, scale, cls, omega[blk], neumann)
-        if neumann and lo == 0:
-            ex[:, 0] = sw
+        ex = _exact_waves(mid, offsets, weights, cls, omega[blk], neumann)
         uh = b0 @ (spec.extraction.T @ v[:, blk])
         ov = np.einsum("qk,qk->k", ex, uh)
         uh *= np.where(ov < 0.0, -1.0, 1.0)
@@ -244,25 +227,30 @@ def _element_classes(spec: SpaceSpec, m):
     return mid, offsets, half * w, cls
 
 
-def _exact_waves(mid, offsets, scale, cls, omega, neumann):
-    """scale[cls_e, j] sin(omega x) (cos for Neumann) at the points
-    x = mid_e + offsets[cls_e, j], as an (elements * points, modes) array.
+def _offset_waves(offsets, weights, omega, neumann):
+    """Per-class tables sqrt(w) a (cos, -+sin)(omega y), each (classes,
+    points, modes), at the offsets y and weights w of
+    :func:`_element_classes`: the exact waves' parts in both error passes.
+    The sine is negated for Neumann; a = sqrt(2), 1 for the Neumann
+    constant (omega = 0)."""
+    amp = np.where(omega > 0.0, np.sqrt(2.0), 1.0)
+    wy = offsets[:, :, None] * omega
+    sw = np.sqrt(weights)[:, :, None]
+    c_off = np.cos(wy) * sw * amp
+    s_off = np.sin(wy, out=wy) * sw * (-amp if neumann else amp)
+    return c_off, s_off
 
-    Angle addition evaluates sines and cosines only at the span midpoints
-    and at the offsets.  Class 0 (see :func:`_element_classes`) is
-    broadcast over all elements and only the cut end elements are
-    rewritten.
-    """
+
+def _exact_waves(mid, offsets, weights, cls, omega, neumann):
+    """The exact waves of :func:`_offset_waves` at the points x = mid_e +
+    offsets[cls_e, j], as an (elements * points, modes) array, by angle
+    addition over the span midpoints: class 0 (see
+    :func:`_element_classes`) is broadcast over all elements and only the
+    cut end elements are rewritten."""
+    c_off, s_off = _offset_waves(offsets, weights, omega, neumann)
     c_mid = np.outer(mid, omega)
     s_mid = np.sin(c_mid)
     np.cos(c_mid, out=c_mid)
-    w_off = offsets[:, :, None] * omega
-    s_off = np.sin(w_off)
-    c_off = np.cos(w_off, out=w_off)
-    # sin(a + d) = sin a cos d + cos a sin d,
-    # cos(a + d) = cos a cos d - sin a sin d
-    s_off *= (-scale if neumann else scale)[:, :, None]
-    c_off *= scale[:, :, None]
     f, g = (c_mid, s_mid) if neumann else (s_mid, c_mid)
     ex = np.multiply(f[:, None, :], c_off[0])
     ex += g[:, None, :] * s_off[0]
@@ -287,9 +275,10 @@ def _wave_errors(spec: SpaceSpec, nu):
     with A = sum_r cos(omega delta_r) phi_r, B = sum_r sin(omega delta_r)
     phi_r, (f, g) = (sin, cos)(omega c) (for Neumann (cos, sin)(omega c),
     with B and the sine negated) and a = sqrt(2) (1 for the Neumann
-    constant).  The error at an element's points is f alpha + g beta, with
-    alpha and beta the sign-aligned differences of the two parts at its
-    class's points (:func:`_element_classes`), so the squared error summed
+    constant); the exact parts are the tables of :func:`_offset_waves`.
+    The error at an element's points is f alpha + g beta, with alpha and
+    beta the sign-aligned differences of the two parts at its class's
+    points (:func:`_element_classes`), so the squared error summed
     over a class is the 2 x 2 form alpha^2 F + 2 alpha beta H + beta^2 G,
     with F, H, G the class sums of f^2, f g, g^2.  The form is diagonal:
     alpha is even and beta odd in y, so sum alpha beta vanishes on the
@@ -314,9 +303,6 @@ def _wave_errors(spec: SpaceSpec, nu):
     delta = (r - 0.5 * p) * spec.h
     omega = exact_frequencies(spec.bc, n)
     neumann = spec.bc == BoundaryType.NEUMANN
-    amp = np.full(n, np.sqrt(2.0))
-    if neumann:
-        amp[0] = 1.0
     odd = -1.0 if neumann else 1.0
     k = np.rint(2.0 * omega / np.pi).astype(int)
     overlaps = np.empty(n)
@@ -324,9 +310,7 @@ def _wave_errors(spec: SpaceSpec, nu):
     for lo in range(0, n, EFUN_BLOCK):
         blk = slice(lo, min(lo + EFUN_BLOCK, n))
         om = omega[blk]
-        wy = offsets[:, :, None] * om
-        ex_a = np.cos(wy) * sw * amp[blk]
-        ex_b = np.sin(wy, out=wy) * sw * (odd * amp[blk])
+        ex_a, ex_b = _offset_waves(offsets, weights, om, neumann)
         wd = np.outer(delta, om)
         uh_a = phi @ np.cos(wd) * sw * nu[blk]
         uh_b = phi @ np.sin(wd) * sw * (odd * nu[blk])

@@ -1,14 +1,16 @@
-"""Closed-form eigenfunctions and the a-priori bounds, mode by mode, for
-tests.
+"""Closed-form eigenfunctions, the a-priori bounds, mode by mode, and the
+certified wave eigenvectors, for tests.
 
-The library builds its exact waves inline in the error pass and takes
-the plain bound for all modes of a space at once; these are the per-mode
-references the tests compare against.
+The library builds its exact waves inline in the error pass, takes the
+plain bound for all modes of a space at once and keeps certified waves as
+amplitudes only; these are the per-mode references and the eigenvectors
+the tests compare against.
 """
 
 import numpy as np
 
 from eigenspline import BoundaryType, ConfigError, exact_frequencies
+from eigenspline.spaces import _wave_centres
 
 
 def exact_eigenfunction(bc, l):
@@ -28,6 +30,16 @@ def exact_eigenfunction(bc, l):
         return (lambda x: s * np.cos(w * x)), (lambda x: -s * w * np.sin(w * x))
     w = (l - 0.5) * np.pi
     return (lambda x: s * np.sin(w * x)), (lambda x: s * w * np.cos(w * x))
+
+
+def wave_vectors(spec, nu):
+    """The certified wave eigenvectors of an optimal or reduced space,
+    rebuilt from their amplitudes ``nu``: column l is nu_l wave(omega_l
+    c_i) at the fold's row centres c_i (cos for Neumann, sin otherwise),
+    the values the wave certificate checks."""
+    wave = np.cos if spec.bc == BoundaryType.NEUMANN else np.sin
+    return wave(np.outer(_wave_centres(spec),
+                         exact_frequencies(spec.bc, spec.n))) * nu
 
 
 def eigval_upper_bound(l, n, p, bc):

@@ -4,6 +4,7 @@ Also the layout rule: ``SymBandMatrix`` in ``assembly.py`` is the only
 code that reads the packed band, builds a band by hand or solves with it.
 """
 
+import dataclasses
 import pathlib
 import re
 
@@ -28,6 +29,12 @@ PUBLIC = [
 def test_public_names_pinned():
     assert len(set(eigenspline.__all__)) == len(eigenspline.__all__)
     assert sorted(eigenspline.__all__) == PUBLIC
+
+
+def test_spectrum_record_fields_pinned():
+    # a spectrum keeps no eigenvector matrix
+    assert [f.name for f in dataclasses.fields(eigenspline.Spectrum1D)] == [
+        "spec", "eigenvalues", "frequencies", "overlaps", "e_fun"]
 
 
 def test_public_names_resolve():

@@ -229,6 +229,23 @@ class TestConvergenceStudies:
         assert err.startswith("error:") and "RuntimeWarning" not in err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("space,degrees,dims", [
+        ("optimal", "3,3", "8,16"), ("optimal", "3,-1", "8,16"),
+        ("optimal", f"3,{MAX_DEGREE + 1}", "8,16"),
+        # odd for a reduced space; too few elements at the second degree
+        ("reduced", "2,3", "8,16"), ("full", "3,6", "6,8"),
+    ])
+    def test_bad_degree_rejected_before_solving(self, tmp_path, capsys,
+                                                space, degrees, dims):
+        # caught before the first degree's study writes its files
+        code = main(["convergence", "--space", space, "--degrees", degrees,
+                     "--dims", dims, "--preset", "sin2pi",
+                     "--out", str(tmp_path / "conv.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
     def test_dimension_mismatch_rejected(self):
         cfg = StudyConfig(subcommand="poisson1d", degrees=(3,),
                           dims=(16,), preset="ex75")
@@ -460,6 +477,24 @@ class TestCli:
         assert main(args + [str(n), "--degree", str(MAX_DEGREE + 1)]
                     + out) == 2
         assert "must be <=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["spectrum", "--degree", "3", "--dim", "10"],
+        ["convergence", "--degrees", "3,4", "--dims", "8,16", "--preset",
+         "ex73"],
+        ["basis-dump", "--degree", "3", "--dim", "10"],
+    ])
+    def test_unwritable_out_rejected_before_solving(self, tmp_path, capsys,
+                                                    command):
+        # a missing directory, and a path that names a directory
+        folder = tmp_path / "dir"
+        folder.mkdir()
+        for out in (tmp_path / "missing" / "x.csv", folder):
+            assert main(command + ["--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["dir"]
+        assert os.listdir(folder) == []
 
     def test_missing_dim_rejected(self, capsys):
         code = main(["convergence", "--degree", "3", "--preset", "sin2pi"])

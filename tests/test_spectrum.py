@@ -29,9 +29,26 @@ from eigenspline.cli import main
 from eigenspline.spectrum import EFUN_BLOCK, collate_2d
 from eigenspline.splines import basis_samples
 from exact_modes import (eigval_upper_bound, eigval_upper_bound_sharp,
-                         exact_eigenfunction)
+                         exact_eigenfunction, wave_vectors)
 from kernel_oracles import band_matvec
 from kernel_oracles import eigenfunction_errors as loop_errors
+
+
+def _aligned_modes(sp):
+    """Eigenvalues and M-orthonormal eigenvectors of the space as
+    ``spectrum_1d`` takes them (the certified waves rebuilt from their
+    amplitudes, else the dense solver's pairs), each vector flipped by the
+    sign of its raw overlap in the error pass that ``spectrum_1d`` calls."""
+    s, m = assemble_stiffness(sp), assemble_mass(sp)
+    waves = sp.kind != SpaceKind.FULL and spectrum._certified_waves(sp, s, m)
+    if waves:
+        w, nu = waves
+        v = wave_vectors(sp, nu)
+        ov, _ = spectrum._wave_errors(sp, nu)
+    else:
+        w, v = generalized_eigen_sym(s, m)
+        ov, _ = spectrum._eigenfunction_errors(sp, v)
+    return w, v * np.where(ov < 0.0, -1.0, 1.0)
 
 
 def _dense_mode_errors(sp, vectors):
@@ -93,14 +110,14 @@ class TestSpectrum1D:
     def test_invariants(self, kind, p, n, bc):
         sp = make_space(kind, p, n, bc)
         spec = spectrum_1d(sp)
+        _, vectors = _aligned_modes(sp)
         s = assemble_stiffness(sp).to_dense()
         m = assemble_mass(sp).to_dense()
         # M-orthonormal eigenvectors with nonnegative exact overlap
-        assert_allclose(spec.vectors.T @ m @ spec.vectors, np.eye(n),
-                        atol=1e-9)
+        assert_allclose(vectors.T @ m @ vectors, np.eye(n), atol=1e-9)
         assert np.all(spec.overlaps >= 0.0)
         # small relative residual per mode
-        res = s @ spec.vectors - m @ spec.vectors * spec.eigenvalues
+        res = s @ vectors - m @ vectors * spec.eigenvalues
         assert np.linalg.norm(res, axis=0).max() <= 1e-9 * np.linalg.norm(s)
         assert np.all(np.diff(spec.eigenvalues) >= 0)
 
@@ -140,7 +157,7 @@ class TestEigenfunctionErrorPass:
     def test_matches_dense_route(self, kind, p, n, bc):
         sp = make_space(kind, p, n, bc)
         spec = spectrum_1d(sp)
-        overlaps, e_fun = _dense_mode_errors(sp, spec.vectors)
+        overlaps, e_fun = _dense_mode_errors(sp, _aligned_modes(sp)[1])
         assert_allclose(spec.e_fun, e_fun, rtol=0, atol=1e-13)
         assert_allclose(spec.overlaps, overlaps, rtol=0, atol=1e-13)
         # every returned mode carries the sign of its exact eigenfunction
@@ -171,16 +188,19 @@ class TestEigenfunctionErrorPass:
 
     def test_working_memory_far_below_dense_samples(self, monkeypatch):
         # the eigenpairs are computed outside the measurement, and handed
-        # back without their wave amplitudes so that the sampled pass runs;
-        # what is left is assembly plus the error pass, which must hold no
-        # (quadrature points x n) array, and which must peak below the
-        # same study run with the loop pass (explicit weight products and
-        # per-element offset gathers)
+        # back by the dense solver in place of the certified waves so that
+        # the sampled pass runs; what is left is assembly plus the error
+        # pass, which must hold no (quadrature points x n) array, and
+        # which must peak below the same study run with the loop pass
+        # (explicit weight products and per-element offset gathers)
         sp = make_space("optimal", 5, 1287, 0)
-        w, v, _ = spectrum._eigenpairs(sp, assemble_stiffness(sp),
-                                       assemble_mass(sp))
-        monkeypatch.setattr("eigenspline.spectrum._eigenpairs",
-                            lambda spec, s, m: (w, v, None))
+        w, nu = spectrum._certified_waves(sp, assemble_stiffness(sp),
+                                          assemble_mass(sp))
+        v = wave_vectors(sp, nu)
+        monkeypatch.setattr(spectrum, "_certified_waves",
+                            lambda spec, s, m: None)
+        monkeypatch.setattr(spectrum, "generalized_eigen_sym",
+                            lambda s, m: (w, v))
         peaks = []
         for errors in (spectrum._eigenfunction_errors, loop_errors):
             monkeypatch.setattr(spectrum, "_eigenfunction_errors", errors)
@@ -199,8 +219,8 @@ class TestEigenfunctionErrorPass:
         # (elements x EFUN_BLOCK) tables, here a fifth of one (elements x
         # n) array
         sp = make_space("optimal", 5, 1287, 0)
-        _, _, nu = spectrum._eigenpairs(sp, assemble_stiffness(sp),
-                                        assemble_mass(sp))
+        _, nu = spectrum._certified_waves(sp, assemble_stiffness(sp),
+                                          assemble_mass(sp))
         tracemalloc.start()
         try:
             spectrum._wave_errors(sp, nu)
@@ -233,7 +253,7 @@ class TestErrorPassRouting:
 
     @staticmethod
     def _check_against_dense(sp, result):
-        overlaps, e_fun = _dense_mode_errors(sp, result.vectors)
+        overlaps, e_fun = _dense_mode_errors(sp, _aligned_modes(sp)[1])
         assert_allclose(result.e_fun, e_fun, rtol=0, atol=1e-13)
         assert_allclose(result.overlaps, overlaps, rtol=0, atol=1e-13)
 
@@ -257,8 +277,8 @@ class TestErrorPassRouting:
         calls = self._passes(monkeypatch)
         monkeypatch.setattr(spectrum, "WAVE_TOL", 0.0)
         sp = make_space("optimal", 4, 30, bc)
-        assert spectrum._eigenpairs(sp, assemble_stiffness(sp),
-                                    assemble_mass(sp))[2] is None
+        assert spectrum._certified_waves(sp, assemble_stiffness(sp),
+                                         assemble_mass(sp)) is None
         result = spectrum_1d(sp)
         assert calls == ["_eigenfunction_errors", "basis_samples"]
         self._check_against_dense(sp, result)
@@ -284,25 +304,32 @@ def _oracle_spaces():
 @pytest.fixture(scope="module")
 def loop_oracle_sweep():
     """Each space of the sweep solved as shipped and through the loop
-    references: (kind, bc, p, n), whether the eigenpairs agree bitwise,
-    the largest gap of the sampled error pass's ``e_fun`` and
-    ``overlaps``, and that of the closed form (None when the waves are
+    references: (kind, bc, p, n), whether the certified waves' eigenvalues
+    and amplitudes agree bitwise (their vectors are a fixed function of
+    the amplitudes), the largest gap of the sampled error pass's ``e_fun``
+    and ``overlaps``, and that of the closed form (None when the waves are
     not certified).
 
-    ``spectrum_1d`` returns these eigenpairs with columns flipped by the
-    sign of the overlaps.  Full spaces take the dense solver, which calls
-    no matvec, so only their error pass is compared."""
+    Full spaces take the dense solver, which calls no matvec, so only
+    their error pass is compared."""
     rows = []
     with pytest.MonkeyPatch.context() as loops:
         for sp in _oracle_spaces():
             s, m = assemble_stiffness(sp), assemble_mass(sp)
-            w, v, nu = spectrum._eigenpairs(sp, s, m)
-            same = True
+            waves, same = None, True
             if sp.kind != SpaceKind.FULL:
+                waves = spectrum._certified_waves(sp, s, m)
                 loops.setattr(SymBandMatrix, "matvec", band_matvec)
-                w_ref, v_ref, _ = spectrum._eigenpairs(sp, s, m)
+                ref = spectrum._certified_waves(sp, s, m)
                 loops.undo()
-                same = np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+                same = (waves is None) == (ref is None) and (
+                    waves is None or all(map(np.array_equal, waves, ref)))
+            if waves is None:
+                _, v = generalized_eigen_sym(s, m)
+                nu = None
+            else:
+                _, nu = waves
+                v = wave_vectors(sp, nu)
             overlaps, e_fun = spectrum._eigenfunction_errors(sp, v)
             overlaps_ref, e_fun_ref = loop_errors(sp, v)
             gap = max(np.abs(e_fun - e_fun_ref).max(),
@@ -348,11 +375,12 @@ class TestLoopOracles:
     def test_wave_errors_match_loop_pass_off_the_sweep(self, kind, p, n,
                                                         bc):
         sp = make_space(kind, p, n, bc)
-        _, v, nu = spectrum._eigenpairs(sp, assemble_stiffness(sp),
-                                        assemble_mass(sp))
-        assert nu is not None
+        waves = spectrum._certified_waves(sp, assemble_stiffness(sp),
+                                          assemble_mass(sp))
+        assert waves is not None
+        _, nu = waves
         overlaps, e_fun = spectrum._wave_errors(sp, nu)
-        overlaps_ref, e_fun_ref = loop_errors(sp, v)
+        overlaps_ref, e_fun_ref = loop_errors(sp, wave_vectors(sp, nu))
         assert_allclose(e_fun, e_fun_ref, rtol=0, atol=1e-13)
         assert_allclose(overlaps, overlaps_ref, rtol=0, atol=1e-13)
         # flipped waves: overlaps flip, the sign-aligned errors stay
@@ -392,7 +420,8 @@ class TestWaveEigenpairs:
     def test_waves_match_dense_solver(self, kind, p, n, bc):
         sp = make_space(kind, p, n, bc)
         s, m = assemble_stiffness(sp), assemble_mass(sp)
-        w, v, _ = spectrum._eigenpairs(sp, s, m)
+        w, nu = spectrum._certified_waves(sp, s, m)
+        v = wave_vectors(sp, nu)
         w_ref, v_ref = generalized_eigen_sym(s, m)
         assert_allclose(w, w_ref, rtol=1e-11, atol=1e-11)
         # the same M-orthonormal vectors up to sign
@@ -402,25 +431,27 @@ class TestWaveEigenpairs:
     @pytest.mark.parametrize("bc", [0, 1, 2])
     def test_failed_certificate_falls_back(self, monkeypatch, bc):
         # no residual can meet a zero tolerance: the dense solver runs once
-        # and its pairs are returned unchanged
+        # and its pairs go unchanged to the report and the error pass
         sp = make_space("optimal", 4, 30, bc)
         s, m = assemble_stiffness(sp), assemble_mass(sp)
         w_ref, v_ref = generalized_eigen_sym(s, m)
         calls = _counting_eigensolver(monkeypatch)
         monkeypatch.setattr(spectrum, "WAVE_TOL", 0.0)
-        w, v, _ = spectrum._eigenpairs(sp, s, m)
+        assert spectrum._certified_waves(sp, s, m) is None
+        result = spectrum_1d(sp)
         assert len(calls) == 1
-        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
-        assert np.array_equal(spectrum_1d(sp).eigenvalues, w_ref)
+        overlaps, e_fun = spectrum._eigenfunction_errors(sp, v_ref)
+        assert np.array_equal(result.overlaps, np.abs(overlaps)) \
+            and np.array_equal(result.e_fun, e_fun)
+        assert np.array_equal(result.eigenvalues, w_ref)
 
     def test_certificate_works_in_column_blocks(self):
-        # beyond the returned n x n vectors the waves and their checks hold
-        # only (n x EFUN_BLOCK) blocks
+        # the waves and their checks hold only (n x EFUN_BLOCK) blocks
         sp = make_space("optimal", 5, 1000, 0)
         s, m = assemble_stiffness(sp), assemble_mass(sp)
         tracemalloc.start()
         try:
-            spectrum._eigenpairs(sp, s, m)
+            spectrum._certified_waves(sp, s, m)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -441,6 +472,39 @@ class TestWaveEigenpairs:
         assert np.array_equal(w, w_ref)
 
 
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNoDenseMatrix:
+    """The structural target on optimal spectra: certified waves are kept
+    as amplitudes and take the closed-form error pass, so no n x n array
+    is formed.  Each run peaks below half of one n x n float64 array."""
+
+    @pytest.mark.parametrize("p,n,bc", [(5, 1287, 0), (4, 1200, 1)])
+    def test_spectrum(self, p, n, bc):
+        sp = make_space("optimal", p, n, bc)
+        assert _traced_peak(spectrum_1d, sp) < 8 * n * n / 2
+
+    @pytest.mark.parametrize("p,n,bc", [(5, 1287, 0), (4, 1200, 1)])
+    def test_shared_tensor_space(self, monkeypatch, p, n, bc):
+        # the collation's n^2 tensor modes are the study's output, not a
+        # matrix, so it is left out: the one 1D solve behind both
+        # directions is measured
+        sp = make_space("optimal", p, n, bc)
+        collated = []
+        monkeypatch.setattr(spectrum, "collate_2d",
+                            lambda sp1, sp2: collated.append((sp1, sp2)))
+        peak = _traced_peak(spectrum_2d, sp, sp)
+        assert len(collated) == 1 and collated[0][0] is collated[0][1]
+        assert peak < 8 * n * n / 2
+
+
 # Symbol-oracle window in units of n^2 eps (the growth of cond(S)); the
 # largest gap measured over the grid below is 10.5 n^2 eps (p=10, n=12).
 SYMBOL_WINDOW = 32.0
@@ -452,8 +516,7 @@ class TestSymbolOracle:
 
     @staticmethod
     def _gap(sp):
-        w, _, _ = spectrum._eigenpairs(sp, assemble_stiffness(sp),
-                                       assemble_mass(sp))
+        w = spectrum_1d(sp).eigenvalues
         ref = spectrum._symbol_frequencies(sp)
         ok = ref > 0.0  # the Neumann constant has no relative gap
         gap = np.abs(np.sqrt(np.clip(w[ok], 0.0, None)) / ref[ok] - 1.0)
@@ -625,12 +688,13 @@ class TestSpectrum2D:
         ys, wy = quadrature_grid(spy.breaks, spy.p + 3)
         bx = reduced_basis_matrix(spx, xs, r=0)[0]
         by = reduced_basis_matrix(spy, ys, r=0)[0]
+        vx, vy = _aligned_modes(spx)[1], _aligned_modes(spy)[1]
         for k in (0, 3, 11):
             l1, l2 = rep.ls[0][k], rep.ls[1][k]
             u1 = exact_eigenfunction(spx.bc, l1)[0](xs)
             u2 = exact_eigenfunction(spy.bc, l2)[0](ys)
-            uh1 = bx @ sp.sp1.vectors[:, l1 - 1]
-            uh2 = by @ sp.sp2.vectors[:, l2 - 1]
+            uh1 = bx @ vx[:, l1 - 1]
+            uh2 = by @ vy[:, l2 - 1]
             diff = np.outer(u1, u2) - np.outer(uh1, uh2)
             direct = np.sqrt(np.einsum("xy,x,y->", diff ** 2, wx, wy))
             assert_allclose(rep.e_fun[k], direct, rtol=1e-6, atol=1e-9)
