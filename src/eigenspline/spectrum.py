@@ -179,9 +179,9 @@ def _eigenfunction_errors(spec: SpaceSpec, v):
 
     Both sides are sampled pre-weighted: the B-spline samples carry
     sqrt(w) per quadrature point, the exact waves from
-    :func:`_exact_waves` the same factor (see :func:`_offset_waves`), so
-    each block of ``EFUN_BLOCK`` modes is one sparse product, two plain
-    sums of products, a sign flip and a subtraction.
+    :func:`_exact_waves` sqrt(w) times their amplitude, so each block of
+    ``EFUN_BLOCK`` modes is one sparse product, two plain sums of
+    products, a sign flip and a subtraction.
     """
     n, m = spec.n, spec.p + 3
     xs, ws = quadrature_grid(spec.breaks, m)
@@ -251,6 +251,8 @@ def _exact_waves(mid, offsets, weights, cls, omega, neumann):
     c_mid = np.outer(mid, omega)
     s_mid = np.sin(c_mid)
     np.cos(c_mid, out=c_mid)
+    # sin(a + d) = sin a cos d + cos a sin d,
+    # cos(a + d) = cos a cos d - sin a sin d
     f, g = (c_mid, s_mid) if neumann else (s_mid, c_mid)
     ex = np.multiply(f[:, None, :], c_off[0])
     ex += g[:, None, :] * s_off[0]
