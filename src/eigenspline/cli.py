@@ -7,14 +7,15 @@ inconsistent parameter combinations), 3 for numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
 
 from .exceptions import ConfigError, NumericalError
-from .reports import (BC_NAMES, StudyConfig, run_basis_dump,
-                      run_convergence_study, run_poisson_study,
-                      run_spectrum_study)
+from .reports import (BC_NAMES, StudyConfig, _convergence_plot,
+                      _write_outputs, run_basis_dump, run_convergence_study,
+                      run_poisson_study, run_spectrum_study)
 from .spaces import SpaceKind, make_space
 
 
@@ -49,6 +50,7 @@ def _add_common(sp, bc=False, preset=False, correct=False, dims_list=False):
     sp.add_argument("--out", default=None, help="CSV output path")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="eigenspline",
@@ -140,19 +142,23 @@ def _run_convergence(cfg):
     if len(set(cfg.degrees)) != len(cfg.degrees):
         raise ConfigError("a degree sweep needs distinct degrees")
     # build every space of the sweep before any study, so that a bad
-    # degree or dimension stops it before the first degree writes files
+    # degree or dimension stops it before the first study runs
     for p in cfg.degrees:
         for n in cfg.dims:
             make_space(cfg.kind, p, n, cfg.bc)
-    summary = {}
+    summary, done = {}, []
     for p in cfg.degrees:
         sub = replace(cfg, degrees=(p,))
         if cfg.out:
             stem, suffix = os.path.splitext(cfg.out)
             sub = replace(sub, out=f"{stem}_p{p}{suffix or '.csv'}")
-        _, part = run_convergence_study(sub)
-        for key, val in part.items():
-            summary[f"p{p}_{key}"] = val
+        # write nothing until every degree has succeeded, so that a failure
+        # at a later degree leaves no files of the earlier ones
+        csv, part = run_convergence_study(replace(sub, out=None))
+        done.append((csv, sub))
+        summary.update((f"p{p}_{key}", val) for key, val in part.items())
+    for csv, sub in done:
+        _write_outputs(csv, sub, _convergence_plot(sub))
     return summary
 
 

@@ -5,7 +5,8 @@ l*pi (Dirichlet, l >= 1), (l-1)*pi (Neumann, l >= 1, so the first mode is
 the constant with frequency 0) and (l - 1/2)*pi (mixed).  Discrete modes
 are matched to exact ones by ascending order; in 2D every mode is the
 tensor pair (l1, l2) produced by fast diagonalization, with squared
-frequencies adding.
+frequencies adding, so a tensor report is built straight from the two
+univariate spectra.
 
 Eigenpairs of optimal and reduced spaces need no dense solve: in the
 reflection-fold basis of :mod:`eigenspline.spaces` the exact waves sampled
@@ -414,77 +415,41 @@ def outlier_count(report: ModeErrorReport) -> int:
     return int(np.sum(out))
 
 
-@dataclass
-class Spectrum2D:
-    """Tensor-product spectrum: all n1*n2 pairs of univariate modes.
+def mode_errors_2d(sp1: Spectrum1D, sp2: Spectrum1D) -> ModeErrorReport:
+    """Tensor-mode errors of all n1*n2 pairs of univariate modes.
 
     Discrete squared frequencies are exactly the sums of the univariate
-    eigenvalues (fast diagonalization); rows are sorted by ascending exact
-    frequency, ties by (l1, l2).
-    """
-
-    sp1: Spectrum1D
-    sp2: Spectrum1D
-    l1: np.ndarray
-    l2: np.ndarray
-    omega_exact: np.ndarray
-    omega_sq_h: np.ndarray
-    omega_h: np.ndarray
-
-
-def spectrum_2d(spec1: SpaceSpec, spec2: SpaceSpec) -> Spectrum2D:
-    """Solve both univariate problems and collate the tensor modes.
-
-    Passing the same space object twice solves it once.
-    """
-    sp1 = spectrum_1d(spec1)
-    sp2 = sp1 if spec2 is spec1 else spectrum_1d(spec2)
-    return collate_2d(sp1, sp2)
-
-
-def collate_2d(sp1: Spectrum1D, sp2: Spectrum1D) -> Spectrum2D:
-    ex1 = exact_frequencies(sp1.spec.bc, sp1.spec.n)
-    ex2 = exact_frequencies(sp2.spec.bc, sp2.spec.n)
-    l1, l2 = np.meshgrid(np.arange(1, sp1.spec.n + 1),
-                         np.arange(1, sp2.spec.n + 1), indexing="ij")
-    l1 = l1.ravel()
-    l2 = l2.ravel()
-    om_exact = np.sqrt(ex1[l1 - 1] ** 2 + ex2[l2 - 1] ** 2)
-    om_sq = sp1.eigenvalues[l1 - 1] + sp2.eigenvalues[l2 - 1]
-    om_h = np.sqrt(np.clip(om_sq, 0.0, None))
-    order = np.lexsort((l2, l1, om_exact))
-    return Spectrum2D(sp1=sp1, sp2=sp2, l1=l1[order], l2=l2[order],
-                      omega_exact=om_exact[order], omega_sq_h=om_sq[order],
-                      omega_h=om_h[order])
-
-
-def mode_errors_2d(sp: Spectrum2D) -> ModeErrorReport:
-    """Tensor-mode errors from the univariate ingredients.
-
+    eigenvalues (fast diagonalization); rows ascend in exact frequency,
+    ties by (l1, l2).  Passing one spectrum twice gives the square space.
     The eigenfunction error uses the exact identity
     e12^2 = e1^2 + e2^2 - e1^2 e2^2 / 2 for unit-norm product modes, so the
     accurately integrated univariate errors carry over without forming any
     2D quadrature grid.
     """
-    e1 = sp.sp1.e_fun[sp.l1 - 1]
-    e2 = sp.sp2.e_fun[sp.l2 - 1]
+    s1, s2 = sp1.spec, sp2.spec
+    w1, w2 = (exact_frequencies(s.bc, s.n) for s in (s1, s2))
+    l1, l2 = (l.ravel() for l in np.meshgrid(
+        np.arange(1, s1.n + 1), np.arange(1, s2.n + 1), indexing="ij"))
+    om_exact = np.sqrt(w1[l1 - 1] ** 2 + w2[l2 - 1] ** 2)
+    order = np.lexsort((l2, l1, om_exact))
+    l1, l2, om_exact = l1[order], l2[order], om_exact[order]
+    om_h = np.sqrt(np.clip(sp1.eigenvalues[l1 - 1] + sp2.eigenvalues[l2 - 1],
+                           0.0, None))
+    e1, e2 = sp1.e_fun[l1 - 1], sp2.e_fun[l2 - 1]
     e = np.sqrt(np.clip(e1 ** 2 + e2 ** 2 - 0.5 * e1 ** 2 * e2 ** 2,
                         0.0, None))
-    return _report((sp.sp1.spec, sp.sp2.spec), (sp.l1, sp.l2),
-                   sp.omega_exact, sp.omega_h, e, _bound_2d(sp))
+    return _report((s1, s2), (l1, l2), om_exact, om_h, e,
+                   _bound_2d(s1, s2, l1, l2, w1, w2))
 
 
-def _bound_2d(sp: Spectrum2D):
-    s1, s2 = sp.sp1.spec, sp.sp2.spec
+def _bound_2d(s1, s2, l1, l2, w1, w2):
     if s1.kind != SpaceKind.OPTIMAL or s2.kind != SpaceKind.OPTIMAL:
-        return np.full(sp.l1.size, np.nan)
+        return np.full(l1.size, np.nan)
     b1, b2 = _upper_bounds(s1), _upper_bounds(s2)
-    w1 = exact_frequencies(s1.bc, s1.n)
-    w2 = exact_frequencies(s2.bc, s2.n)
-    num = ((1.0 + b1[sp.l1 - 1]) * w1[sp.l1 - 1]) ** 2 \
-        + ((1.0 + b2[sp.l2 - 1]) * w2[sp.l2 - 1]) ** 2
-    den = w1[sp.l1 - 1] ** 2 + w2[sp.l2 - 1] ** 2
-    out = np.full(sp.l1.size, np.nan)
+    num = ((1.0 + b1[l1 - 1]) * w1[l1 - 1]) ** 2 \
+        + ((1.0 + b2[l2 - 1]) * w2[l2 - 1]) ** 2
+    den = w1[l1 - 1] ** 2 + w2[l2 - 1] ** 2
+    out = np.full(l1.size, np.nan)
     ok = den > 0.0
     out[ok] = np.sqrt(num[ok] / den[ok]) - 1.0
     return out

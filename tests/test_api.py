@@ -9,11 +9,12 @@ import pathlib
 import re
 
 import eigenspline
+from eigenspline.spectrum import ModeErrorReport
 
 PUBLIC = [
     "BoundaryType", "ConfigError", "KnotVector", "ManufacturedProblem1D",
     "ManufacturedProblem2D", "NumericalError", "SpaceKind", "SpaceSpec",
-    "Spectrum1D", "Spectrum2D", "SymBandMatrix", "assemble_load",
+    "Spectrum1D", "SymBandMatrix", "assemble_load",
     "assemble_mass", "assemble_stiffness", "basis_samples",
     "boundary_residuals", "bspline_eval_batch", "bspline_gram",
     "cardinal_bspline", "cardinal_bspline_derivative", "exact_frequencies",
@@ -22,11 +23,11 @@ PUBLIC = [
     "hermite_data_from_problem", "l2_projection", "make_space", "mode_errors",
     "mode_errors_2d", "outlier_count", "reduced_basis_matrix",
     "ritz_projection", "solve_poisson_1d", "solve_poisson_2d", "spectrum_1d",
-    "spectrum_2d",
 ]
 
 
 def test_public_names_pinned():
+    assert len(eigenspline.__all__) == 37
     assert len(set(eigenspline.__all__)) == len(eigenspline.__all__)
     assert sorted(eigenspline.__all__) == PUBLIC
 
@@ -35,6 +36,13 @@ def test_spectrum_record_fields_pinned():
     # a spectrum keeps no eigenvector matrix
     assert [f.name for f in dataclasses.fields(eigenspline.Spectrum1D)] == [
         "spec", "eigenvalues", "frequencies", "overlaps", "e_fun"]
+
+
+def test_mode_report_fields_pinned():
+    # the one record of a univariate or tensor report
+    assert [f.name for f in dataclasses.fields(ModeErrorReport)] == [
+        "specs", "ls", "omega_exact", "omega_h", "e_freq", "e_fun", "bound",
+        "zero_mode"]
 
 
 def test_public_names_resolve():

@@ -1,5 +1,6 @@
 """Tests for CSV emission, study runners and the command line interface."""
 
+import argparse
 import math
 import os
 import warnings
@@ -9,13 +10,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from eigenspline import ConfigError, ManufacturedProblem1D, NumericalError, \
-    make_space
+    make_space, mode_errors_2d, spectrum_1d
+from eigenspline import reports
 from eigenspline.cli import build_parser, main
 from eigenspline.reports import (CsvReport, StudyConfig, run_basis_dump,
                                  run_convergence_study, run_poisson_study,
                                  run_spectrum_study)
 from eigenspline.spaces import MAX_DEGREE
-from eigenspline.spectrum import EFUN_BLOCK, spectrum_2d
+from eigenspline.spectrum import EFUN_BLOCK
 from test_golden import STUDIES
 
 
@@ -155,11 +157,12 @@ class TestSpectrumStudies:
                           degrees=(3,), dims=(14,), bc=2)
         shared, summary = run_spectrum_study(cfg)
 
-        def separate(spec1, spec2):
-            return spectrum_2d(spec1, make_space(spec2.kind, spec2.p,
-                                                 spec2.n, spec2.bc))
+        def separate(sp1, sp2):
+            spec2 = sp2.spec
+            return mode_errors_2d(sp1, spectrum_1d(make_space(
+                spec2.kind, spec2.p, spec2.n, spec2.bc)))
 
-        monkeypatch.setattr("eigenspline.reports.spectrum_2d", separate)
+        monkeypatch.setattr("eigenspline.reports.mode_errors_2d", separate)
         apart, summary_apart = run_spectrum_study(cfg)
         assert shared.to_text() == apart.to_text()
         assert summary == summary_apart
@@ -351,6 +354,49 @@ class TestCli:
         assert (tmp_path / "conv_p3.csv").exists()
         msg = capsys.readouterr().out
         assert "p2_final_order_l2=" in msg and "p3_final_order_l2=" in msg
+
+    def test_failed_sweep_leaves_no_files(self, tmp_path, capsys,
+                                          monkeypatch):
+        # a numerical failure at the second degree: the first degree's
+        # files must not be left behind
+        real = reports.solve_poisson_1d
+
+        def failing(spec, prob, correct=False):
+            if spec.p == 3:
+                raise NumericalError("injected failure")
+            return real(spec, prob, correct=correct)
+
+        monkeypatch.setattr(reports, "solve_poisson_1d", failing)
+        code = main(["convergence", "--degrees", "2,3", "--dims", "8,16",
+                     "--preset", "sin2pi",
+                     "--out", str(tmp_path / "conv.csv")])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_parser_built_once(self, tmp_path, capsys, monkeypatch):
+        # the parser is built at most once per process, and a reused
+        # parser gives the same run each time
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            if self.prog == "eigenspline":
+                built.append(self)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        outs, csvs = [], []
+        for k in range(3):
+            out = tmp_path / f"s{k}.csv"
+            assert main(["spectrum", "--degree", "3", "--dim", "12",
+                         "--bc", "mixed", "--out", str(out)]) == 0
+            outs.append(capsys.readouterr().out)
+            csvs.append(out.read_bytes())
+        assert len(built) <= 1
+        assert outs[0] == outs[1] == outs[2]
+        assert csvs[0] == csvs[1] == csvs[2]
 
     def test_poisson_runs(self, tmp_path, capsys):
         code = main(["poisson1d", "--preset", "ex73", "--degree", "3",

@@ -21,17 +21,21 @@ from eigenspline import (
     outlier_count,
     reduced_basis_matrix,
     spectrum_1d,
-    spectrum_2d,
 )
-from eigenspline import spectrum
+from eigenspline import reports, spectrum
 from eigenspline.assembly import quadrature_grid
 from eigenspline.cli import main
-from eigenspline.spectrum import EFUN_BLOCK, collate_2d
+from eigenspline.reports import StudyConfig, run_spectrum_study
+from eigenspline.spectrum import EFUN_BLOCK
 from eigenspline.splines import basis_samples
 from exact_modes import (eigval_upper_bound, eigval_upper_bound_sharp,
                          exact_eigenfunction, wave_vectors)
 from kernel_oracles import band_matvec
 from kernel_oracles import eigenfunction_errors as loop_errors
+
+
+def _report_2d(spec1, spec2):
+    return mode_errors_2d(spectrum_1d(spec1), spectrum_1d(spec2))
 
 
 def _aligned_modes(sp):
@@ -493,14 +497,20 @@ class TestNoDenseMatrix:
 
     @pytest.mark.parametrize("p,n,bc", [(5, 1287, 0), (4, 1200, 1)])
     def test_shared_tensor_space(self, monkeypatch, p, n, bc):
-        # the collation's n^2 tensor modes are the study's output, not a
-        # matrix, so it is left out: the one 1D solve behind both
-        # directions is measured
-        sp = make_space("optimal", p, n, bc)
+        # the report's n^2 tensor modes are the study's output, not a
+        # matrix, so they are left out (the stub reports one direction):
+        # the one 1D solve behind both directions of a spectrum2d study is
+        # measured
+        cfg = StudyConfig(subcommand="spectrum2d", kind="optimal",
+                          degrees=(p,), dims=(n,), bc=bc)
         collated = []
-        monkeypatch.setattr(spectrum, "collate_2d",
-                            lambda sp1, sp2: collated.append((sp1, sp2)))
-        peak = _traced_peak(spectrum_2d, sp, sp)
+
+        def stub(sp1, sp2):
+            collated.append((sp1, sp2))
+            return mode_errors(sp1)
+
+        monkeypatch.setattr(reports, "mode_errors_2d", stub)
+        peak = _traced_peak(run_spectrum_study, cfg)
         assert len(collated) == 1 and collated[0][0] is collated[0][1]
         assert peak < 8 * n * n / 2
 
@@ -569,7 +579,7 @@ class TestModeErrors:
         sp = make_space("optimal", 4, 30, bc)
         sp1 = spectrum_1d(sp)
         expected = [eigval_upper_bound(l, 30, 4, bc) for l in range(1, 31)]
-        sp2 = spectrum_2d(sp, make_space("optimal", 3, 20, bc))
+        sp2 = spectrum_1d(make_space("optimal", 3, 20, bc))
         calls = []
 
         def counting(*args):
@@ -580,7 +590,7 @@ class TestModeErrors:
         assert mode_errors(sp1).bound.tolist() == expected
         assert len(calls) == 2
         del calls[:]
-        assert np.isfinite(mode_errors_2d(sp2).bound).any()
+        assert np.isfinite(mode_errors_2d(sp1, sp2).bound).any()
         assert len(calls) == 4
 
     def test_bound_monotone_in_mode(self):
@@ -650,25 +660,27 @@ class TestOutliers:
 
 class TestSpectrum2D:
     def test_sorted_by_exact_frequency(self):
-        sp = spectrum_2d(make_space("optimal", 2, 8, 0),
+        rep = _report_2d(make_space("optimal", 2, 8, 0),
                          make_space("optimal", 3, 7, 0))
-        assert np.all(np.diff(sp.omega_exact) >= 0)
-        assert sp.l1.size == 8 * 7
+        assert np.all(np.diff(rep.omega_exact) >= 0)
+        assert rep.ls[0].size == 8 * 7
 
     def test_squared_frequency_identity_bitwise(self):
         s1 = spectrum_1d(make_space("optimal", 3, 7, 0))
         s2 = spectrum_1d(make_space("optimal", 3, 6, 2))
-        sp = collate_2d(s1, s2)
-        recomputed = s1.eigenvalues[sp.l1 - 1] + s2.eigenvalues[sp.l2 - 1]
-        assert np.array_equal(sp.omega_sq_h, recomputed)
-        assert_allclose(sp.omega_h, np.sqrt(np.clip(sp.omega_sq_h, 0, None)))
+        rep = mode_errors_2d(s1, s2)
+        l1, l2 = rep.ls
+        recomputed = s1.eigenvalues[l1 - 1] + s2.eigenvalues[l2 - 1]
+        assert np.array_equal(rep.omega_h,
+                              np.sqrt(np.clip(recomputed, 0, None)))
+        assert_allclose(rep.omega_h ** 2, recomputed)
 
     def test_matches_kronecker_pencil(self):
         # independent route: assemble the full 2D pencil with Kronecker
         # products and solve it densely
         spx = make_space("optimal", 2, 6, 0)
         spy = make_space("optimal", 3, 5, 0)
-        sp = spectrum_2d(spx, spy)
+        rep = _report_2d(spx, spy)
         s1, m1 = (a.to_dense() for a in (assemble_stiffness(spx),
                                          assemble_mass(spx)))
         s2, m2 = (a.to_dense() for a in (assemble_stiffness(spy),
@@ -676,14 +688,13 @@ class TestSpectrum2D:
         big_s = np.kron(s1, m2) + np.kron(m1, s2)
         big_m = np.kron(m1, m2)
         w, _ = generalized_eigen_sym(big_s, big_m)
-        assert_allclose(np.sort(sp.omega_sq_h), w, rtol=1e-10, atol=1e-8)
+        assert_allclose(np.sort(rep.omega_h ** 2), w, rtol=1e-10, atol=1e-8)
 
     def test_mode_error_identity_vs_tensor_quadrature(self):
         # recompute the product-mode L2 error on an explicit 2D Gauss grid
         spx = make_space("optimal", 2, 6, 0)
         spy = make_space("optimal", 2, 5, 0)
-        sp = spectrum_2d(spx, spy)
-        rep = mode_errors_2d(sp)
+        rep = _report_2d(spx, spy)
         xs, wx = quadrature_grid(spx.breaks, spx.p + 3)
         ys, wy = quadrature_grid(spy.breaks, spy.p + 3)
         bx = reduced_basis_matrix(spx, xs, r=0)[0]
@@ -701,37 +712,42 @@ class TestSpectrum2D:
 
     def test_same_space_is_solved_once(self, monkeypatch):
         calls = []
-        real = spectrum_1d
+        reps = []
 
         def counting(spec):
             calls.append(spec)
-            return real(spec)
+            return spectrum_1d(spec)
 
-        spec = make_space("optimal", 3, 9, 1)
-        separate = mode_errors_2d(spectrum_2d(make_space("optimal", 3, 9, 1),
-                                              make_space("optimal", 3, 9, 1)))
-        monkeypatch.setattr("eigenspline.spectrum.spectrum_1d", counting)
-        shared = spectrum_2d(spec, spec)
-        assert len(calls) == 1 and shared.sp1 is shared.sp2
-        rep = mode_errors_2d(shared)
+        def capturing(sp1, sp2):
+            reps.append(mode_errors_2d(sp1, sp2))
+            return reps[-1]
+
+        separate = _report_2d(make_space("optimal", 3, 9, 1),
+                              make_space("optimal", 3, 9, 1))
+        monkeypatch.setattr(reports, "spectrum_1d", counting)
+        monkeypatch.setattr(reports, "mode_errors_2d", capturing)
+        run_spectrum_study(StudyConfig(subcommand="spectrum2d",
+                                       kind="optimal", degrees=(3,),
+                                       dims=(9,), bc=1))
+        assert len(calls) == 1 and len(reps) == 1
+        rep = reps[0]
         for name in ("ls", "omega_exact", "omega_h", "e_freq", "e_fun",
                      "bound", "zero_mode"):
             assert np.array_equal(getattr(rep, name), getattr(separate, name),
                                   equal_nan=name == "bound"), name
 
     def test_2d_bound_holds_for_optimal(self):
-        sp = spectrum_2d(make_space("optimal", 3, 9, 0),
+        rep = _report_2d(make_space("optimal", 3, 9, 0),
                          make_space("optimal", 3, 9, 0))
-        rep = mode_errors_2d(sp)
         ok = ~rep.zero_mode & np.isfinite(rep.bound)
         assert np.all(rep.e_freq[ok] <= rep.bound[ok] + 1e-12)
         assert np.all(rep.e_freq[ok] >= -1e-9)
 
     def test_2d_outlier_counts(self):
         opt = make_space("optimal", 3, 25, 0)
-        assert outlier_count(mode_errors_2d(spectrum_2d(opt, opt))) == 0
+        assert outlier_count(_report_2d(opt, opt)) == 0
         full = make_space("full", 3, 25, 0)
-        assert outlier_count(mode_errors_2d(spectrum_2d(full, full))) > 0
+        assert outlier_count(_report_2d(full, full)) > 0
 
     @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
     def test_2d_optimal_cli_study_is_clean(self, bc, capsys):
@@ -740,15 +756,14 @@ class TestSpectrum2D:
         assert "outliers=0" in capsys.readouterr().out
 
     def test_2d_outliers_require_long_branch(self):
-        sp = spectrum_2d(make_space("optimal", 5, 10, 0),
+        rep = _report_2d(make_space("optimal", 5, 10, 0),
                          make_space("optimal", 5, 30, 0))
         with pytest.raises(ConfigError):
-            outlier_count(mode_errors_2d(sp))
+            outlier_count(rep)
 
     def test_neumann_pair_zero_mode(self):
-        sp = spectrum_2d(make_space("optimal", 2, 8, 1),
+        rep = _report_2d(make_space("optimal", 2, 8, 1),
                          make_space("optimal", 2, 8, 1))
-        rep = mode_errors_2d(sp)
         assert rep.zero_mode[0]
         assert rep.ls[0][0] == 1 and rep.ls[1][0] == 1
         assert rep.e_freq[0] < 1e-5
