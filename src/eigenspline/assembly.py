@@ -7,10 +7,13 @@ points.  Elements are the knot spans intersected with [0, 1]
 (equivalently, consecutive breakpoints).  The per-element blocks are
 scattered straight into packed symmetric band storage, and reduced-space
 matrices are sparse congruence transforms of those banded B-spline Gram
-matrices by the space's stored sparse extraction, so neither a dense
+matrices by the space's stored sparse extraction (for full spaces, whose
+extraction selects B-splines, a slice of the band), so neither a dense
 n x n matrix nor a dense extraction is formed; loads and coefficient maps
-multiply by the same sparse extraction.  The direct quadrature route over
-the reduced basis exists in the test suite as an independent oracle.
+multiply by the same sparse extraction.  A spectrum takes its stiffness
+and mass from one evaluation of the B-splines.  The direct quadrature
+route over the reduced basis exists in the test suite as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .exceptions import ConfigError, NumericalError
-from .spaces import MAX_DEGREE, SpaceSpec
+from .spaces import MAX_DEGREE, SpaceKind, SpaceSpec
 from .splines import KnotVector, basis_samples, bspline_eval_batch
 
 MAX_GAUSS = MAX_DEGREE + 3
@@ -95,11 +98,61 @@ class SymBandMatrix:
         return scipy.sparse.dia_array((data, off), shape=(n, n))
 
     def to_dense(self):
-        return self.to_sparse().toarray()
+        """The dense n x n matrix, each diagonal copied from the band."""
+        n = self.n
+        out = np.zeros((n, n))
+        flat = out.reshape(-1)
+        for d in range(self.bandwidth + 1):
+            # flat indices d n + j (n + 1) of A[j + d, j], d + j (n + 1) of
+            # A[j, j + d]
+            diag = self.band[d, :n - d]
+            flat[d * n::n + 1][:n - d] = diag
+            flat[d::n + 1][:n - d] = diag
+        return out
 
     def matvec(self, x):
         """A @ x for a vector or an (n, k) block, in O(bandwidth * n * k)."""
         return self.to_sparse() @ np.asarray(x, dtype=float)
+
+    def mirror_halves(self):
+        """Even and odd halves of the mirror-symmetrised matrix
+        A' = (A + J A J) / 2, J the reversal of the index order.
+
+        With n = 2k or 2k + 1 and A11, A12 the leading k rows' blocks, the
+        halves are A11 + A12 J and A11 - A12 J, where A12 J is nonzero only
+        in the last ``bandwidth`` rows and columns; for odd n the middle
+        row and column of A' join the even half, off the diagonal scaled
+        by sqrt(2).  An eigenvector y of the even half is [y; Jy] / sqrt(2)
+        of A' (the middle entry of odd n unscaled), one of the odd half
+        [y; -Jy] / sqrt(2) (middle entry zero).  Returns (even, odd), of
+        sizes ceil(n/2) and floor(n/2) and of this bandwidth (or less when
+        a half is narrower), read from the band in O(n * bandwidth).
+        """
+        n, bw, band = self.n, self.bandwidth, self.band
+        k = n // 2
+        # A'[j + d, j] averages A[j + d, j] = band[d, j] with its mirror
+        # A[n-1-j, n-1-j-d] = band[d, n-1-d-j]
+        sym = np.zeros_like(band)
+        for d in range(bw + 1):
+            row = band[d, :n - d]
+            sym[d, :n - d] = 0.5 * (row + row[::-1])
+        halves = []
+        for sign, size in ((1.0, n - k), (-1.0, k)):
+            hbw = min(bw, max(size - 1, 0))
+            half = sym[:hbw + 1, :size].copy()
+            for d in range(1, hbw + 1):
+                half[d, size - d:] = 0.0
+            for d in range(hbw + 1):
+                # (A12 J)[j + d, j] = A'[j + d, n-1-j] = A'[n-1-j-d, j],
+                # within the band for the last rows j + d <= k - 1
+                j = np.arange(max(0, (n - d - bw) // 2), k - d)
+                half[d, j] += sign * sym[n - 1 - 2 * j - d, j]
+            if size > k:
+                # the middle row of odd n: row k, columns k - d
+                d = np.arange(1, hbw + 1)
+                half[d, k - d] *= np.sqrt(2.0)
+            halves.append(SymBandMatrix(n=size, bandwidth=hbw, band=half))
+        return tuple(halves)
 
     def solve(self, rhs, what):
         """x with A x = rhs for positive definite A.  Non-finite data and
@@ -120,25 +173,37 @@ def bspline_gram(knots: KnotVector, breaks, d):
     lower band of shape (p+1, nb), ``band[k, j] == G[j + k, j]`` (the
     :class:`SymBandMatrix` layout with bandwidth p, nb = n_el + p).
     """
-    p = knots.p
-    if not 0 <= d <= p:
+    if not 0 <= d <= knots.p:
         raise ConfigError("derivative order out of range")
+    return _gram_bands(knots, breaks, (d,))[0]
+
+
+def _gram_bands(knots: KnotVector, breaks, orders):
+    """Bands of :func:`bspline_gram` for each derivative order in
+    ``orders``, from one evaluation of the B-splines on the p+1-point grid.
+    The order-d values of a higher-order evaluation are those of an
+    order-d one, bit for bit, so each band is the one that
+    :func:`bspline_gram` returns for d."""
+    p = knots.p
     m = p + 1
     n_el = len(breaks) - 1
     xs, ws = quadrature_grid(breaks, m)
-    spans, vals = bspline_eval_batch(knots, d, xs)
-    v = vals[:, d, :].reshape(n_el, m, p + 1)
-    blocks = np.einsum("eqa,eqb,eq->eab", v, v, ws.reshape(n_el, m))
+    spans, vals = bspline_eval_batch(knots, max(orders), xs)
     # Element e's active B-splines start at column lo[e]; the columns are
     # distinct, so each scatter below touches every entry at most once.
     # Running a downward adds the elements in ascending order.
     lo = spans[::m]
-    band = np.zeros((p + 1, knots.num_basis))
-    for k in range(p + 1):
-        diag = np.diagonal(blocks, offset=-k, axis1=1, axis2=2)
-        for a in range(p - k, -1, -1):
-            band[k, lo + a] += diag[:, a]
-    return band
+    bands = []
+    for d in orders:
+        v = vals[:, d, :].reshape(n_el, m, p + 1)
+        blocks = np.einsum("eqa,eqb,eq->eab", v, v, ws.reshape(n_el, m))
+        band = np.zeros((p + 1, knots.num_basis))
+        for k in range(p + 1):
+            diag = np.diagonal(blocks, offset=-k, axis1=1, axis2=2)
+            for a in range(p - k, -1, -1):
+                band[k, lo + a] += diag[:, a]
+        bands.append(band)
+    return bands
 
 
 def _gram(spec: SpaceSpec, d) -> SymBandMatrix:
@@ -148,20 +213,41 @@ def _gram(spec: SpaceSpec, d) -> SymBandMatrix:
                          band=bspline_gram(kv, spec.breaks, d))
 
 
-def _congruence(spec: SpaceSpec, d):
+def _congruence(spec: SpaceSpec, gram) -> SymBandMatrix:
+    """E G E^T of the B-spline Gram band ``gram`` under the extraction E.
+
+    A full space's extraction selects the consecutive B-splines from the
+    first row's column on, so its product is that slice of the band, with
+    the entries that run past the matrix edge zeroed.  Fold extractions
+    take the sparse product, symmetrised."""
     e = spec.extraction
-    a = e @ _gram(spec, d).to_sparse() @ e.T
+    if spec.kind == SpaceKind.FULL:
+        n, p = spec.n, spec.p
+        lo = e.indices[0]
+        band = gram[:, lo:lo + n].copy()
+        for d in range(1, p + 1):
+            band[d, n - d:] = 0.0
+        return SymBandMatrix(n=n, bandwidth=p, band=band)
+    g = SymBandMatrix(n=spec.knots.num_basis, bandwidth=spec.p, band=gram)
+    a = e @ g.to_sparse() @ e.T
     return SymBandMatrix.from_sparse(0.5 * (a + a.T))
+
+
+def _pencil(spec: SpaceSpec):
+    """(stiffness, mass) of :func:`assemble_stiffness` and
+    :func:`assemble_mass`, from one evaluation of the B-splines."""
+    g1, g0 = _gram_bands(spec.knots, spec.breaks, (1, 0))
+    return _congruence(spec, g1), _congruence(spec, g0)
 
 
 def assemble_mass(spec: SpaceSpec) -> SymBandMatrix:
     """L2 Gram matrix of the reduced basis over [0, 1]."""
-    return _congruence(spec, 0)
+    return _congruence(spec, bspline_gram(spec.knots, spec.breaks, 0))
 
 
 def assemble_stiffness(spec: SpaceSpec) -> SymBandMatrix:
     """H1-seminorm Gram matrix of the reduced basis over [0, 1]."""
-    return _congruence(spec, 1)
+    return _congruence(spec, bspline_gram(spec.knots, spec.breaks, 1))
 
 
 def assemble_load(spec: SpaceSpec, f) -> np.ndarray:

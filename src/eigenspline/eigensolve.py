@@ -8,7 +8,10 @@ independent dense Jacobi-rotation oracle for small pencils.
 It is the package's only eigensolver and the only code that forms an
 eigenvector matrix: optimal and reduced spectra reach it only when their
 sampled waves fail the certificate in :mod:`eigenspline.spectrum`, full
-spectra always, and fast diagonalization calls it directly.
+spectra always, and fast diagonalization calls it directly.  A spectrum
+whose two ends share a boundary type calls it on the even and odd halves
+of its mirror-symmetric pencil, so dense n x n pencils remain only for
+mixed boundaries and fast diagonalization.
 """
 
 from __future__ import annotations

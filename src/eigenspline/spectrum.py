@@ -13,8 +13,12 @@ reflection-fold basis of :mod:`eigenspline.spaces` the exact waves sampled
 at the row centres are the discrete eigenvectors, and their Rayleigh
 quotients are samples of the cardinal-spline symbol.  They are accepted
 under a residual, ordering and M-orthonormality certificate and kept as
-eigenvalues and amplitudes only; full spaces and uncertified waves use the
-dense generalized eigensolver.  No spectrum keeps its eigenvectors.
+eigenvalues and amplitudes only.  Full spaces and uncertified waves use the
+generalized eigensolver: when both ends share a boundary type, x -> 1 - x
+maps the basis onto itself reversed, so the pencil splits into an even and
+an odd half of half the size (Cantoni & Butler, Linear Algebra Appl. 13,
+1976), each solved on its own; mixed ends solve the whole pencil.  No
+spectrum keeps its eigenvectors.
 
 Mode reports carry, per mode, the relative frequency error, the L2
 eigenfunction error (against the unit-norm exact eigenfunction, signs
@@ -32,8 +36,10 @@ no B-spline is sampled.  Full spaces and uncertified waves take the
 sampled pass: the B-splines are sampled once into a sparse matrix, rows
 scaled by the square roots of the weights, and each block of modes is
 mapped through the stored sparse extraction and sampled through it, the
-exact waves coming from angle addition over the span midpoints.  Modes go
-in fixed-size blocks, so no dense quadrature-points x n array is formed.
+exact waves coming from angle addition over the span midpoints.  Modes of
+a split pencil are even or odd, as are their exact waves, so that pass
+samples only the elements left of 1/2.  Modes go in fixed-size blocks,
+so no dense quadrature-points x n array is formed.
 The bound columns take the exact frequencies once per spectrum.
 """
 
@@ -43,8 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (assemble_mass, assemble_stiffness, gauss_legendre,
-                       quadrature_grid)
+from .assembly import _pencil, gauss_legendre, quadrature_grid
 from .eigensolve import generalized_eigen_sym
 from .exceptions import ConfigError
 from .spaces import (BoundaryType, SpaceKind, SpaceSpec, _layout_params,
@@ -100,18 +105,51 @@ class Spectrum1D:
 
 def spectrum_1d(spec: SpaceSpec) -> Spectrum1D:
     """Assemble and solve the eigenproblem on the space: certified waves
-    where they hold, else the dense solver and the sampled error pass."""
-    s, m = assemble_stiffness(spec), assemble_mass(spec)
+    where they hold, else the generalized eigensolver, on the two mirror
+    halves when both ends share a boundary type, and the sampled error
+    pass."""
+    s, m = _pencil(spec)
     waves = spec.kind != SpaceKind.FULL and _certified_waves(spec, s, m)
     if waves:
         w, nu = waves
         overlaps, e_fun = _wave_errors(spec, nu)
-    else:
+    elif spec.bc == BoundaryType.MIXED:
         w, v = generalized_eigen_sym(s, m)
         overlaps, e_fun = _eigenfunction_errors(spec, v)
+    else:
+        w, v, parity = _mirror_eigenpairs(s, m)
+        overlaps, e_fun = _eigenfunction_errors(spec, v, parity)
     return Spectrum1D(spec=spec, eigenvalues=w,
                       frequencies=np.sqrt(np.clip(w, 0.0, None)),
                       overlaps=np.abs(overlaps), e_fun=e_fun)
+
+
+def _mirror_eigenpairs(s, m):
+    """(eigenvalues ascending, M-orthonormal eigenvectors, parities) of a
+    pencil that commutes with the reversal J of the basis, as it does on
+    every space whose two ends share a boundary type (x -> 1 - x maps the
+    basis onto itself reversed).
+
+    The pencil is solved on the even and odd halves of
+    :meth:`SymBandMatrix.mirror_halves`, which split its mirror-symmetrised
+    form exactly; the eigenvalues merge by a stable sort, and column l is
+    [y; J y] / sqrt(2) with parity +1 or [y; -J y] / sqrt(2) with parity -1
+    (for odd n the even half's last entry is the middle one).
+    """
+    (s_even, s_odd), (m_even, m_odd) = s.mirror_halves(), m.mirror_halves()
+    w_even, y_even = generalized_eigen_sym(s_even, m_even)
+    w_odd, y_odd = generalized_eigen_sym(s_odd, m_odd)
+    order = np.argsort(np.concatenate((w_even, w_odd)), kind="stable")
+    parity = np.where(order < w_even.size, 1.0, -1.0)
+    n, k = s.n, w_odd.size
+    top = np.concatenate((y_even[:k], y_odd), axis=1)[:, order]
+    top *= np.sqrt(0.5)
+    v = np.empty((n, n))
+    v[:k] = top
+    np.multiply(top[::-1], parity, out=v[n - k:])
+    if n > 2 * k:
+        v[k] = np.concatenate((y_even[k], np.zeros(k)))[order]
+    return np.concatenate((w_even, w_odd))[order], v, parity
 
 
 def _certified_waves(spec: SpaceSpec, s, m):
@@ -174,7 +212,7 @@ def _symbol_frequencies(spec: SpaceSpec) -> np.ndarray:
     return np.sqrt(stiff / mass) / h
 
 
-def _eigenfunction_errors(spec: SpaceSpec, v):
+def _eigenfunction_errors(spec: SpaceSpec, v, parity=None):
     """L2 overlaps (before sign alignment) and sign-aligned L2 errors of
     the modes ``v[:, k]`` against the exact eigenfunctions l = k+1.
 
@@ -183,25 +221,55 @@ def _eigenfunction_errors(spec: SpaceSpec, v):
     :func:`_exact_waves` sqrt(w) times their amplitude, so each block of
     ``EFUN_BLOCK`` modes is one sparse product, two plain sums of
     products, a sign flip and a subtraction.
+
+    Without ``parity`` every element is sampled.  Given the modes' parity
+    under x -> 1 - x (+1 or -1 per mode, from :func:`_mirror_eigenpairs`,
+    on a space whose elements mirror each other), only the elements left
+    of 1/2 are sampled, the middle element of an odd element count at
+    half weight, and each sampled point stands for itself and its mirror,
+    where the exact wave takes its parity (-1)^(l-1) and the mode its
+    own.  With q the product of the two, the overlap is (1 + q) times the
+    sampled one and the squared error the sum of (u - s u_h)^2 and
+    (u - q s u_h)^2 over the sampled points, s the alignment sign.  A mode
+    whose parity is not its exact wave's (q = -1, as in the
+    near-degenerate top pair of a full space) has zero overlap and the
+    error sqrt(2 (|u|^2 + |u_h|^2)), whatever its sign.
     """
     n, m = spec.n, spec.p + 3
-    xs, ws = quadrature_grid(spec.breaks, m)
+    mid, offsets, weights, cls = _element_classes(spec, m)
+    n_el = spec.n_el if parity is None else (spec.n_el + 1) // 2
+    middle = parity is not None and spec.n_el % 2 == 1
+    xs, ws = quadrature_grid(spec.breaks[:n_el + 1], m)
+    if middle:
+        ws[-m:] *= 0.5
     b0 = basis_samples(spec.knots, xs, 0)[0]
     b0.data *= np.repeat(np.sqrt(ws), spec.p + 1)
-    mid, offsets, weights, cls = _element_classes(spec, m)
     omega = exact_frequencies(spec.bc, n)
     neumann = spec.bc == BoundaryType.NEUMANN
+    # q = 0 without parities: every point counts once
+    q = np.zeros(n) if parity is None \
+        else parity * np.where(np.arange(n) % 2, -1.0, 1.0)
     overlaps = np.empty(n)
     e_fun = np.empty(n)
     for lo in range(0, n, EFUN_BLOCK):
         blk = slice(lo, min(lo + EFUN_BLOCK, n))
-        ex = _exact_waves(mid, offsets, weights, cls, omega[blk], neumann)
+        ex = _exact_waves(mid[:n_el], offsets, weights, cls[:n_el],
+                          omega[blk], neumann)
+        if middle:
+            ex[-m:] *= np.sqrt(0.5)
         uh = b0 @ (spec.extraction.T @ v[:, blk])
-        ov = np.einsum("qk,qk->k", ex, uh)
+        ov = np.einsum("qk,qk->k", ex, uh) * (1.0 + q[blk])
+        # the modes of swapped parity, before the subtraction below
+        # overwrites the exact waves
+        flip = q[blk] < 0.0
+        e2_flip = 2.0 * (np.einsum("qk,qk->k", ex[:, flip], ex[:, flip])
+                         + np.einsum("qk,qk->k", uh[:, flip], uh[:, flip]))
         uh *= np.where(ov < 0.0, -1.0, 1.0)
         diff = np.subtract(ex, uh, out=ex)
+        e2 = np.einsum("qk,qk->k", diff, diff) * (1.0 + np.abs(q[blk]))
+        e2[flip] = e2_flip
         overlaps[blk] = ov
-        e_fun[blk] = np.sqrt(np.einsum("qk,qk->k", diff, diff))
+        e_fun[blk] = np.sqrt(e2)
         # free this block's samples before the next block allocates its own
         del ex, uh, diff
     return overlaps, e_fun

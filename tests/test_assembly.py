@@ -18,7 +18,8 @@ from eigenspline import (
     reduced_basis_matrix,
 )
 from eigenspline import poisson
-from eigenspline.assembly import _gram, bspline_load, quadrature_grid
+from eigenspline.assembly import (_congruence, _gram, _gram_bands, _pencil,
+                                  bspline_load, quadrature_grid)
 from eigenspline.splines import bspline_eval_batch
 from kernel_oracles import (band_matvec, band_to_dense, congruence_band,
                             trace_fit_band)
@@ -45,16 +46,38 @@ def _gram_dense(sp, d):
     return _gram(sp, d).to_dense()
 
 
-def _layout_sweep():
-    """Every kind x bc x p <= 10 at n = 25 and 97, where the space exists."""
-    for kind in ("full", "optimal", "reduced"):
+def _layout_sweep(sizes=lambda p: (25, 97),
+                  kinds=("full", "optimal", "reduced")):
+    """Every kind x bc x p <= 10 at the sizes n of p (by default n = 25 and
+    97), where the space exists."""
+    for kind in kinds:
         for bc in (0, 1, 2):
             for p in range(1, 11):
-                for n in (25, 97):
+                for n in sizes(p):
                     try:
                         yield make_space(kind, p, n, bc)
                     except ConfigError:
                         pass
+
+
+def _bitwise_sizes(p):
+    return 2 * p + 3, 40, 97
+
+
+def _dense_mirror_halves(a):
+    """The even and odd halves of (A + J A J) / 2 from dense blocks:
+    A11 +- A12 J, and for odd n the middle row and column joining the even
+    half, off the diagonal times sqrt(2)."""
+    n = a.shape[0]
+    k = n // 2
+    a = 0.5 * (a + a[::-1, ::-1])
+    a12j = a[:k, n - k:][:, ::-1]
+    even = np.zeros((n - k, n - k))
+    even[:k, :k] = a[:k, :k] + a12j
+    if n > 2 * k:
+        even[:k, k] = even[k, :k] = np.sqrt(2.0) * a[:k, k]
+        even[k, k] = a[k, k]
+    return even, a[:k, :k] - a12j
 
 
 def _random_band(rng, n, bw):
@@ -179,6 +202,44 @@ class TestBandMatrix:
         a.band[3] = 0.0
         b = SymBandMatrix.from_sparse(a.to_sparse())
         assert b.bandwidth == 2 and np.array_equal(b.band, a.band[:3])
+
+    def test_mirror_halves_match_dense_blocks(self):
+        # read from the band, the halves equal the dense block formulas
+        # entry for entry (the same sums, each entry formed once), with
+        # nothing past their edges, for every n and bandwidth below n; a
+        # half narrower than the bandwidth keeps its own (size - 1)
+        rng = np.random.default_rng(15)
+        for n in range(1, 30):
+            for bw in range(min(8, n - 1) + 1):
+                a = _random_band(rng, n, bw)
+                halves = a.mirror_halves()
+                for half, ref in zip(halves, _dense_mirror_halves(
+                        a.to_dense())):
+                    assert half.n == ref.shape[0]
+                    assert half.bandwidth == min(bw, max(half.n - 1, 0))
+                    assert np.array_equal(half.to_dense(), ref)
+                    assert np.array_equal(half.to_dense(),
+                                          band_to_dense(half))
+                assert [h.n for h in halves] == [n - n // 2, n // 2]
+
+    def test_mirror_halves_split_the_spectrum(self):
+        # the halves' eigenpairs, mapped through [y; +-Jy] / sqrt(2) (the
+        # middle entry of odd n unscaled), are those of the symmetrised
+        # matrix
+        rng = np.random.default_rng(16)
+        for n, bw in ((10, 3), (11, 3), (12, 5), (13, 1)):
+            a = _random_band(rng, n, bw)
+            sym = 0.5 * (a.to_dense() + a.to_dense()[::-1, ::-1])
+            k = n // 2
+            for sign, half in zip((1.0, -1.0), a.mirror_halves()):
+                w, y = np.linalg.eigh(half.to_dense())
+                v = np.zeros((n, half.n))
+                v[:k] = y[:k] / np.sqrt(2.0)
+                v[n - k:] = sign * y[:k][::-1] / np.sqrt(2.0)
+                if half.n > k:
+                    v[k] = y[k]
+                assert_allclose(v.T @ v, np.eye(half.n), atol=1e-14)
+                assert_allclose(sym @ v, v * w, atol=1e-13)
 
     def test_from_sparse_sums_duplicates(self):
         a = scipy.sparse.coo_array(([1.0, 2.0, 3.0, 3.0],
@@ -330,6 +391,54 @@ class TestGramOracles:
         bspline_gram(sp.knots, sp.breaks, 1)
         assert len(calls) == 1
         assert calls[0][2].size == sp.n_el * (sp.p + 1)
+
+    def test_pencil_is_one_evaluation_and_bitwise(self, monkeypatch):
+        # both Gram bands from one order-1 evaluation: the pencil equals
+        # the two public assemblies byte for byte on every space of the
+        # sweep (the order-0 values of an order-1 evaluation are those of
+        # an order-0 one)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return bspline_eval_batch(*args, **kwargs)
+
+        checked = 0
+        for sp in _layout_sweep(_bitwise_sizes):
+            s_ref, m_ref = assemble_stiffness(sp), assemble_mass(sp)
+            monkeypatch.setattr("eigenspline.assembly.bspline_eval_batch",
+                                counting)
+            calls.clear()
+            s, m = _pencil(sp)
+            monkeypatch.undo()
+            assert calls == [1]
+            for got, ref in ((s, s_ref), (m, m_ref)):
+                assert (got.n, got.bandwidth) == (ref.n, ref.bandwidth)
+                assert got.band.tobytes() == ref.band.tobytes()
+            g1, g0 = _gram_bands(sp.knots, sp.breaks, (1, 0))
+            assert g0.tobytes() == bspline_gram(sp.knots, sp.breaks,
+                                                0).tobytes()
+            checked += 1
+        assert checked == 195
+
+    def test_full_congruence_is_a_band_slice(self, monkeypatch):
+        # a full space's extraction selects B-splines, so its congruence
+        # is a slice of the B-spline band with the past-edge entries
+        # zeroed: byte for byte the sparse product of the hand route, and
+        # no sparse copy of the band is made
+        copies = []
+        monkeypatch.setattr(SymBandMatrix, "to_sparse",
+                            lambda self: copies.append(self.n))
+        checked = 0
+        for sp in _layout_sweep(_bitwise_sizes, ("full",)):
+            for d in (0, 1):
+                got = _congruence(sp, bspline_gram(sp.knots, sp.breaks, d))
+                bw, band = congruence_band(sp, d)
+                assert (got.n, got.bandwidth) == (sp.n, bw)
+                assert got.band.tobytes() == band.tobytes()
+                checked += 1
+        assert copies == []
+        assert checked == 2 * 90
 
     @pytest.mark.parametrize("kind,p,n,bc", [
         ("full", 3, 9, 0), ("full", 5, 9, 1), ("optimal", 3, 9, 1),

@@ -27,7 +27,7 @@ from eigenspline.assembly import quadrature_grid
 from eigenspline.cli import main
 from eigenspline.reports import StudyConfig, run_spectrum_study
 from eigenspline.spectrum import EFUN_BLOCK
-from eigenspline.splines import basis_samples
+from eigenspline.splines import basis_samples, bspline_eval_batch
 from exact_modes import (eigval_upper_bound, eigval_upper_bound_sharp,
                          exact_eigenfunction, wave_vectors)
 from kernel_oracles import band_matvec
@@ -41,17 +41,22 @@ def _report_2d(spec1, spec2):
 def _aligned_modes(sp):
     """Eigenvalues and M-orthonormal eigenvectors of the space as
     ``spectrum_1d`` takes them (the certified waves rebuilt from their
-    amplitudes, else the dense solver's pairs), each vector flipped by the
-    sign of its raw overlap in the error pass that ``spectrum_1d`` calls."""
+    amplitudes, else the pairs of the two mirror halves when both ends
+    share a boundary type, else the dense solver's pairs), each vector
+    flipped by the sign of its raw overlap in the error pass that
+    ``spectrum_1d`` calls."""
     s, m = assemble_stiffness(sp), assemble_mass(sp)
     waves = sp.kind != SpaceKind.FULL and spectrum._certified_waves(sp, s, m)
     if waves:
         w, nu = waves
         v = wave_vectors(sp, nu)
         ov, _ = spectrum._wave_errors(sp, nu)
-    else:
+    elif sp.bc == BoundaryType.MIXED:
         w, v = generalized_eigen_sym(s, m)
         ov, _ = spectrum._eigenfunction_errors(sp, v)
+    else:
+        w, v, parity = spectrum._mirror_eigenpairs(s, m)
+        ov, _ = spectrum._eigenfunction_errors(sp, v, parity)
     return w, v * np.where(ov < 0.0, -1.0, 1.0)
 
 
@@ -168,7 +173,9 @@ class TestEigenfunctionErrorPass:
         assert np.all(spec.overlaps >= 0.0)
 
     def test_one_basis_evaluation_and_no_dense_basis(self, monkeypatch):
-        # the sampled pass, which full spaces take
+        # the sampled pass, which full spaces take: over every element for
+        # mixed ends, over those left of 1/2 and an odd middle one for
+        # mirrored ends
         evals, dense = [], []
 
         def counting(*args, **kwargs):
@@ -183,30 +190,39 @@ class TestEigenfunctionErrorPass:
         for target in ("eigenspline.spaces", "eigenspline.spectrum"):
             monkeypatch.setattr(f"{target}.reduced_basis_matrix", forbidden,
                                 raising=False)
-        sp = make_space("full", 5, 2 * EFUN_BLOCK + 7, 0)
-        spectrum_1d(sp)
-        assert len(evals) == 1
-        assert evals[0][2] == 0
-        assert evals[0][1].size == sp.n_el * (sp.p + 3)
-        assert not dense
+        for bc, n, elements in ((2, 2 * EFUN_BLOCK + 7, lambda k: k),
+                                (0, 2 * EFUN_BLOCK + 7, lambda k: k // 2),
+                                (1, 2 * EFUN_BLOCK + 8,
+                                 lambda k: (k + 1) // 2)):
+            evals.clear()
+            sp = make_space("full", 5, n, bc)
+            spectrum_1d(sp)
+            assert len(evals) == 1
+            assert evals[0][2] == 0
+            assert evals[0][1].size == elements(sp.n_el) * (sp.p + 3)
+            assert not dense
 
     def test_working_memory_far_below_dense_samples(self, monkeypatch):
         # the eigenpairs are computed outside the measurement, and handed
-        # back by the dense solver in place of the certified waves so that
-        # the sampled pass runs; what is left is assembly plus the error
-        # pass, which must hold no (quadrature points x n) array, and
-        # which must peak below the same study run with the loop pass
-        # (explicit weight products and per-element offset gathers)
+        # back by the mirror split in place of the certified waves so that
+        # the sampled pass runs (the waves of mode l have the parity
+        # (-1)^(l-1) of sin(l pi x) about 1/2); what is left is assembly
+        # plus the error pass, which must hold no (quadrature points x n)
+        # array, and which must peak below the same study run with the
+        # loop pass (explicit weight products and per-element offset
+        # gathers, over the whole interval)
         sp = make_space("optimal", 5, 1287, 0)
         w, nu = spectrum._certified_waves(sp, assemble_stiffness(sp),
                                           assemble_mass(sp))
         v = wave_vectors(sp, nu)
+        parity = np.where(np.arange(sp.n) % 2, -1.0, 1.0)
         monkeypatch.setattr(spectrum, "_certified_waves",
                             lambda spec, s, m: None)
-        monkeypatch.setattr(spectrum, "generalized_eigen_sym",
-                            lambda s, m: (w, v))
+        monkeypatch.setattr(spectrum, "_mirror_eigenpairs",
+                            lambda s, m: (w, v, parity))
         peaks = []
-        for errors in (spectrum._eigenfunction_errors, loop_errors):
+        for errors in (spectrum._eigenfunction_errors,
+                       lambda spec, v, parity: loop_errors(spec, v)):
             monkeypatch.setattr(spectrum, "_eigenfunction_errors", errors)
             tracemalloc.start()
             try:
@@ -410,12 +426,16 @@ class TestWaveEigenpairs:
         ("optimal", 3, 40, 0, 0), ("optimal", 4, 40, 1, 0),
         ("optimal", 5, 40, 2, 0), ("reduced", 4, 40, 0, 0),
         ("optimal", 2, 2 * EFUN_BLOCK + 7, 1, 0), ("full", 3, 40, 0, 1),
+        ("full", 4, 41, 1, 1), ("full", 3, 40, 2, 1),
     ])
     def test_dense_solver_only_for_full_spaces(self, monkeypatch, kind, p,
                                                n, bc, dense):
+        # a full space is solved once: mixed ends as one pencil, mirrored
+        # ends as their even and odd halves, ceil(n/2) and floor(n/2)
         calls = _counting_eigensolver(monkeypatch)
         spectrum_1d(make_space(kind, p, n, bc))
-        assert len(calls) == dense
+        sizes = [n] if bc == BoundaryType.MIXED else [n - n // 2, n // 2]
+        assert calls == sizes * dense
 
     @pytest.mark.parametrize("kind,p,n,bc", [
         ("optimal", 3, 30, 0), ("optimal", 4, 30, 1), ("optimal", 6, 30, 2),
@@ -434,17 +454,21 @@ class TestWaveEigenpairs:
 
     @pytest.mark.parametrize("bc", [0, 1, 2])
     def test_failed_certificate_falls_back(self, monkeypatch, bc):
-        # no residual can meet a zero tolerance: the dense solver runs once
-        # and its pairs go unchanged to the report and the error pass
+        # no residual can meet a zero tolerance: the solver runs once on
+        # the pencil (mixed ends) or on each mirror half, and its pairs go
+        # unchanged to the report and the error pass
         sp = make_space("optimal", 4, 30, bc)
         s, m = assemble_stiffness(sp), assemble_mass(sp)
-        w_ref, v_ref = generalized_eigen_sym(s, m)
+        if bc == BoundaryType.MIXED:
+            (w_ref, v_ref), parity = generalized_eigen_sym(s, m), None
+        else:
+            w_ref, v_ref, parity = spectrum._mirror_eigenpairs(s, m)
         calls = _counting_eigensolver(monkeypatch)
         monkeypatch.setattr(spectrum, "WAVE_TOL", 0.0)
         assert spectrum._certified_waves(sp, s, m) is None
         result = spectrum_1d(sp)
-        assert len(calls) == 1
-        overlaps, e_fun = spectrum._eigenfunction_errors(sp, v_ref)
+        assert len(calls) == (1 if parity is None else 2)
+        overlaps, e_fun = spectrum._eigenfunction_errors(sp, v_ref, parity)
         assert np.array_equal(result.overlaps, np.abs(overlaps)) \
             and np.array_equal(result.e_fun, e_fun)
         assert np.array_equal(result.eigenvalues, w_ref)
@@ -474,6 +498,130 @@ class TestWaveEigenpairs:
         w_ref, _ = generalized_eigen_sym(assemble_stiffness(sp),
                                          assemble_mass(sp))
         assert np.array_equal(w, w_ref)
+
+
+# Split against dense eigenvalues, relative, in units of n^2 eps (the
+# growth of cond(S), as for WAVE_TOL): each route is backward stable, and
+# the symmetrisation moves the pencil's entries by about 1e-13 of their
+# size, so a low mode's eigenvalue moves by a small multiple of
+# eps cond(S) either way.  The largest gap measured over the cases below
+# is 0.62 n^2 eps (full Neumann p=4, n=401, mode 2).
+SPLIT_WINDOW = 4.0
+# Galerkin frequencies never undercut the exact ones, so a negative
+# relative frequency error is round-off; this floor is a tenth of the
+# benchmark's -1e-10 output check.
+ROUND_OFF_FLOOR = -1e-11
+
+
+class TestMirrorSplit:
+    """Spaces whose ends share a boundary type solve their pencil as two
+    half-size pencils and take the error pass over half the interval."""
+
+    @pytest.mark.parametrize("p,n,bc", [
+        (5, 1112, 0), (5, 1113, 0), (4, 1200, 1), (3, 255, 0),
+        (4, 401, 1), (8, 300, 0), (3, 88, 0), (2, 7, 1),
+    ])
+    def test_eigenvalues_against_dense(self, p, n, bc):
+        sp = make_space("full", p, n, bc)
+        s, m = assemble_stiffness(sp), assemble_mass(sp)
+        w, v, parity = spectrum._mirror_eigenpairs(s, m)
+        w_ref, _ = generalized_eigen_sym(s, m)
+        nonzero = np.abs(w_ref) > 1e-8
+        gap = np.abs(w - w_ref)[nonzero] / w_ref[nonzero]
+        assert gap.max() <= SPLIT_WINDOW * n * n * np.finfo(float).eps
+        # the Neumann constant sits at zero on both routes
+        assert np.abs(w[~nonzero]).max(initial=0.0) <= 1e-8
+        # M-orthonormal on the stored mass matrix
+        eye = v.T @ m.to_dense() @ v - np.eye(n)
+        assert np.abs(eye).max() <= \
+            spectrum.WAVE_TOL * n * n * np.finfo(float).eps
+        # the vectors are even or odd as their parity says
+        assert np.array_equal(v[::-1], v * parity)
+
+    @pytest.mark.parametrize("p,n,bc", [(5, 1113, 0), (4, 1200, 1)])
+    def test_low_mode_round_off_floor(self, p, n, bc):
+        # the dense solve of the whole pencil reads -2.7e-11 and -3.0e-11
+        # here, the split -1.3e-12 and -9.8e-13
+        rep = mode_errors(spectrum_1d(make_space("full", p, n, bc)))
+        assert rep.e_freq[~rep.zero_mode].min() >= ROUND_OFF_FLOOR
+
+    def test_half_pass_matches_full_grid(self):
+        # on the full spaces of the loop-oracle sweep with mirrored ends,
+        # and on the near-degenerate top pair of full Dirichlet p=3, n=88,
+        # whose parities are swapped against their exact waves' (q = -1)
+        checked, swapped = 0, 0
+        spaces = [sp for sp in _oracle_spaces()
+                  if sp.kind == SpaceKind.FULL
+                  and sp.bc != BoundaryType.MIXED]
+        spaces.append(make_space("full", 3, 88, 0))
+        for sp in spaces:
+            _, v, parity = spectrum._mirror_eigenpairs(
+                assemble_stiffness(sp), assemble_mass(sp))
+            overlaps, e_fun = spectrum._eigenfunction_errors(sp, v, parity)
+            overlaps_ref, e_fun_ref = spectrum._eigenfunction_errors(sp, v)
+            assert_allclose(e_fun, e_fun_ref, rtol=0, atol=1e-13)
+            assert_allclose(overlaps, overlaps_ref, rtol=0, atol=1e-13)
+            checked += 1
+            q = parity * np.where(np.arange(sp.n) % 2, -1.0, 1.0)
+            swapped += np.count_nonzero(q < 0.0)
+        assert checked == 21
+        assert swapped == 2
+
+    def test_swapped_parity_modes_are_sign_definite(self):
+        # a mode of the opposite parity to its exact wave has zero overlap
+        # and the same error whatever its sign
+        sp = make_space("full", 3, 88, 0)
+        _, v, parity = spectrum._mirror_eigenpairs(assemble_stiffness(sp),
+                                                   assemble_mass(sp))
+        q = parity * np.where(np.arange(sp.n) % 2, -1.0, 1.0)
+        assert list(np.flatnonzero(q < 0.0) + 1) == [87, 88]
+        overlaps, e_fun = spectrum._eigenfunction_errors(sp, v, parity)
+        flipped, e_fun_flipped = spectrum._eigenfunction_errors(sp, -v,
+                                                                parity)
+        assert np.all(overlaps[q < 0.0] == 0.0)
+        assert np.array_equal(e_fun_flipped, e_fun)
+        assert np.array_equal(flipped, -overlaps)
+
+    def test_one_evaluation_per_spectrum(self, monkeypatch):
+        # stiffness and mass come from one order-1 evaluation of the
+        # B-splines on the (p+1)-point grid
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append((args[1], args[2].size))
+            return bspline_eval_batch(*args, **kwargs)
+
+        monkeypatch.setattr("eigenspline.assembly.bspline_eval_batch",
+                            counting)
+        for kind, p, n, bc in (("full", 5, 40, 0), ("full", 3, 40, 2),
+                               ("optimal", 4, 40, 1), ("reduced", 4, 30, 0)):
+            calls.clear()
+            sp = make_space(kind, p, n, bc)
+            spectrum_1d(sp)
+            assert calls == [(1, sp.n_el * (p + 1))]
+
+    @pytest.mark.parametrize("kind,p,n,bc", [
+        ("full", 3, 20, 2), ("full", 5, 41, 2), ("optimal", 3, 30, 0),
+        ("optimal", 4, 30, 1), ("optimal", 5, 30, 2), ("reduced", 4, 30, 0),
+    ])
+    def test_mixed_and_certified_spectra_unchanged(self, kind, p, n, bc):
+        # spectra that take neither the split nor the half pass: the
+        # dense solve of the whole pencil and the full-grid pass, or the
+        # certified waves, exactly as their routes give them
+        sp = make_space(kind, p, n, bc)
+        s, m = assemble_stiffness(sp), assemble_mass(sp)
+        result = spectrum_1d(sp)
+        waves = spectrum._certified_waves(sp, s, m) \
+            if kind != "full" else None
+        if waves:
+            w, nu = waves
+            overlaps, e_fun = spectrum._wave_errors(sp, nu)
+        else:
+            w, v = generalized_eigen_sym(s, m)
+            overlaps, e_fun = spectrum._eigenfunction_errors(sp, v)
+        assert np.array_equal(result.eigenvalues, w)
+        assert np.array_equal(result.overlaps, np.abs(overlaps))
+        assert np.array_equal(result.e_fun, e_fun)
 
 
 def _traced_peak(f, *args):
