@@ -139,7 +139,8 @@ def _mirror_eigenpairs(s, m):
     (s_even, s_odd), (m_even, m_odd) = s.mirror_halves(), m.mirror_halves()
     w_even, y_even = generalized_eigen_sym(s_even, m_even)
     w_odd, y_odd = generalized_eigen_sym(s_odd, m_odd)
-    order = np.argsort(np.concatenate((w_even, w_odd)), kind="stable")
+    w = np.concatenate((w_even, w_odd))
+    order = np.argsort(w, kind="stable")
     parity = np.where(order < w_even.size, 1.0, -1.0)
     n, k = s.n, w_odd.size
     top = np.concatenate((y_even[:k], y_odd), axis=1)[:, order]
@@ -149,7 +150,7 @@ def _mirror_eigenpairs(s, m):
     np.multiply(top[::-1], parity, out=v[n - k:])
     if n > 2 * k:
         v[k] = np.concatenate((y_even[k], np.zeros(k)))[order]
-    return np.concatenate((w_even, w_odd))[order], v, parity
+    return w[order], v, parity
 
 
 def _certified_waves(spec: SpaceSpec, s, m):

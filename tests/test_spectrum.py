@@ -252,7 +252,8 @@ class TestEigenfunctionErrorPass:
 
 class TestErrorPassRouting:
     """Certified waves take the closed form, everything else the sampled
-    pass; both must match the dense route."""
+    pass (over half the interval when both ends share a boundary type);
+    both must match the dense route."""
 
     @staticmethod
     def _passes(monkeypatch):
