@@ -18,6 +18,7 @@ oracle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +33,16 @@ MAX_GAUSS = MAX_DEGREE + 3
 
 
 def gauss_legendre(m):
-    """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1]."""
+    """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1],
+    fresh copies of the rule computed once per m."""
     if not 1 <= m <= MAX_GAUSS:
         raise ConfigError("gauss rule size out of range")
+    x, w = _leggauss(m)
+    return x.copy(), w.copy()
+
+
+@functools.cache
+def _leggauss(m):
     return np.polynomial.legendre.leggauss(m)
 
 
@@ -288,20 +296,33 @@ def _error_norm(what, blocks):
     """sqrt of the quadrature sum of w * (d_1**2 + d_2**2 + ...).
 
     ``blocks`` yields one ``(w, d_1, d_2, ...)`` tuple per block of
-    quadrature points: the weights and the error samples there.  Each
-    block's ``np.sum`` is added to a running total, so a caller bounds its
-    working memory by its block size, and a single block sums exactly as
-    one ``np.sum`` over all points.  The blocks are consumed under
-    ``np.errstate``: a total that overflows (a huge error squared) or is
-    otherwise not finite raises NumericalError instead of warning.
+    quadrature points: the weights and the error samples there, which are
+    squared and added in place, so no further array of the block's size is
+    formed.  Samples on a line take their weight vector ``w`` as
+    ``np.sum(w * sq)``; (nq2, rows) samples on a tensor grid take the pair
+    ``w = (w2, w1)`` of their axes' weights as
+    ``einsum("qr,q->r", sq, w2) @ w1``, so no weight grid is formed.  Each
+    block's sum is added to a running total, so a caller bounds its
+    working memory by its block size, and a single block of line samples
+    sums exactly as one ``np.sum`` over all points.  The blocks are
+    consumed (and a generator's samples computed) under ``np.errstate``: a
+    total that overflows (a huge error squared) or is otherwise not finite
+    raises NumericalError instead of warning.
     """
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for w, *diffs in blocks:
-            sq = diffs[0] ** 2
-            for d in diffs[1:]:
-                sq += d ** 2
-            total += np.sum(w * sq)
+            sq = diffs[0]
+            sq *= sq
+            for k in range(1, len(diffs)):
+                diffs[k] *= diffs[k]
+                sq += diffs[k]
+            if isinstance(w, tuple):
+                total += np.einsum("qr,q->r", sq, w[0]) @ w[1]
+            else:
+                total += np.sum(w * sq)
+            # free this block's samples before the next block forms its own
+            del sq, diffs
         total = np.sqrt(total)
     return float(_finite(total, f"{what} error integral"))
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .assembly import SymBandMatrix
+from .assembly import SymBandMatrix, _finite
 from .exceptions import NumericalError
 
 
@@ -27,12 +27,15 @@ def generalized_eigen_sym(s: SymBandMatrix, m: SymBandMatrix):
     """Solve S v = lambda M v for symmetric S and positive definite M.
 
     Returns (eigenvalues ascending, eigenvectors as columns) with the
-    vectors M-orthonormal: V.T @ M @ V == I.
+    vectors M-orthonormal: V.T @ M @ V == I.  A non-finite entry in S or M
+    raises NumericalError.
     """
     a = s.to_dense() if isinstance(s, SymBandMatrix) else np.asarray(s, float)
     b = m.to_dense() if isinstance(m, SymBandMatrix) else np.asarray(m, float)
+    _finite(a, "eigensolve: stiffness")
+    _finite(b, "eigensolve: mass")
     try:
-        w, v = scipy.linalg.eigh(a, b)
+        w, v = scipy.linalg.eigh(a, b, check_finite=False)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
     return w, v

@@ -21,7 +21,9 @@ interpolates the corner jets in both directions.
 Dirichlet boundaries only; the 2D solve runs through fast diagonalization
 of the two univariate pencils.  The 2D load and error integrals run over
 blocks of ``ROW_BLOCK`` x1 quadrature rows, so no full tensor grid of
-samples is ever formed.
+samples is ever formed; within a block the samples are weighted, and the
+residuals formed and squared, in place, with the weights applied per
+axis, so no weight grid is formed either.
 """
 
 from __future__ import annotations
@@ -314,7 +316,11 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
     and solves it once.  The load and the L2/H1 error integrals use the
     p+3-point rule in each direction and run over blocks of ``ROW_BLOCK``
     x1 quadrature rows: f, u and the discrete solution are only ever
-    sampled on one block of rows times the whole x2 grid.
+    sampled on one block of rows times the whole x2 grid.  Each block's
+    samples of f are weighted in place by the two directions' weight
+    vectors, and each residual (exact minus discrete) is taken in the
+    array the exact values were sampled into, then squared and summed in
+    place by :func:`~eigenspline.assembly._error_norm`.
     """
     if spec1.bc != BoundaryType.DIRICHLET \
             or spec2.bc != BoundaryType.DIRICHLET:
@@ -328,16 +334,22 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
 
     def on_block(fn, blk):
         """fn on the block's x1 rows times the x2 grid, stored (nq2, rows)
-        so that the sparse products below take it without a copy."""
-        return np.asarray(fn(xs1[None, blk], xs2[:, None]), dtype=float)
-
-    def weights(blk):
-        return ws2[:, None] * ws1[None, blk]
+        so that the sparse products below take it without a copy; a fresh
+        array of the block's shape, which the caller overwrites (a view or
+        a smaller broadcast result is copied out first)."""
+        x1, x2 = xs1[None, blk], xs2[:, None]
+        v = np.asarray(fn(x1, x2), dtype=float)
+        if v.base is not None or v.shape != (x2.size, x1.size):
+            v = np.array(np.broadcast_to(v, (x2.size, x1.size)))
+        return v
 
     bb = np.zeros((spec1.knots.num_basis, spec2.knots.num_basis))
     for blk in blocks:
-        wf = weights(blk) * on_block(prob.f, blk)
+        wf = on_block(prob.f, blk)
+        wf *= ws2[:, None]
+        wf *= ws1[None, blk]
         bb += phi1[0][blk].T @ (phi2[0].T @ wf).T
+        del wf
 
     corr = None
     if correct:
@@ -358,13 +370,17 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
             ctot = ctot + corr
 
         def miss(fn, d, e, blk):
-            """Exact minus discrete (d, e)-derivative on the block."""
-            return on_block(fn, blk) - phi2[e] @ (phi1[d][blk] @ ctot).T
+            """Exact minus discrete (d, e)-derivative on the block, taken
+            in place."""
+            m = on_block(fn, blk)
+            m -= phi2[e] @ (phi1[d][blk] @ ctot).T
+            return m
 
-        err_l2 = _error_norm("L2", ((weights(blk), miss(prob.u, 0, 0, blk))
+        err_l2 = _error_norm("L2", (((ws2, ws1[blk]),
+                                     miss(prob.u, 0, 0, blk))
                                     for blk in blocks))
         if prob.u_x1 is not None and prob.u_x2 is not None:
-            err_h1 = _error_norm("H1", ((weights(blk),
+            err_h1 = _error_norm("H1", (((ws2, ws1[blk]),
                                          miss(prob.u_x1, 1, 0, blk),
                                          miss(prob.u_x2, 0, 1, blk))
                                         for blk in blocks))

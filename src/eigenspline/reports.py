@@ -68,7 +68,9 @@ class CsvReport:
 
     Integer and boolean columns print as integers, every other column as
     binary64 floats with 17 significant digits; NaN (and None, which a
-    column converts to NaN) is a blank cell.  ``rows`` is a read-only view
+    column converts to NaN) is a blank cell.  Rows are formatted in blocks
+    of ``CSV_BLOCK``, and within a block a float column formats each
+    distinct value (by bit pattern) once.  ``rows`` is a read-only view
     of the same table as row tuples in which blank cells read as None.
     """
 
@@ -130,10 +132,22 @@ def _as_column(values):
 
 
 def _format_column(col):
+    """Cells of one block of a column.  A float column formats each value
+    that is distinct by bit pattern once (so -0.0 and 0.0, and NaNs of
+    different payloads, stay apart) and gathers its cells by the inverse
+    index: a tensor report repeats each (l1, l2) and (l2, l1) pair's values
+    bit for bit."""
     if col.dtype.kind in "iu":
         return list(map(str, col.tolist()))
-    cells = list(map("%.17g".__mod__, col.tolist()))
-    for k in np.flatnonzero(np.isnan(col)).tolist():
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    cells = np.array(_format_floats(bits.view(float)), dtype=object)
+    return cells[inverse].tolist()
+
+
+def _format_floats(values):
+    """``%.17g`` cells of a float array, NaN cells blank."""
+    cells = list(map("%.17g".__mod__, values.tolist()))
+    for k in np.flatnonzero(np.isnan(values)).tolist():
         cells[k] = ""
     return cells
 

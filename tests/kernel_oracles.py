@@ -7,7 +7,8 @@ Test-only.  ``band_matvec`` is the diagonal loop that
 conversions that ``SymBandMatrix.to_dense``, ``assembly._congruence`` and
 ``poisson._trace_fit`` must match bitwise; ``eigenfunction_errors`` is
 the error pass that weights every block by the quadrature weights
-explicitly and gathers each element's offset table, which
+explicitly, takes each exact wave at the sample points themselves with its
+angle reduced exactly, and sums each mode's column pairwise, which
 ``spectrum._eigenfunction_errors``, and for certified waves
 ``spectrum._wave_errors``, must match to round-off.
 """
@@ -17,7 +18,7 @@ import scipy.sparse
 
 from eigenspline import (BoundaryType, SymBandMatrix, basis_samples,
                          bspline_gram, exact_frequencies)
-from eigenspline.assembly import gauss_legendre, quadrature_grid
+from eigenspline.assembly import quadrature_grid
 from eigenspline.spectrum import EFUN_BLOCK
 
 
@@ -80,43 +81,35 @@ def eigenfunction_errors(spec, v):
     n, m = spec.n, spec.p + 3
     xs, ws = quadrature_grid(spec.breaks, m)
     b0 = basis_samples(spec.knots, xs, 0)[0]
-    a, b = spec.breaks[:-1], spec.breaks[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    _, first, cls = np.unique(np.round(half / half.max(), 6),
-                              return_index=True, return_inverse=True)
-    offsets = half[first][:, None] * gauss_legendre(m)[0]
     omega = exact_frequencies(spec.bc, n)
-    neumann = spec.bc == BoundaryType.NEUMANN
+    wave = np.cos if spec.bc == BoundaryType.NEUMANN else np.sin
+    # omega x = (pi / 2) k x with k an integer; split each point exactly
+    # as x = (top + rest) / 2^20, top an integer, so that k x mod 4 is the
+    # integer index k top mod 2^22 over 2^20 plus the small k rest / 2^20:
+    # the angle is reduced exactly and rounded once, at the very points
+    # where the modes are sampled.
+    k = np.rint(2.0 * omega / np.pi).astype(np.int64)
+    top = np.floor(xs * 2.0 ** 20)
+    rest = xs - top / 2.0 ** 20
+    top = top.astype(np.int64)
     overlaps = np.empty(n)
     e_fun = np.empty(n)
     for lo in range(0, n, EFUN_BLOCK):
         blk = slice(lo, min(lo + EFUN_BLOCK, n))
-        ex = _exact_waves(mid, offsets, cls, omega[blk], neumann)
-        if neumann and lo == 0:
+        quarters = (np.outer(top, k[blk]) % 2 ** 22) / 2.0 ** 20 \
+            + np.outer(rest, k[blk])
+        ex = np.sqrt(2.0) * wave(0.5 * np.pi * quarters)
+        if spec.bc == BoundaryType.NEUMANN and lo == 0:
             ex[:, 0] = 1.0
         uh = b0 @ (spec.extraction.T @ v[:, blk])
-        ov = np.einsum("qk,qk->k", ex, uh * ws[:, None])
+        ov = _column_sums(ex * uh * ws[:, None])
         uh *= np.where(ov < 0.0, -1.0, 1.0)[None, :]
         diff = np.subtract(ex, uh, out=ex)
         overlaps[blk] = ov
-        e_fun[blk] = np.sqrt(np.einsum("qk,qk->k", diff, diff * ws[:, None]))
+        e_fun[blk] = np.sqrt(_column_sums(diff * diff * ws[:, None]))
     return overlaps, e_fun
 
 
-def _exact_waves(mid, offsets, cls, omega, neumann):
-    # sqrt(2) sin(omega x) (cos for Neumann) at x = mid_e + offsets[cls_e,
-    # k] by angle addition, every element gathering its class's row
-    ex = np.empty((mid.size, offsets.shape[1], omega.size))
-    c_mid = np.outer(mid, omega)
-    s_mid = np.sin(c_mid)
-    np.cos(c_mid, out=c_mid)
-    w_off = offsets[:, :, None] * omega
-    s_off, c_off = np.sin(w_off), np.cos(w_off)
-    f, g = (c_mid, np.negative(s_mid, out=s_mid)) if neumann \
-        else (s_mid, c_mid)
-    f *= np.sqrt(2.0)
-    g *= np.sqrt(2.0)
-    for k in range(offsets.shape[1]):
-        np.multiply(f, c_off[cls, k], out=ex[:, k])
-        ex[:, k] += g * s_off[cls, k]
-    return ex.reshape(-1, omega.size)
+def _column_sums(a):
+    # pairwise sums down the columns: numpy sums a contiguous axis pairwise
+    return np.ascontiguousarray(a.T).sum(axis=1)

@@ -17,9 +17,9 @@ from eigenspline import (
     make_space,
     reduced_basis_matrix,
 )
-from eigenspline import poisson
-from eigenspline.assembly import (_congruence, _gram, _gram_bands, _pencil,
-                                  bspline_load, quadrature_grid)
+from eigenspline import assembly, poisson
+from eigenspline.assembly import (MAX_GAUSS, _congruence, _gram, _gram_bands,
+                                  _pencil, bspline_load, quadrature_grid)
 from eigenspline.splines import bspline_eval_batch
 from kernel_oracles import (band_matvec, band_to_dense, congruence_band,
                             trace_fit_band)
@@ -111,6 +111,29 @@ class TestGauss:
         for k in range(2 * m):
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
             assert_allclose(np.sum(w * x ** k), exact, atol=1e-13)
+
+    def test_cached_rule_is_leggauss_in_fresh_copies(self, monkeypatch):
+        calls = []
+        real = np.polynomial.legendre.leggauss
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        assembly._leggauss.cache_clear()
+        try:
+            for m in range(1, MAX_GAUSS + 1):
+                x, w = gauss_legendre(m)
+                ref = real(m)
+                assert np.array_equal(x, ref[0]) and np.array_equal(w, ref[1])
+                # writable, and a caller's writes never reach the next call
+                x[:] = w[:] = np.nan
+                x, w = gauss_legendre(m)
+                assert np.array_equal(x, ref[0]) and np.array_equal(w, ref[1])
+            assert calls == list(range(1, MAX_GAUSS + 1))
+        finally:
+            assembly._leggauss.cache_clear()
 
     def test_rejects_silly_sizes(self):
         with pytest.raises(ConfigError):

@@ -9,6 +9,7 @@ from eigenspline import (
     SymBandMatrix,
     assemble_mass,
     assemble_stiffness,
+    fast_diagonalization_solve,
     generalized_eigen_sym,
     make_space,
 )
@@ -59,6 +60,29 @@ class TestProduction:
         m = np.diag([1.0, -1.0, 1.0])
         with pytest.raises(NumericalError):
             generalized_eigen_sym(s, m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["s", "m"])
+    @pytest.mark.parametrize("band", [False, True])
+    def test_non_finite_pencil_rejected(self, bad, where, band):
+        # scipy's eigh raises ValueError on a non-finite entry; the solver
+        # and fast diagonalization map it to NumericalError
+        sp = make_space("optimal", 3, 10, 0)
+        pencil = {"s": assemble_stiffness(sp), "m": assemble_mass(sp)}
+        pencil[where].band[1, 3] = bad
+        if not band:
+            pencil = {k: a.to_dense() for k, a in pencil.items()}
+        s, m = pencil["s"], pencil["m"]
+        with pytest.raises(NumericalError, match="not finite"):
+            generalized_eigen_sym(s, m)
+        with pytest.raises(NumericalError, match="not finite"):
+            fast_diagonalization_solve(s, m, s, m, np.ones((sp.n, sp.n)))
+
+    def test_shape_errors_stay_visible(self):
+        # holds at the parent too: it guards that the finiteness check
+        # leaves scipy's shape errors unmapped
+        with pytest.raises(ValueError):
+            generalized_eigen_sym(np.ones((2, 3)), np.eye(2))
 
     def test_eigenvalues_ascending(self):
         rng = np.random.default_rng(5)

@@ -473,6 +473,25 @@ class TestPoisson2D:
         if correct:
             assert np.array_equal(one.correction, two.correction)
 
+    def test_broadcast_and_view_samples_kept(self):
+        # The blocks are weighted and differenced in the arrays the problem
+        # returns; a source returning a smaller broadcastable result, or a
+        # view of the grid itself, must give the full-shape function's bits
+        # and leave the grid intact.  Holds at the parent too, whose
+        # out-of-place arithmetic broadcast such results.
+        sp = make_space("optimal", 3, 12, 0)
+        full = ManufacturedProblem2D(name="full",
+                                     f=lambda x1, x2: np.exp(x1) + 0.0 * x2,
+                                     u=lambda x1, x2: x2 + 0.0 * x1)
+        short = ManufacturedProblem2D(name="short",
+                                      f=lambda x1, x2: np.exp(x1),
+                                      u=lambda x1, x2: x2)
+        want = solve_poisson_2d(sp, sp, full)
+        for _ in range(2):
+            got = solve_poisson_2d(sp, sp, short)
+            assert np.array_equal(got.coeffs, want.coeffs)
+            assert got.err_l2 == want.err_l2
+
     def test_anisotropic_degrees(self):
         sp1 = make_space("optimal", 2, 10, 0)
         sp2 = make_space("optimal", 3, 9, 0)
@@ -520,6 +539,38 @@ class TestPoisson2D:
         finally:
             tracemalloc.stop()
         assert peak < nq * nq * 8
+
+    def test_error_pass_holds_three_row_blocks(self, monkeypatch):
+        # K = 3 arrays of (nq2 x ROW_BLOCK) alive at once, read off the
+        # code: the H1 block holds its two residuals, each sampled into a
+        # fresh array and overwritten in place, plus the discrete part of
+        # the second while it is subtracted; the squares are added and
+        # weighted in place, and a block's samples are freed before the
+        # next block's are formed.  Besides those, up to three (ROW_BLOCK x
+        # nb2) arrays: the block's coefficient product, its transposed
+        # copy and the sparse row slice.
+        sp = make_space("optimal", 4, 255, 0)
+        nq = poisson._quadrature_samples(sp)[0].size
+        rows = poisson.ROW_BLOCK
+        bound = 3 * nq * rows * 8 + 3 * rows * sp.knots.num_basis * 8
+        real = poisson._error_norm
+        peaks = {}
+
+        def traced(what, blocks):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = real(what, blocks)
+            peaks[what] = tracemalloc.get_traced_memory()[1] - start
+            return out
+
+        monkeypatch.setattr(poisson, "_error_norm", traced)
+        tracemalloc.start()
+        try:
+            solve_poisson_2d(sp, sp, get_preset("ex75"), correct=True)
+        finally:
+            tracemalloc.stop()
+        assert set(peaks) == {"L2", "H1"}
+        assert max(peaks.values()) <= bound, (peaks, bound)
 
     def test_trace_fit_is_least_squares(self):
         sp = make_space("optimal", 4, 20, 0)

@@ -112,6 +112,59 @@ class TestCsvReport:
             rows = zip(*(col.tolist() for col in report.data))
             assert report.to_text() == reference_text(report.columns, rows)
 
+    @pytest.mark.parametrize("values", [
+        [-0.0, 0.0, -0.0, 0.0],
+        [np.nan, -np.nan, 0x7ff8000000000001, 0xfff0000000000002,
+         0x7ff4000000000000, 1.0, np.nan],
+        [np.inf, -np.inf, 1.0, np.inf, -np.inf],
+        [0.1, 2.5, 0.1, 1e-300, 2.5, -0.1, 0.1],
+        [], [7.25], [np.nan],
+    ])
+    def test_distinct_values_format_as_plain_path(self, values):
+        # Formatting each distinct bit pattern once must give the cells of
+        # formatting every value; the parent formats every value, so this
+        # pins equality and cannot fail there.  Integers stand for NaN
+        # bit patterns with other payloads.
+        col = np.array([np.array(v, np.uint64).view(float)
+                        if isinstance(v, int) else v for v in values],
+                       dtype=float)
+        plain = ["" if v != v else "%.17g" % v for v in col.tolist()]
+        assert reports._format_column(col) == plain
+        assert reports._format_column(col[::-1]) == plain[::-1]
+
+    def test_duplicates_across_a_block_boundary(self, monkeypatch):
+        # The distinct values are found per block, so a value repeated on
+        # both sides of a boundary is formatted once in each.
+        monkeypatch.setattr("eigenspline.reports.CSV_BLOCK", 3)
+        col = [0.5, -0.0, 1.0 / 3.0, 1.0 / 3.0, 0.0, 0.5, np.nan, 0.5]
+        csv = CsvReport(columns=("v", "i"), data=(col, range(len(col))))
+        rows = zip(col, range(len(col)))
+        assert csv.to_text() == reference_text(("v", "i"), rows)
+
+    def test_square_report_formats_each_pair_once(self, monkeypatch):
+        # a square tensor report repeats the float values of each (l1, l2)
+        # and (l2, l1) pair bit for bit, so each of its float columns
+        # formats at most n (n + 1) / 2 values
+        n = 40
+        formatted = []
+        real = reports._format_floats
+
+        def counting(values):
+            formatted.append(values.size)
+            return real(values)
+
+        monkeypatch.setattr(reports, "_format_floats", counting)
+        sp = spectrum_1d(make_space("optimal", 3, n, 0))
+        rep = mode_errors_2d(sp, sp)
+        data = (*rep.ls, rep.omega_exact, rep.omega_h, rep.e_freq,
+                rep.e_fun, rep.bound)
+        csv = CsvReport(columns=tuple("abcdefg"), data=data)
+        text = csv.to_text()
+        assert n * n < reports.CSV_BLOCK and len(formatted) == 5
+        assert max(formatted) <= n * (n + 1) // 2, formatted
+        assert text == reference_text(csv.columns, zip(
+            *(col.tolist() for col in data)))
+
     def test_seventeen_digit_round_trip(self):
         rng = np.random.default_rng(0)
         vals = rng.standard_normal(50) * 10.0 ** rng.integers(-12, 12, 50)
