@@ -297,10 +297,9 @@ def _error_norm(what, blocks):
 
     ``blocks`` yields one ``(w, d_1, d_2, ...)`` tuple per block of
     quadrature points: the weights and the error samples there, which are
-    squared and added in place, so no further array of the block's size is
-    formed.  Samples on a line take their weight vector ``w`` as
-    ``np.sum(w * sq)``; (nq2, rows) samples on a tensor grid take the pair
-    ``w = (w2, w1)`` of their axes' weights as
+    squared and added in place.  Samples on a line take their weight
+    vector as ``np.sum(w * sq)``; (nq2, rows) samples on a tensor grid
+    take the pair ``w = (w2, w1)`` of their axes' weights as
     ``einsum("qr,q->r", sq, w2) @ w1``, so no weight grid is formed.  Each
     block's sum is added to a running total, so a caller bounds its
     working memory by its block size, and a single block of line samples

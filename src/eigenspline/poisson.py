@@ -316,11 +316,8 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
     and solves it once.  The load and the L2/H1 error integrals use the
     p+3-point rule in each direction and run over blocks of ``ROW_BLOCK``
     x1 quadrature rows: f, u and the discrete solution are only ever
-    sampled on one block of rows times the whole x2 grid.  Each block's
-    samples of f are weighted in place by the two directions' weight
-    vectors, and each residual (exact minus discrete) is taken in the
-    array the exact values were sampled into, then squared and summed in
-    place by :func:`~eigenspline.assembly._error_norm`.
+    sampled on one block of rows times the whole x2 grid, and weighted,
+    differenced and squared in place.
     """
     if spec1.bc != BoundaryType.DIRICHLET \
             or spec2.bc != BoundaryType.DIRICHLET:
@@ -334,9 +331,9 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
 
     def on_block(fn, blk):
         """fn on the block's x1 rows times the x2 grid, stored (nq2, rows)
-        so that the sparse products below take it without a copy; a fresh
-        array of the block's shape, which the caller overwrites (a view or
-        a smaller broadcast result is copied out first)."""
+        so that the sparse products below take it without a copy, in a
+        fresh array that the caller overwrites (a view or a broadcastable
+        smaller result is copied out first)."""
         x1, x2 = xs1[None, blk], xs2[:, None]
         v = np.asarray(fn(x1, x2), dtype=float)
         if v.base is not None or v.shape != (x2.size, x1.size):
@@ -370,8 +367,7 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
             ctot = ctot + corr
 
         def miss(fn, d, e, blk):
-            """Exact minus discrete (d, e)-derivative on the block, taken
-            in place."""
+            """Exact minus discrete (d, e)-derivative on the block."""
             m = on_block(fn, blk)
             m -= phi2[e] @ (phi1[d][blk] @ ctot).T
             return m

@@ -133,10 +133,8 @@ def _as_column(values):
 
 def _format_column(col):
     """Cells of one block of a column.  A float column formats each value
-    that is distinct by bit pattern once (so -0.0 and 0.0, and NaNs of
-    different payloads, stay apart) and gathers its cells by the inverse
-    index: a tensor report repeats each (l1, l2) and (l2, l1) pair's values
-    bit for bit."""
+    distinct by bit pattern once (-0.0 and 0.0 stay apart), as a square
+    tensor report repeats each (l1, l2) and (l2, l1) pair's values."""
     if col.dtype.kind in "iu":
         return list(map(str, col.tolist()))
     bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
