@@ -346,6 +346,7 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
         wf *= ws2[:, None]
         wf *= ws1[None, blk]
         bb += phi1[0][blk].T @ (phi2[0].T @ wf).T
+        # free this block's samples before the next block forms its own
         del wf
 
     corr = None
