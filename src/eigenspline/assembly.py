@@ -11,7 +11,10 @@ matrices by the space's stored sparse extraction (for full spaces, whose
 extraction selects B-splines, a slice of the band), so neither a dense
 n x n matrix nor a dense extraction is formed; loads and coefficient maps
 multiply by the same sparse extraction.  A spectrum takes its stiffness
-and mass from one evaluation of the B-splines.  The direct quadrature
+and mass from one evaluation of the B-splines.  Loads and errors sample
+the B-splines on their grid with one table per element class
+(:func:`eigenspline.splines.grid_samples`); the Gram batch evaluates them
+point by point.  The direct quadrature
 route over the reduced basis exists in the test suite as an independent
 oracle.
 """
@@ -27,7 +30,7 @@ import scipy.sparse
 
 from .exceptions import ConfigError, NumericalError
 from .spaces import MAX_DEGREE, SpaceKind, SpaceSpec
-from .splines import KnotVector, basis_samples, bspline_eval_batch
+from .splines import KnotVector, bspline_eval_batch, grid_samples
 
 MAX_GAUSS = MAX_DEGREE + 3
 
@@ -214,11 +217,10 @@ def _gram_bands(knots: KnotVector, breaks, orders):
     return bands
 
 
-def _gram(spec: SpaceSpec, d) -> SymBandMatrix:
-    """Banded Gram matrix of the d-th derivatives of the spec's B-splines."""
-    kv = spec.knots
-    return SymBandMatrix(n=kv.num_basis, bandwidth=kv.p,
-                         band=bspline_gram(kv, spec.breaks, d))
+def _band(spec: SpaceSpec, band) -> SymBandMatrix:
+    """A B-spline Gram band of the spec's knots (:func:`bspline_gram`) as
+    a banded matrix."""
+    return SymBandMatrix(n=spec.knots.num_basis, bandwidth=spec.p, band=band)
 
 
 def _congruence(spec: SpaceSpec, gram) -> SymBandMatrix:
@@ -268,7 +270,7 @@ def bspline_load(knots: KnotVector, breaks, f, d=0):
     """Load vector of f against the d-th derivatives of all B-splines,
     with the p+3-point rule."""
     xs, ws = quadrature_grid(breaks, knots.p + 3)
-    b = basis_samples(knots, xs, d)[d]
+    b = grid_samples(knots, breaks, xs, d)[d]
     return b.T @ (np.asarray(f(xs), dtype=float) * ws)
 
 
@@ -283,7 +285,7 @@ def error_b_coefficients(knots: KnotVector, breaks, bcoeffs, exact,
     bcoeffs = np.asarray(bcoeffs, dtype=float)
     r = 1 if exact_d1 is not None else 0
     xs, ws = quadrature_grid(breaks, knots.p + 3)
-    b = basis_samples(knots, xs, r)
+    b = grid_samples(knots, breaks, xs, r)
     err_l2 = _error_norm(
         "L2", [(ws, np.asarray(exact(xs), dtype=float) - b[0] @ bcoeffs)])
     if exact_d1 is None:

@@ -33,13 +33,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import (SymBandMatrix, _error_norm, _finite, _gram,
-                       assemble_mass, assemble_stiffness, bspline_load,
+from .assembly import (SymBandMatrix, _band, _congruence, _error_norm,
+                       _finite, _gram_bands, assemble_mass,
+                       assemble_stiffness, bspline_gram, bspline_load,
                        error_b_coefficients, quadrature_grid)
 from .eigensolve import generalized_eigen_sym
 from .exceptions import ConfigError, NumericalError
 from .spaces import BoundaryType, SpaceSpec
-from .splines import KnotVector, active_derivatives, basis_samples
+from .splines import KnotVector, active_derivatives, grid_samples
 
 # x1 quadrature rows per block of the 2D load and error integrals: bounds
 # their working memory at a few (nq2 x ROW_BLOCK) arrays.
@@ -185,18 +186,19 @@ def solve_poisson_1d(spec: SpaceSpec, prob: ManufacturedProblem1D,
 
     With correction the discrete problem solves for u0 = u - s_u with the
     right-hand side (f, v) - (s_u', v') and the correction is added back
-    for error evaluation.
+    for error evaluation.  One B-spline stiffness band serves both the
+    reduced stiffness and the correction's product.
     """
     if spec.bc != BoundaryType.DIRICHLET:
         raise ConfigError("poisson solves support Dirichlet boundaries only")
-    s = assemble_stiffness(spec)
+    g1 = bspline_gram(spec.knots, spec.breaks, 1)
     bb = bspline_load(spec.knots, spec.breaks, prob.f)
     corr = None
     if correct:
         corr = hermite_correction_1d(
             spec, *hermite_data_from_problem(spec, prob))
-        bb = bb - _gram(spec, 1).matvec(corr)
-    coeffs = s.solve(spec.extraction @ bb, "stiffness")
+        bb = bb - _band(spec, g1).matvec(corr)
+    coeffs = _congruence(spec, g1).solve(spec.extraction @ bb, "stiffness")
     err_l2 = err_h1 = None
     if prob.u is not None:
         bc_total = spec.extraction.T @ coeffs
@@ -322,8 +324,8 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
     if spec1.bc != BoundaryType.DIRICHLET \
             or spec2.bc != BoundaryType.DIRICHLET:
         raise ConfigError("poisson solves support Dirichlet boundaries only")
-    (s1, m1), (s2, m2) = _per_direction(
-        spec1, spec2, lambda sp: (assemble_stiffness(sp), assemble_mass(sp)))
+    (s1, m1, g1s, g1m), (s2, m2, g2s, g2m) = _per_direction(
+        spec1, spec2, _pencil_and_grams)
     samples = _per_direction(spec1, spec2, _quadrature_samples)
     (xs1, ws1, phi1), (xs2, ws2, phi2) = samples
     blocks = [slice(lo, lo + ROW_BLOCK)
@@ -352,8 +354,6 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
     corr = None
     if correct:
         corr = _boundary_correction_2d(spec1, spec2, prob, samples)
-        (g1s, g1m), (g2s, g2m) = _per_direction(
-            spec1, spec2, lambda sp: (_gram(sp, 1), _gram(sp, 0)))
         # G1 C G2 = (G2 (G1 C)^T)^T for symmetric G2
         bb = bb - (g2m.matvec(g1s.matvec(corr).T).T
                    + g2s.matvec(g1m.matvec(corr).T).T)
@@ -385,7 +385,16 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
                              correction=corr, err_l2=err_l2, err_h1=err_h1)
 
 
+def _pencil_and_grams(spec: SpaceSpec):
+    """(S, M, G1, G0): the reduced stiffness and mass and the B-spline
+    stiffness and mass Gram matrices, from one evaluation of the
+    B-splines; the correction's products take G1 and G0."""
+    g1, g0 = _gram_bands(spec.knots, spec.breaks, (1, 0))
+    return _congruence(spec, g1), _congruence(spec, g0), \
+        _band(spec, g1), _band(spec, g0)
+
+
 def _quadrature_samples(spec: SpaceSpec):
     """p+3-point grid, weights and sampled B-splines (orders 0, 1)."""
     xs, ws = quadrature_grid(spec.breaks, spec.p + 3)
-    return xs, ws, basis_samples(spec.knots, xs, 1)
+    return xs, ws, grid_samples(spec.knots, spec.breaks, xs, 1)

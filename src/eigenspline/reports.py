@@ -4,7 +4,9 @@ All CSV files are deterministic: comma separated, LF line endings, floats
 printed with 17 significant digits (lossless for binary64 round trips).
 A report is stored as columns, one 1-D array each, and every column is
 formatted in one pass: integer columns as integers, the others as floats,
-with a NaN cell left blank (the study builders store blank cells as NaN).
+with a NaN cell left blank (the study builders store blank cells as NaN);
+a report with one row per mode or per dimension formats every value,
+the others look for float values repeated between their rows.
 Spectrum studies emit one row per mode with columns
 ``l[,l2],omega_exact,omega_h,rel_err_freq,rel_err_eigfun,bound``;
 convergence and Poisson studies emit
@@ -69,9 +71,15 @@ class CsvReport:
     Integer and boolean columns print as integers, every other column as
     binary64 floats with 17 significant digits; NaN (and None, which a
     column converts to NaN) is a blank cell.  Rows are formatted in blocks
-    of ``CSV_BLOCK``, and within a block a float column formats each
-    distinct value (by bit pattern) once.  ``rows`` is a read-only view
-    of the same table as row tuples in which blank cells read as None.
+    of ``CSV_BLOCK``.  A report whose only integer column strictly
+    ascends (one row per mode of a 1D spectrum, per dimension of a
+    Poisson study) formats every value.  In any other report, such as a
+    square tensor report, whose (l1, l2) and (l2, l1) rows repeat each
+    other's float values bit for bit, or a basis dump, whose samples
+    repeat across derivative orders and outside the supports, a float
+    column formats each distinct value (by bit pattern) of a block once.
+    ``rows`` is a read-only view of the same table as row tuples in which
+    blank cells read as None.
     """
 
     columns: tuple
@@ -88,8 +96,10 @@ class CsvReport:
     def to_text(self):
         self._check()
         parts = [",".join(self.columns)]
+        ints = [col for col in self.data if col.dtype.kind in "iu"]
+        shared = len(ints) != 1 or not np.all(ints[0][1:] > ints[0][:-1])
         for start in range(0, len(self.rows), CSV_BLOCK):
-            cells = [_format_column(col[start:start + CSV_BLOCK])
+            cells = [_format_column(col[start:start + CSV_BLOCK], shared)
                      for col in self.data]
             parts.append("\n".join(map(",".join, zip(*cells))))
         parts.append("")
@@ -131,12 +141,14 @@ def _as_column(values):
     return np.asarray(col, dtype=float)
 
 
-def _format_column(col):
-    """Cells of one block of a column.  A float column formats each value
-    distinct by bit pattern once (-0.0 and 0.0 stay apart), as a square
-    tensor report repeats each (l1, l2) and (l2, l1) pair's values."""
+def _format_column(col, shared=True):
+    """Cells of one block of a column.  A float column whose values may
+    repeat (``shared``) formats each value distinct by bit pattern once
+    (-0.0 and 0.0 stay apart); otherwise it formats every value."""
     if col.dtype.kind in "iu":
         return list(map(str, col.tolist()))
+    if not shared:
+        return _format_floats(col)
     bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
     cells = np.array(_format_floats(bits.view(float)), dtype=object)
     return cells[inverse].tolist()

@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse
 
 from .exceptions import ConfigError
-from .splines import KnotVector, basis_samples
+from .splines import KnotVector, _uniform_knots, basis_samples
 
 MIN_ELEMENTS = 3
 # Loads and errors on a space integrate with the (p+3)-point Gauss rule,
@@ -94,9 +94,7 @@ def _uniform_layout(p, n_el, den, sigma, clip=False):
     den = 2 n_el, sigma = 0); the open uniform (full-space) sequence is
     the plain grid clipped to [0, 1].
     """
-    knots = (2 * np.arange(-p, n_el + p + 1) - sigma) / den
-    if clip:
-        knots = np.clip(knots, 0.0, 1.0)
+    knots = _uniform_knots(p, n_el, den, sigma, clip)
     kv = KnotVector(p=p, n_el=n_el, values=knots)
     breaks = np.concatenate(([0.0], knots[p + 1:p + n_el], [1.0]))
     return kv, breaks

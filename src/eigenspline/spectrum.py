@@ -54,8 +54,8 @@ from .eigensolve import generalized_eigen_sym
 from .exceptions import ConfigError
 from .spaces import (BoundaryType, SpaceKind, SpaceSpec, _layout_params,
                      _wave_centres)
-from .splines import (basis_samples, cardinal_bspline,
-                      cardinal_bspline_derivative)
+from .splines import (cardinal_bspline, cardinal_bspline_derivative,
+                      grid_samples)
 
 ZERO_MODE_TOL = 1e-12
 # Modes per block of the eigenfunction-error pass and of the wave
@@ -240,10 +240,11 @@ def _eigenfunction_errors(spec: SpaceSpec, v, parity=None):
     mid, offsets, weights, cls = _element_classes(spec, m)
     n_el = spec.n_el if parity is None else (spec.n_el + 1) // 2
     middle = parity is not None and spec.n_el % 2 == 1
-    xs, ws = quadrature_grid(spec.breaks[:n_el + 1], m)
+    breaks = spec.breaks[:n_el + 1]
+    xs, ws = quadrature_grid(breaks, m)
     if middle:
         ws[-m:] *= 0.5
-    b0 = basis_samples(spec.knots, xs, 0)[0]
+    b0 = grid_samples(spec.knots, breaks, xs, 0)[0]
     b0.data *= np.repeat(np.sqrt(ws), spec.p + 1)
     omega = exact_frequencies(spec.bc, n)
     neumann = spec.bc == BoundaryType.NEUMANN

@@ -6,12 +6,17 @@ recurrence.  ``bspline_eval_batch`` evaluates, at many points of [0, 1],
 the p+1 B-splines of a knot sequence that are active at each point,
 together with derivatives up to a requested order, via the Cox-de Boor
 triangle.  Apart from the Gram assembly, which scatters element blocks
-into band storage, every consumer reaches it through one of two views:
-``basis_samples``, the sparse points x B-splines sample matrices that all
-loads, error integrals, trace fits and reduced-basis samples are products
-with, and ``active_derivatives``, the square endpoint system of the
-B-splines active at one point.  Point evaluation is right-continuous at
-knots; x = 1 takes left limits so the last element is closed.
+into band storage, every consumer reaches it through one of three views:
+``basis_samples``, the sparse points x B-splines sample matrices that
+reduced-basis samples are products with, ``grid_samples``, the same
+matrices on a quadrature grid (every load, error integral and trace fit),
+and ``active_derivatives``, the square endpoint system of the B-splines
+active at one point.  On the uniform layouts of the spaces a grid's
+interior elements are translates of each other, so ``grid_samples``
+evaluates one table per element class and broadcasts it; everywhere else,
+and at arbitrary points, evaluation is per point.  Point evaluation is
+right-continuous at knots; x = 1 takes left limits so the last element is
+closed.
 """
 
 from __future__ import annotations
@@ -130,7 +135,7 @@ def bspline_eval_batch(kv: KnotVector, r, xs):
         raise ConfigError("derivative order must satisfy 0 <= r <= p")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     spans = find_spans(kv, xs)
-    return spans, _ders_basis(kv, spans, xs, r)
+    return spans, np.moveaxis(_ders_basis(kv, spans, xs, r), -1, 0)
 
 
 def basis_samples(kv: KnotVector, xs, r):
@@ -141,12 +146,116 @@ def basis_samples(kv: KnotVector, xs, r):
     xs[q] (array columns spans[q], ..., spans[q] + p) and nothing else.
     """
     spans, vals = bspline_eval_batch(kv, r, xs)
+    return _sample_matrices(kv, spans, np.moveaxis(vals, 1, 0))
+
+
+def grid_samples(kv: KnotVector, breaks, xs, r):
+    """:func:`basis_samples` at a quadrature grid, one table per element
+    class.
+
+    ``xs`` holds the same m points of a rule mapped onto every element of
+    ``breaks``, element after element (the grid that
+    ``assembly.quadrature_grid`` returns).  On knots of a uniform layout
+    (:func:`_layout`) with breaks that are its elements from x = 0 on, the
+    generic elements of :func:`_generic_range` see the same p+1 B-spline
+    pieces at the same local points: the B-splines are evaluated at the
+    points of the first of them only, and that table is broadcast to the
+    others.  The elements outside the range (cut end elements of a
+    shifted layout, clipped boundary spans of an open one) are each a
+    class of their own and evaluated point by point.  The table differs
+    from the per-point values by the rounding of the local coordinate,
+    about eps/h of each column's maximum.  Any other knots or breaks take
+    :func:`basis_samples` at every point.
+    """
+    breaks = np.asarray(breaks, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    n_el = breaks.size - 1
+    generic = _generic_range(kv, breaks)
+    if generic is None or xs.size % n_el:
+        return basis_samples(kv, xs, r)
+    lo, hi = generic
+    m = xs.size // n_el
+    grid = xs.reshape(n_el, m)
+    # Element e lies in span e.  Evaluated: the elements left of the
+    # range, its first element, and those right of it.
+    own = np.concatenate((np.arange(lo + 1), np.arange(hi, n_el)))
+    pts = np.concatenate((grid[:lo + 1], grid[hi:]))
+    vals = _ders_basis(kv, np.repeat(own, m), pts.ravel(), r)
+    # (order, element, point, B-spline)
+    vals = vals.reshape(r + 1, kv.p + 1, own.size, m).transpose(0, 2, 3, 1)
+    data = np.empty((r + 1, n_el, m, kv.p + 1))
+    data[:, :lo + 1] = vals[:, :lo + 1]
+    data[:, lo + 1:hi] = vals[:, lo:lo + 1]
+    data[:, hi:] = vals[:, lo + 1:]
+    return _sample_matrices(kv, np.repeat(np.arange(n_el), m),
+                            data.reshape(r + 1, xs.size, -1))
+
+
+def _sample_matrices(kv, spans, data):
+    """One ``csr_array`` per order from ``data[d]``, (points, p+1) values
+    of the B-splines spans[q], ..., spans[q] + p at point q."""
     w = kv.p + 1
     cols = (spans[:, None] + np.arange(w)).ravel()
     indptr = np.arange(0, spans.size * w + 1, w)
     shape = (spans.size, kv.num_basis)
-    return [scipy.sparse.csr_array((vals[:, d, :].ravel(), cols, indptr),
-                                   shape=shape) for d in range(r + 1)]
+    return [scipy.sparse.csr_array((v.ravel(), cols, indptr), shape=shape)
+            for v in data]
+
+
+def _uniform_knots(p, n_el, den, sigma, clip):
+    """Knots (2k - sigma)/den, k = -p..n_el+p, clipped to [0, 1] when
+    ``clip``: the uniform layouts of :mod:`eigenspline.spaces`."""
+    knots = (2 * np.arange(-p, n_el + p + 1) - sigma) / den
+    return np.clip(knots, 0.0, 1.0) if clip else knots
+
+
+def _layout(kv: KnotVector):
+    """(den, sigma, clip) of knots that are exactly those of
+    :func:`_uniform_knots`, or None.
+
+    The candidate integers are read off xi_0 = -sigma/den and xi_1 =
+    (2 - sigma)/den, which clipping leaves alone, and accepted only when
+    they rebuild every knot bit for bit."""
+    p, t = kv.p, kv.values
+    ratio = 2.0 / (t[p + 1] - t[p])
+    if not ratio < 2.0 ** 52:
+        return None
+    den = round(ratio)
+    sigma = round(-t[p] * den)
+    clip = bool(t[0] >= 0.0)
+    if den < 1 or sigma not in (0, 1) or not (
+            _uniform_knots(p, kv.n_el, den, sigma, clip) == t).all():
+        return None
+    return den, sigma, clip
+
+
+def _generic_range(kv: KnotVector, breaks):
+    """Elements lo, ..., hi-1 of ``breaks`` that share one B-spline table
+    (lo < hi), or None when the knots carry no uniform layout, the breaks
+    are not its elements from x = 0 on (the whole of [0, 1] or a left
+    part), or no element is generic.
+
+    Element e lies in span e.  It is generic when it fills the span (a
+    shifted layout cuts its end elements short) and, on a clipped layout,
+    when none of the knots xi_{e-p}, ..., xi_{e+p+1} it depends on is
+    clipped: (2(e-p) - sigma)/den >= 0 and (2(e+p+1) - sigma)/den <= 1.
+    All generic elements are translates of each other."""
+    layout = _layout(kv)
+    k = breaks.size - 1
+    if layout is None or not 1 <= k <= kv.n_el:
+        return None
+    p, t = kv.p, kv.values
+    if not (breaks[0] == 0.0 and (breaks[1:k] == t[p + 1:p + k]).all()
+            and breaks[k] == (1.0 if k == kv.n_el else t[p + k])):
+        return None
+    den, sigma, clip = layout
+    # only the end elements of [0, 1] can be cut
+    lo = int(t[p] != 0.0)
+    hi = k - int(k == kv.n_el and t[p + k] != 1.0)
+    if clip:
+        lo = max(lo, p + (sigma + 1) // 2)
+        hi = min(hi, (den + sigma) // 2 - p)
+    return (lo, hi) if lo < hi else None
 
 
 def active_derivatives(kv: KnotVector, x):
@@ -160,7 +269,8 @@ def active_derivatives(kv: KnotVector, x):
 
 def _ders_basis(kv, spans, xs, r):
     # Cox-de Boor triangle with the derivative pass of the classical
-    # ders-basis-funs algorithm, vectorized over the trailing point axis.
+    # ders-basis-funs algorithm, vectorized over the trailing point axis:
+    # returns the (r+1, p+1, points) values.
     p = kv.p
     t = kv.values
     nq = xs.shape[0]
@@ -208,4 +318,4 @@ def _ders_basis(kv, spans, xs, r):
     for k in range(1, r + 1):
         ders[k] *= fac
         fac *= p - k
-    return np.moveaxis(ders, -1, 0)
+    return ders

@@ -18,7 +18,7 @@ from eigenspline import (
     reduced_basis_matrix,
 )
 from eigenspline import assembly, poisson
-from eigenspline.assembly import (MAX_GAUSS, _congruence, _gram, _gram_bands,
+from eigenspline.assembly import (MAX_GAUSS, _band, _congruence, _gram_bands,
                                   _pencil, bspline_load, quadrature_grid)
 from eigenspline.splines import bspline_eval_batch
 from kernel_oracles import (band_matvec, band_to_dense, congruence_band,
@@ -40,6 +40,10 @@ def band_from_dense(a):
     for d in range(bw + 1):
         band[d, :n - d] = np.diagonal(a, -d)
     return SymBandMatrix(n=n, bandwidth=bw, band=band)
+
+
+def _gram(sp, d):
+    return _band(sp, bspline_gram(sp.knots, sp.breaks, d))
 
 
 def _gram_dense(sp, d):

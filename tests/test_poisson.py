@@ -16,6 +16,7 @@ from eigenspline import (
     assemble_mass,
     assemble_stiffness,
     basis_samples,
+    bspline_gram,
     fast_diagonalization_solve,
     get_preset,
     hermite_correction_1d,
@@ -27,7 +28,7 @@ from eigenspline import (
     solve_poisson_1d,
     solve_poisson_2d,
 )
-from eigenspline import poisson
+from eigenspline import assembly, poisson
 
 
 def spline_values(kv, coeffs, xs, r=0):
@@ -199,6 +200,9 @@ class TestFailureContract:
         for name in ("assemble_mass", "assemble_stiffness"):
             monkeypatch.setattr(f"eigenspline.poisson.{name}",
                                 lambda spec: indefinite)
+        # the Poisson solve reduces the stiffness band it also corrects with
+        monkeypatch.setattr("eigenspline.poisson._congruence",
+                            lambda spec, gram: indefinite)
         with pytest.raises(NumericalError, match="solve failed"):
             self.SOLVES[which](sp, np.cos)
 
@@ -326,6 +330,37 @@ class TestPoisson1D:
         assert sol.err_l2 < opt.err_l2
 
 
+    @pytest.mark.parametrize("kind,p,n", [("optimal", 3, 40),
+                                          ("optimal", 4, 33),
+                                          ("reduced", 4, 30),
+                                          ("full", 5, 40)])
+    def test_corrected_solve_takes_one_stiffness_band(self, kind, p, n,
+                                                      monkeypatch):
+        # the reduced stiffness and the correction's product share one
+        # B-spline stiffness band (the parent evaluated it twice), with
+        # the bits of two separate evaluations
+        sp = make_space(kind, p, n, 0)
+        prob = get_preset("ex73")
+        corr = hermite_correction_1d(sp, *hermite_data_from_problem(sp, prob))
+        g1 = SymBandMatrix(n=sp.knots.num_basis, bandwidth=p,
+                           band=bspline_gram(sp.knots, sp.breaks, 1))
+        bb = assembly.bspline_load(sp.knots, sp.breaks, prob.f) \
+            - g1.matvec(corr)
+        coeffs = assemble_stiffness(sp).solve(sp.extraction @ bb, "stiffness")
+        bands = []
+        real = assembly._gram_bands
+
+        def counting(*args, **kwargs):
+            bands.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(assembly, "_gram_bands", counting)
+        sol = solve_poisson_1d(sp, prob, correct=True)
+        assert bands == [(1,)]
+        assert np.array_equal(sol.coeffs, coeffs)
+        assert np.array_equal(sol.correction, corr)
+
+
 class TestFastDiagonalization:
     def test_solves_kron_system(self):
         sp1 = make_space("optimal", 2, 6, 0)
@@ -359,8 +394,9 @@ def full_grid_solve_2d(spec1, spec2, prob, correct):
     corr = 0.0
     if correct:
         corr = correction_2d(spec1, spec2, prob)
-        g1s, g1m, g2s, g2m = (poisson._gram(sp, d).to_dense()
-                              for sp in (spec1, spec2) for d in (1, 0))
+        g1s, g1m, g2s, g2m = (
+            poisson._band(sp, bspline_gram(sp.knots, sp.breaks, d)).to_dense()
+            for sp in (spec1, spec2) for d in (1, 0))
         bb = bb - g1s @ corr @ g2m - g1m @ corr @ g2s
     u = fast_diagonalization_solve(
         assemble_stiffness(spec1), assemble_mass(spec1),
@@ -442,16 +478,17 @@ class TestPoisson2D:
 
     @pytest.mark.parametrize("correct", [False, True])
     def test_square_problem_solved_once(self, correct, monkeypatch):
-        # one space object for both directions: one assembly, one sample
+        # one space object for both directions: one assembly (one Gram
+        # evaluation for the pencil and the correction alike), one sample
         # grid, one trace fit and one eigensolve, with the same bits as
         # two separately built copies of the space
         prob = get_preset("ex75")
         two = solve_poisson_2d(make_space("optimal", 3, 12, 0),
                                make_space("optimal", 3, 12, 0), prob,
                                correct=correct)
-        calls = dict.fromkeys(("generalized_eigen_sym", "assemble_stiffness",
-                               "assemble_mass", "basis_samples",
-                               "_gram"), 0)
+        calls = dict.fromkeys(("generalized_eigen_sym", "_gram_bands",
+                               "_congruence", "grid_samples",
+                               "bspline_gram"), 0)
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -464,10 +501,10 @@ class TestPoisson2D:
                                 counting(name, getattr(poisson, name)))
         sp = make_space("optimal", 3, 12, 0)
         one = solve_poisson_2d(sp, sp, prob, correct=correct)
-        assert calls == {"generalized_eigen_sym": 1, "assemble_stiffness": 1,
-                         "assemble_mass": 1,
-                         "basis_samples": 1,
-                         "_gram": 2 if correct else 0}
+        assert calls == {"generalized_eigen_sym": 1, "_gram_bands": 1,
+                         "_congruence": 2,
+                         "grid_samples": 1,
+                         "bspline_gram": 0}
         assert np.array_equal(one.coeffs, two.coeffs)
         assert (one.err_l2, one.err_h1) == (two.err_l2, two.err_h1)
         if correct:
@@ -576,6 +613,6 @@ class TestPoisson2D:
         sp = make_space("optimal", 4, 20, 0)
         xs, fit = poisson._trace_fit(poisson._quadrature_samples(sp))
         values = np.sin(3.0 * xs) + xs ** 5
-        b = poisson.basis_samples(sp.knots, xs, 0)[0].toarray()
+        b = basis_samples(sp.knots, xs, 0)[0].toarray()
         assert_allclose(fit(values), np.linalg.lstsq(b, values)[0],
                         rtol=1e-10, atol=1e-12)

@@ -165,6 +165,52 @@ class TestCsvReport:
         assert text == reference_text(csv.columns, zip(
             *(col.tolist() for col in data)))
 
+    @pytest.mark.parametrize("subcommand,args", [
+        ("spectrum", dict(kind="full", degrees=(3,), dims=(40,))),
+        ("spectrum", dict(degrees=(5,), dims=(40,))),
+        ("poisson1d", dict(preset="ex73", degrees=(3,), dims=(20,))),
+    ])
+    def test_single_index_report_looks_for_no_repeats(self, subcommand, args,
+                                                      monkeypatch):
+        # a report keyed by one index formats every value: no np.unique
+        # search for repeated bit patterns (the parent ran one on every
+        # float block), with the per-value formatter's text
+        run = run_spectrum_study if subcommand == "spectrum" \
+            else run_poisson_study
+        csv, _ = run(StudyConfig(subcommand=subcommand, **args))
+        searched = []
+        real = np.unique
+
+        def unique(*a, **kw):
+            searched.append(a[0].size)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(np, "unique", unique)
+        text = csv.to_text()
+        assert searched == []
+        assert text == reference_text(csv.columns, zip(
+            *(col.tolist() for col in csv.data)))
+
+    def test_basis_dump_still_shares_repeated_cells(self, monkeypatch):
+        # a basis dump's one integer column (the derivative order) repeats,
+        # and its samples repeat across orders and outside the supports,
+        # so it keeps the distinct-value search (as at the parent, where
+        # every report ran it: this pins the rule's other side)
+        csv, _ = run_basis_dump(StudyConfig(subcommand="basis-dump",
+                                            degrees=(4,), dims=(10,)))
+        searched = []
+        real = np.unique
+
+        def unique(*a, **kw):
+            searched.append(a[0].size)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(np, "unique", unique)
+        text = csv.to_text()
+        assert len(searched) == len(csv.columns) - 1
+        assert text == reference_text(csv.columns, zip(
+            *(col.tolist() for col in csv.data)))
+
     def test_seventeen_digit_round_trip(self):
         rng = np.random.default_rng(0)
         vals = rng.standard_normal(50) * 10.0 ** rng.integers(-12, 12, 50)

@@ -27,7 +27,7 @@ from eigenspline.assembly import quadrature_grid
 from eigenspline.cli import main
 from eigenspline.reports import StudyConfig, run_spectrum_study
 from eigenspline.spectrum import EFUN_BLOCK
-from eigenspline.splines import basis_samples, bspline_eval_batch
+from eigenspline.splines import bspline_eval_batch, grid_samples
 from exact_modes import (eigval_upper_bound, eigval_upper_bound_sharp,
                          exact_eigenfunction, wave_vectors)
 from kernel_oracles import band_matvec
@@ -180,13 +180,13 @@ class TestEigenfunctionErrorPass:
 
         def counting(*args, **kwargs):
             evals.append(args)
-            return basis_samples(*args, **kwargs)
+            return grid_samples(*args, **kwargs)
 
         def forbidden(*args, **kwargs):
             dense.append(args)
             return reduced_basis_matrix(*args, **kwargs)
 
-        monkeypatch.setattr("eigenspline.spectrum.basis_samples", counting)
+        monkeypatch.setattr("eigenspline.spectrum.grid_samples", counting)
         for target in ("eigenspline.spaces", "eigenspline.spectrum"):
             monkeypatch.setattr(f"{target}.reduced_basis_matrix", forbidden,
                                 raising=False)
@@ -198,8 +198,8 @@ class TestEigenfunctionErrorPass:
             sp = make_space("full", 5, n, bc)
             spectrum_1d(sp)
             assert len(evals) == 1
-            assert evals[0][2] == 0
-            assert evals[0][1].size == elements(sp.n_el) * (sp.p + 3)
+            assert evals[0][3] == 0
+            assert evals[0][2].size == elements(sp.n_el) * (sp.p + 3)
             assert not dense
 
     def test_working_memory_far_below_dense_samples(self, monkeypatch):
@@ -260,15 +260,15 @@ class TestErrorPassRouting:
         calls = []
 
         def sampling(*args, **kwargs):
-            calls.append("basis_samples")
-            return basis_samples(*args, **kwargs)
+            calls.append("grid_samples")
+            return grid_samples(*args, **kwargs)
 
         def sampled(*args, **kwargs):
             calls.append("_eigenfunction_errors")
             return errors(*args, **kwargs)
 
         errors = spectrum._eigenfunction_errors
-        monkeypatch.setattr("eigenspline.spectrum.basis_samples", sampling)
+        monkeypatch.setattr("eigenspline.spectrum.grid_samples", sampling)
         monkeypatch.setattr(spectrum, "_eigenfunction_errors", sampled)
         return calls
 
@@ -288,7 +288,7 @@ class TestErrorPassRouting:
         calls = self._passes(monkeypatch)
         sp = make_space(kind, p, n, bc)
         result = spectrum_1d(sp)
-        expected = ["_eigenfunction_errors", "basis_samples"] if sampled \
+        expected = ["_eigenfunction_errors", "grid_samples"] if sampled \
             else []
         assert calls == expected
         self._check_against_dense(sp, result)
@@ -301,7 +301,7 @@ class TestErrorPassRouting:
         assert spectrum._certified_waves(sp, assemble_stiffness(sp),
                                          assemble_mass(sp)) is None
         result = spectrum_1d(sp)
-        assert calls == ["_eigenfunction_errors", "basis_samples"]
+        assert calls == ["_eigenfunction_errors", "grid_samples"]
         self._check_against_dense(sp, result)
 
 

@@ -1,5 +1,7 @@
 """Tests for cardinal and general B-spline evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,7 +16,10 @@ from eigenspline import (
     cardinal_bspline_derivative,
     make_space,
 )
-from eigenspline.splines import active_derivatives
+from eigenspline import splines
+from eigenspline.assembly import quadrature_grid
+from eigenspline.splines import active_derivatives, grid_samples
+from kernel_oracles import eigenfunction_errors as loop_errors
 
 
 def uniform_knots(p, n_el):
@@ -212,3 +217,190 @@ class TestBasisSamples:
             assert system.shape == (p + 1, p + 1)
             for d in range(p + 1):
                 assert np.array_equal(ends[d][q, cols], system[d])
+
+
+def _grid_and_samples(kv, breaks, r):
+    xs, _ = quadrature_grid(breaks, kv.p + 3)
+    return xs, basis_samples(kv, xs, r), grid_samples(kv, breaks, xs, r)
+
+
+def _table_spaces():
+    """Every legal kind x bc x p <= 10 x n in {2p + 3, 40, 97, 1925}."""
+    for kind, bc in (("full", 0), ("full", 1), ("full", 2), ("optimal", 0),
+                     ("optimal", 1), ("optimal", 2), ("reduced", 0)):
+        for p in range(1, 11):
+            if kind == "reduced" and p % 2:
+                continue
+            for n in (2 * p + 3, 40, 97, 1925):
+                try:
+                    yield make_space(kind, p, n, bc)
+                except ConfigError:
+                    pass
+
+
+class TestGridSamples:
+    """One B-spline table per element class on the p+3-point grids."""
+
+    @pytest.mark.parametrize("kind", ["full", "optimal", "reduced"])
+    def test_tables_match_per_point_path(self, kind, monkeypatch):
+        # Window, fixed before the run: (p + 1) eps / h of each column's
+        # maximum.  The per-point path rounds each of the p + 1 knot
+        # differences x - xi of the triangle by about eps, eps/h relative
+        # to the span; the table is taken on the generic element nearest
+        # x = 0, where that rounding is smallest.  The triangle must run
+        # on the points of the elements outside the generic range plus one
+        # element only: the two cut ends of a shifted layout, the p
+        # clipped spans at each end of an open one.
+        eps = np.finfo(float).eps
+        evaluated = []
+        ders = splines._ders_basis
+
+        def counting(kv, spans, xs, r):
+            evaluated.append(xs.size)
+            return ders(kv, spans, xs, r)
+
+        monkeypatch.setattr(splines, "_ders_basis", counting)
+        checked = 0
+        for sp in _table_spaces():
+            if sp.kind != kind:
+                continue
+            p, m = sp.p, sp.p + 3
+            evaluated.clear()
+            xs, ref, got = _grid_and_samples(sp.knots, sp.breaks, 1)
+            own = 2 * p + 1 if kind == "full" else 3
+            if sp.n_el > own:
+                assert evaluated[-1] <= own * m
+            window = (p + 1) * eps / sp.h
+            for d in range(2):
+                assert np.array_equal(got[d].indices, ref[d].indices)
+                assert np.array_equal(got[d].indptr, ref[d].indptr)
+                assert got[d].shape == ref[d].shape
+                scale = np.zeros(sp.knots.num_basis)
+                np.maximum.at(scale, ref[d].indices, np.abs(ref[d].data))
+                dev = np.abs(got[d].data - ref[d].data) \
+                    / scale[ref[d].indices]
+                assert dev.max() <= window, (sp.bc, p, sp.n, d, dev.max())
+            checked += 1
+        assert checked == {"full": 120, "optimal": 120, "reduced": 20}[kind]
+
+    def test_left_part_of_the_breaks_takes_tables(self):
+        # the half-interval error pass samples the elements left of 1/2
+        sp = make_space("full", 5, 1112, 0)
+        breaks = sp.breaks[:(sp.n_el + 1) // 2 + 1]
+        _, ref, got = _grid_and_samples(sp.knots, breaks, 0)
+        assert splines._generic_range(sp.knots, breaks) == (5, breaks.size - 1)
+        assert np.array_equal(got[0].indices, ref[0].indices)
+        assert_allclose(got[0].data, ref[0].data, rtol=0, atol=1e-12)
+
+    def test_last_elements_no_farther_from_exact_values(self):
+        # Optimal Dirichlet p = 5, n = 1925: the last three elements, where
+        # the table is element 1's.  Reference: the B-splines of the exact
+        # knots xi_j = (2j - sigma)/den at the exact Gauss points mid_e +
+        # half_e * node of each element (40 digits), which both paths
+        # approximate; the per-point path also carries the rounding of the
+        # grid points near x = 1, about eps/h of the column maximum, which
+        # the table does not.
+        mpmath = pytest.importorskip("mpmath")
+        mpf = mpmath.mpf
+        p, n = 5, 1925
+        sp = make_space("optimal", p, n, 0)
+        den, sigma, _ = splines._layout(sp.knots)
+        m, w = p + 3, p + 1
+        node, _ = quadrature_grid(np.array([-1.0, 1.0]), m)
+        _, ref, got = _grid_and_samples(sp.knots, sp.breaks, 1)
+
+        def knot(j):
+            return mpf(2 * j - sigma) / den
+
+        def exact(e, x):
+            # Cox-de Boor; derivatives from the degree-(p-1) values on the
+            # uniform spacing h = 2/den
+            vals = [mpf(1)] + [mpf(0)] * p
+            for j in range(1, p + 1):
+                if j == p:
+                    lower = vals[:p]
+                saved = mpf(0)
+                for k in range(j):
+                    right, left = knot(e + k + 1) - x, x - knot(e + k + 1 - j)
+                    temp = vals[k] / (right + left)
+                    vals[k] = saved + right * temp
+                    saved = left * temp
+                vals[j] = saved
+            pad = [mpf(0)] + lower + [mpf(0)]
+            d1 = [(pad[a] - pad[a + 1]) * den / 2 for a in range(w)]
+            return vals, d1
+
+        far = np.zeros((2, 2))
+        with mpmath.workdps(40):
+            for e in range(sp.n_el - 3, sp.n_el):
+                mid, half = (knot(e) + knot(e + 1)) / 2, mpf(1) / den
+                for q in range(m):
+                    rows = slice((e * m + q) * w, (e * m + q + 1) * w)
+                    for d, vals in enumerate(exact(e, mid + half * node[q])):
+                        vals = np.array([float(v) for v in vals])
+                        scale = np.abs(ref[d].data).max()
+                        for k, b in enumerate((ref, got)):
+                            far[d, k] = max(far[d, k], np.abs(
+                                b[d].data[rows] - vals).max() / scale)
+        assert np.all(far[:, 1] <= far[:, 0]), far
+        assert far[:, 0].max() <= (p + 1) * np.finfo(float).eps / sp.h, far
+
+    def test_graded_knots_and_right_slices_take_every_point(self):
+        # Knots or breaks with no uniform layout from x = 0 on give the
+        # per-point bits exactly, so no two elements that are not
+        # translates of each other ever share a table.
+        p, n_el = 3, 12
+        graded = np.concatenate((np.zeros(p), np.linspace(0.0, 1.0, n_el + 1)
+                                 ** 2, np.ones(p)))
+        kv = KnotVector(p=p, n_el=n_el, values=graded)
+        bumped = make_space("optimal", p, 40, 0).knots
+        values = bumped.values.copy()
+        values[p + 7] = np.nextafter(values[p + 7], 1.0)
+        bumped = KnotVector(p=p, n_el=bumped.n_el, values=values)
+        sp = make_space("optimal", 5, 1925, 0)
+        cases = [(kv, graded[p:p + n_el + 1]),
+                 (bumped, np.concatenate(([0.0], values[p + 1:-p - 1],
+                                          [1.0]))),
+                 (sp.knots, sp.breaks[-(sp.p + 2):]),
+                 (sp.knots, sp.breaks[1:])]
+        for kv, breaks in cases:
+            assert splines._generic_range(kv, breaks) is None
+            _, ref, got = _grid_and_samples(kv, breaks, 1)
+            for d in range(2):
+                assert np.array_equal(got[d].data, ref[d].data)
+                assert np.array_equal(got[d].indices, ref[d].indices)
+
+    def test_working_memory_below_one_triangle(self):
+        # Optimal p = 5, n = 1925, r = 1: the samples themselves, (r + 1)
+        # values and the shared column indices per point and B-spline, are
+        # about half of one (p + 1)^2 x points float array (4.4 MB), which
+        # the per-point triangle allocates; the table path's peak may
+        # exceed the memory its result holds by at most a quarter of it.
+        sp = make_space("optimal", 5, 1925, 0)
+        xs, _ = quadrature_grid(sp.breaks, sp.p + 3)
+        tracemalloc.start()
+        try:
+            out = grid_samples(sp.knots, sp.breaks, xs, 1)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 2
+        assert peak <= 1.25 * held, (peak, held)
+        assert peak < 8 * (sp.p + 1) ** 2 * xs.size, peak
+
+    def test_oracle_samples_every_point(self, monkeypatch):
+        # the loop oracle of the error pass stays on the per-point path, so
+        # it does not share the tables it checks (at the parent every path
+        # is per-point, so this pins the oracle's independence from now on
+        # and cannot fail there)
+        evaluated = []
+        ders = splines._ders_basis
+
+        def counting(kv, spans, xs, r):
+            evaluated.append(xs.size)
+            return ders(kv, spans, xs, r)
+
+        monkeypatch.setattr(splines, "_ders_basis", counting)
+        sp = make_space("optimal", 4, 60, 0)
+        loop_errors(sp, np.eye(sp.n))
+        assert evaluated == [sp.n_el * (sp.p + 3)]
