@@ -171,7 +171,7 @@ def grid_samples(kv: KnotVector, breaks, xs, r):
     xs = np.asarray(xs, dtype=float)
     n_el = breaks.size - 1
     generic = _generic_range(kv, breaks)
-    if generic is None or xs.size % n_el:
+    if generic is None:
         return basis_samples(kv, xs, r)
     lo, hi = generic
     m = xs.size // n_el
