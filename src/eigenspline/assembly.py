@@ -238,16 +238,17 @@ def _congruence(spec: SpaceSpec, gram) -> SymBandMatrix:
         for d in range(1, p + 1):
             band[d, n - d:] = 0.0
         return SymBandMatrix(n=n, bandwidth=p, band=band)
-    g = SymBandMatrix(n=spec.knots.num_basis, bandwidth=spec.p, band=gram)
-    a = e @ g.to_sparse() @ e.T
+    a = e @ _band(spec, gram).to_sparse() @ e.T
     return SymBandMatrix.from_sparse(0.5 * (a + a.T))
 
 
 def _pencil(spec: SpaceSpec):
-    """(stiffness, mass) of :func:`assemble_stiffness` and
-    :func:`assemble_mass`, from one evaluation of the B-splines."""
+    """(S, M, G1, G0): :func:`assemble_stiffness`, :func:`assemble_mass`
+    and the B-spline Gram matrices they are congruences of, from one
+    evaluation of the B-splines."""
     g1, g0 = _gram_bands(spec.knots, spec.breaks, (1, 0))
-    return _congruence(spec, g1), _congruence(spec, g0)
+    return _congruence(spec, g1), _congruence(spec, g0), \
+        _band(spec, g1), _band(spec, g0)
 
 
 def assemble_mass(spec: SpaceSpec) -> SymBandMatrix:

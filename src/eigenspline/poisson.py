@@ -34,9 +34,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .assembly import (SymBandMatrix, _band, _congruence, _error_norm,
-                       _finite, _gram_bands, assemble_mass,
-                       assemble_stiffness, bspline_gram, bspline_load,
-                       error_b_coefficients, quadrature_grid)
+                       _finite, _pencil, assemble_mass, assemble_stiffness,
+                       bspline_gram, bspline_load, error_b_coefficients,
+                       quadrature_grid)
 from .eigensolve import generalized_eigen_sym
 from .exceptions import ConfigError, NumericalError
 from .spaces import BoundaryType, SpaceSpec
@@ -325,7 +325,7 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
             or spec2.bc != BoundaryType.DIRICHLET:
         raise ConfigError("poisson solves support Dirichlet boundaries only")
     (s1, m1, g1s, g1m), (s2, m2, g2s, g2m) = _per_direction(
-        spec1, spec2, _pencil_and_grams)
+        spec1, spec2, _pencil)
     samples = _per_direction(spec1, spec2, _quadrature_samples)
     (xs1, ws1, phi1), (xs2, ws2, phi2) = samples
     blocks = [slice(lo, lo + ROW_BLOCK)
@@ -383,15 +383,6 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
                                         for blk in blocks))
     return PoissonSolution2D(spec1=spec1, spec2=spec2, coeffs=u,
                              correction=corr, err_l2=err_l2, err_h1=err_h1)
-
-
-def _pencil_and_grams(spec: SpaceSpec):
-    """(S, M, G1, G0): the reduced stiffness and mass and the B-spline
-    stiffness and mass Gram matrices, from one evaluation of the
-    B-splines; the correction's products take G1 and G0."""
-    g1, g0 = _gram_bands(spec.knots, spec.breaks, (1, 0))
-    return _congruence(spec, g1), _congruence(spec, g0), \
-        _band(spec, g1), _band(spec, g0)
 
 
 def _quadrature_samples(spec: SpaceSpec):

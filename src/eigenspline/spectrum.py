@@ -26,20 +26,23 @@ aligned by the L2 overlap), and for optimal subspaces the a-priori
 relative bound 1/(1 - (omega_l/omega_{n+1})^{p+1}) - 1.
 
 The eigenfunction errors use the p+3-point rule on every element, by one
-of two routes that take the exact waves from the same per-class tables at
-the element offsets.  Certified waves take a closed form: their B-spline
-coefficients are the wave sampled at the B-spline centres, so on every
-knot span the discrete and the exact mode are both the sine and cosine at
-the span midpoint times fixed functions of the offset, and each mode's
-squared error is a quadratic form in the midpoint sums of sin^2 and cos^2;
-no B-spline is sampled.  Full spaces and uncertified waves take the
-sampled pass: the B-splines are sampled once into a sparse matrix, rows
-scaled by the square roots of the weights, and each block of modes is
-mapped through the stored sparse extraction and sampled through it, the
-exact waves coming from angle addition over the span midpoints.  Modes of
-a split pencil are even or odd, as are their exact waves, so that pass
-samples only the elements left of 1/2.  Modes go in fixed-size blocks,
-so no dense quadrature-points x n array is formed.
+of two routes.  Both take the element classes of :mod:`eigenspline.splines`,
+the exact waves from the same per-class tables at the offsets from the
+span midpoints, and the midpoints' sines and cosines from one table,
+reduced exactly by integer index.  Certified waves take a closed form:
+their B-spline coefficients are the wave sampled at the B-spline centres,
+so on every knot span the discrete and the exact mode are both the sine
+and cosine at the span midpoint times fixed functions of the offset, and
+each mode's squared error is a quadratic form in the midpoint sums of
+sin^2 and cos^2; the B-splines are evaluated once per class.  Full spaces
+and uncertified waves take the sampled pass: the B-splines are sampled
+once into a sparse matrix, rows scaled by the square roots of the
+weights, and each block of modes is mapped through the stored sparse
+extraction and sampled through it, the exact waves coming from angle
+addition over the span midpoints.  Modes of a split pencil are even or
+odd, as are their exact waves, so that pass samples only the elements
+left of 1/2.  Modes go in fixed-size blocks, so no dense quadrature-points
+x n array is formed.
 The bound columns take the exact frequencies once per spectrum.
 """
 
@@ -52,10 +55,9 @@ import numpy as np
 from .assembly import _pencil, gauss_legendre, quadrature_grid
 from .eigensolve import generalized_eigen_sym
 from .exceptions import ConfigError
-from .spaces import (BoundaryType, SpaceKind, SpaceSpec, _layout_params,
-                     _wave_centres)
-from .splines import (cardinal_bspline, cardinal_bspline_derivative,
-                      grid_samples)
+from .spaces import BoundaryType, SpaceKind, SpaceSpec, _wave_centres
+from .splines import (_class_tables, _classes, _layout, cardinal_bspline,
+                      cardinal_bspline_derivative, grid_samples)
 
 ZERO_MODE_TOL = 1e-12
 # Modes per block of the eigenfunction-error pass and of the wave
@@ -108,7 +110,7 @@ def spectrum_1d(spec: SpaceSpec) -> Spectrum1D:
     where they hold, else the generalized eigensolver, on the two mirror
     halves when both ends share a boundary type, and the sampled error
     pass."""
-    s, m = _pencil(spec)
+    s, m, _, _ = _pencil(spec)
     waves = spec.kind != SpaceKind.FULL and _certified_waves(spec, s, m)
     if waves:
         w, nu = waves
@@ -237,8 +239,8 @@ def _eigenfunction_errors(spec: SpaceSpec, v, parity=None):
     error sqrt(2 (|u|^2 + |u_h|^2)), whatever its sign.
     """
     n, m = spec.n, spec.p + 3
-    mid, offsets, weights, cls = _element_classes(spec, m)
     n_el = spec.n_el if parity is None else (spec.n_el + 1) // 2
+    cls, _, _, offsets, weights, sin_mid = _class_geometry(spec, n_el, m)
     middle = parity is not None and spec.n_el % 2 == 1
     breaks = spec.breaks[:n_el + 1]
     xs, ws = quadrature_grid(breaks, m)
@@ -255,8 +257,7 @@ def _eigenfunction_errors(spec: SpaceSpec, v, parity=None):
     e_fun = np.empty(n)
     for lo in range(0, n, EFUN_BLOCK):
         blk = slice(lo, min(lo + EFUN_BLOCK, n))
-        ex = _exact_waves(mid[:n_el], offsets, weights, cls[:n_el],
-                          omega[blk], neumann)
+        ex = _exact_waves(cls, offsets, weights, sin_mid, omega[blk], neumann)
         if middle:
             ex[-m:] *= np.sqrt(0.5)
         uh = b0 @ (spec.extraction.T @ v[:, blk])
@@ -277,31 +278,44 @@ def _eigenfunction_errors(spec: SpaceSpec, v, parity=None):
     return overlaps, e_fun
 
 
-def _element_classes(spec: SpaceSpec, m):
-    """(mid, offsets, weights, cls) of the m-point rule on every element.
+def _class_geometry(spec: SpaceSpec, n_el, m):
+    """(cls, reps, points, offsets, weights, sin_mid): the m-point rule on
+    elements 0, ..., n_el-1 in the classes of ``splines._classes``.
 
-    Element e lies in the knot span [xi_e, xi_{e+1}], whose midpoint is
-    ``mid[e]``; its points are mid_e + offsets[cls_e] with quadrature
-    weights ``weights[cls_e]``.  Elements that fill their span share class
-    0; an end element that the boundary cuts short (shifted layouts have
-    at most two, and class 0 is never empty) is a class of its own.
+    Element e lies in the knot span centred at c_e = (2e + 1 - sigma)/den
+    (the knots' layout).  Class c's points are ``points[c]`` on element
+    reps[c] (rows of ``quadrature_grid``) and c_e + offsets[c] on each
+    member e, with weights ``weights[c]``.  ``sin_mid(omega, a, quarter)``
+    is sin(a omega c_e + quarter pi/2), (elements, modes), at omega = pi
+    k/2, k an integer: the angle is pi j/(2 den) with j = a k (2e + 1 -
+    sigma) + quarter den reduced mod 4 den, one lookup in the first
+    quadrant's sines extended by symmetry, however large omega c_e is.
     """
-    t = spec.knots.values[spec.p:spec.p + spec.n_el + 1]
-    a, b = spec.breaks[:-1], spec.breaks[1:]
-    cut = (a != t[:-1]) | (b != t[1:])
-    cls = np.cumsum(cut) * cut
-    first = np.concatenate(([np.argmin(cut)], np.flatnonzero(cut)))
-    mid = 0.5 * (t[:-1] + t[1:])
-    half = 0.5 * (b - a)[first, None]
+    den, sigma, _ = layout = _layout(spec.knots)
+    breaks = spec.breaks[:n_el + 1]
+    cls, reps = _classes(spec.knots, breaks, layout)
+    left, right = breaks[reps, None], breaks[reps + 1, None]
+    mid, half = 0.5 * (left + right), 0.5 * (right - left)
     x, w = gauss_legendre(m)
-    offsets = (0.5 * (a + b) - mid)[first, None] + half * x
-    return mid, offsets, half * w, cls
+    quadrant = np.sin(np.pi / (2 * den) * np.arange(den + 1))
+    half_turn = np.concatenate((quadrant, quadrant[-2:0:-1]))
+    table = np.concatenate((half_turn, -half_turn))
+    centres = 2 * np.arange(n_el) + 1 - sigma
+
+    def sin_mid(omega, a=1, quarter=0):
+        j = np.outer(centres, a * np.rint(2.0 * omega / np.pi).astype(int))
+        j += quarter * den
+        j %= 4 * den
+        return table[j]
+
+    offsets = mid - ((2 * reps + 1 - sigma) / den)[:, None] + half * x
+    return cls, reps, mid + half * x, offsets, half * w, sin_mid
 
 
 def _offset_waves(offsets, weights, omega, neumann):
     """Per-class tables sqrt(w) a (cos, -+sin)(omega y), each (classes,
     points, modes), at the offsets y and weights w of
-    :func:`_element_classes`: the exact waves' parts in both error passes.
+    :func:`_class_geometry`: the exact waves' parts in both error passes.
     The sine is negated for Neumann; a = sqrt(2), 1 for the Neumann
     constant (omega = 0)."""
     amp = np.where(omega > 0.0, np.sqrt(2.0), 1.0)
@@ -312,24 +326,21 @@ def _offset_waves(offsets, weights, omega, neumann):
     return c_off, s_off
 
 
-def _exact_waves(mid, offsets, weights, cls, omega, neumann):
-    """The exact waves of :func:`_offset_waves` at the points x = mid_e +
-    offsets[cls_e, j], as an (elements * points, modes) array, by angle
-    addition over the span midpoints: class 0 (see
-    :func:`_element_classes`) is broadcast over all elements and only the
-    cut end elements are rewritten."""
+def _exact_waves(cls, offsets, weights, sin_mid, omega, neumann):
+    """The exact waves of :func:`_offset_waves` at the points c_e +
+    offsets[cls_e] of :func:`_class_geometry`, (elements * points, modes),
+    by angle addition over the span midpoints c_e: the largest class is
+    broadcast over all elements and only the others are rewritten."""
     c_off, s_off = _offset_waves(offsets, weights, omega, neumann)
-    c_mid = np.outer(mid, omega)
-    s_mid = np.sin(c_mid)
-    np.cos(c_mid, out=c_mid)
     # sin(a + d) = sin a cos d + cos a sin d,
     # cos(a + d) = cos a cos d - sin a sin d
-    f, g = (c_mid, s_mid) if neumann else (s_mid, c_mid)
-    ex = np.multiply(f[:, None, :], c_off[0])
-    ex += g[:, None, :] * s_off[0]
-    cut = np.flatnonzero(cls)
-    ex[cut] = f[cut, None, :] * c_off[cls[cut]] \
-        + g[cut, None, :] * s_off[cls[cut]]
+    f, g = sin_mid(omega, quarter=neumann), sin_mid(omega, quarter=1 - neumann)
+    main = np.bincount(cls).argmax()
+    ex = np.multiply(f[:, None, :], c_off[main])
+    ex += g[:, None, :] * s_off[main]
+    other = np.flatnonzero(cls != main)
+    ex[other] = f[other, None, :] * c_off[cls[other]] \
+        + g[other, None, :] * s_off[cls[other]]
     return ex.reshape(-1, omega.size)
 
 
@@ -340,7 +351,8 @@ def _wave_errors(spec: SpaceSpec, nu):
     Mode l's B-spline coefficients are nu wave(omega t_j) at the B-spline
     centres t_j (see :mod:`eigenspline.spaces`).  On a knot span with
     midpoint c the p+1 active B-splines are centred at c + delta_r,
-    delta_r = (r - p/2) h, with pieces phi_r, so by angle addition
+    delta_r = (r - p/2) h, with pieces phi_r, the table of each class's
+    representative (``splines._class_tables``), so by angle addition
 
         u_h(c + y) = nu (f A(y) + g B(y)),
         exact(c + y) = a (f cos(omega y) + g sin(omega y)),
@@ -351,33 +363,27 @@ def _wave_errors(spec: SpaceSpec, nu):
     constant); the exact parts are the tables of :func:`_offset_waves`.
     The error at an element's points is f alpha + g beta, with alpha and
     beta the sign-aligned differences of the two parts at its class's
-    points (:func:`_element_classes`), so the squared error summed
-    over a class is the 2 x 2 form alpha^2 F + 2 alpha beta H + beta^2 G,
-    with F, H, G the class sums of f^2, f g, g^2.  The form is diagonal:
-    alpha is even and beta odd in y, so sum alpha beta vanishes on the
-    symmetric rule of class 0, and a cut end element is half a span
+    points (:func:`_class_geometry`), so the squared error summed over a
+    class is the 2 x 2 form alpha^2 F + 2 alpha beta H + beta^2 G, with
+    F, H, G the class sums of f^2, f g, g^2.  The form is diagonal: alpha
+    is even and beta odd in y, so sum alpha beta vanishes on the
+    symmetric rule of a whole span, and a cut end element is half a span
     centred on an end of [0, 1], where f g = 0.  The overlap splits alike.
     F and G follow from the double angle, whose cosines are looked up
     exactly reduced.  Modes go in blocks of ``EFUN_BLOCK``, so only
     (elements x ``EFUN_BLOCK``) tables are formed.
     """
     n, p = spec.n, spec.p
-    _, offsets, weights, cls = _element_classes(spec, p + 3)
+    cls, reps, points, offsets, weights, sin_mid = _class_geometry(
+        spec, spec.n_el, p + 3)
+    phi = _class_tables(spec.knots, reps, points, 0)[0]
     sw = np.sqrt(weights)[:, :, None]
-    member = (cls == np.arange(offsets.shape[0])[:, None]).astype(float)
+    member = (cls == np.arange(reps.size)[:, None]).astype(float)
     count = member.sum(axis=1)[:, None]
-    # At span e's midpoint c, 2 omega c = pi k (2e + 1 - sigma) / den with
-    # k = 2 omega / pi an integer, so cos(2 omega c) is a table entry.
-    den, sigma, _ = _layout_params(spec.kind, p, n, spec.bc)
-    cos_table = np.cos(np.pi / den * np.arange(2 * den))
-    mid_num = 2 * np.arange(spec.n_el) + 1 - sigma
-    r = np.arange(p + 1)
-    phi = cardinal_bspline(p, offsets[:, :, None] / spec.h + p + 0.5 - r)
-    delta = (r - 0.5 * p) * spec.h
+    delta = (np.arange(p + 1) - 0.5 * p) * spec.h
     omega = exact_frequencies(spec.bc, n)
     neumann = spec.bc == BoundaryType.NEUMANN
     odd = -1.0 if neumann else 1.0
-    k = np.rint(2.0 * omega / np.pi).astype(int)
     overlaps = np.empty(n)
     e_fun = np.empty(n)
     for lo in range(0, n, EFUN_BLOCK):
@@ -387,8 +393,8 @@ def _wave_errors(spec: SpaceSpec, nu):
         wd = np.outer(delta, om)
         uh_a = phi @ np.cos(wd) * sw * nu[blk]
         uh_b = phi @ np.sin(wd) * sw * (odd * nu[blk])
-        # f^2, g^2 = (1 -+ cos 2 omega c) / 2
-        c2 = odd * (member @ cos_table[np.outer(mid_num, k[blk]) % (2 * den)])
+        # f^2, g^2 = (1 -+ cos 2 omega c) / 2, with no cos^2 - sin^2 to cancel
+        c2 = odd * (member @ sin_mid(om, 2, 1))
         ff, gg = 0.5 * (count - c2), 0.5 * (count + c2)
         ov = (np.einsum("ckb,ckb,cb->b", ex_a, uh_a, ff)
               + np.einsum("ckb,ckb,cb->b", ex_b, uh_b, gg))

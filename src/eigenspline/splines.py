@@ -6,15 +6,18 @@ recurrence.  ``bspline_eval_batch`` evaluates, at many points of [0, 1],
 the p+1 B-splines of a knot sequence that are active at each point,
 together with derivatives up to a requested order, via the Cox-de Boor
 triangle.  Apart from the Gram assembly, which scatters element blocks
-into band storage, every consumer reaches it through one of three views:
-``basis_samples``, the sparse points x B-splines sample matrices that
-reduced-basis samples are products with, ``grid_samples``, the same
-matrices on a quadrature grid (every load, error integral and trace fit),
-and ``active_derivatives``, the square endpoint system of the B-splines
-active at one point.  On the uniform layouts of the spaces a grid's
-interior elements are translates of each other, so ``grid_samples``
-evaluates one table per element class and broadcasts it; everywhere else,
-and at arbitrary points, evaluation is per point.  Point evaluation is
+into band storage, and the closed-form error pass (below), every consumer
+reaches it through one of three views: ``basis_samples``, the sparse
+points x B-splines sample matrices that reduced-basis samples are
+products with, ``grid_samples``, the same matrices on a quadrature grid
+(loads, error integrals, trace fits, the sampled error pass), and
+``active_derivatives``, the square endpoint system of the B-splines
+active at one point.  This module alone decides which elements of a grid
+are translates of each other (``_classes``, on the uniform layouts of
+``_layout``); ``_class_tables`` evaluates one table per class, which
+``grid_samples`` broadcasts and the closed-form error pass of
+:mod:`eigenspline.spectrum` takes as is.  Other knots and breaks, and
+arbitrary points, are evaluated point by point.  Point evaluation is
 right-continuous at knots; x = 1 takes left limits so the last element is
 closed.
 """
@@ -155,39 +158,23 @@ def grid_samples(kv: KnotVector, breaks, xs, r):
 
     ``xs`` holds the same m points of a rule mapped onto every element of
     ``breaks``, element after element (the grid that
-    ``assembly.quadrature_grid`` returns).  On knots of a uniform layout
-    (:func:`_layout`) with breaks that are its elements from x = 0 on, the
-    generic elements of :func:`_generic_range` see the same p+1 B-spline
-    pieces at the same local points: the B-splines are evaluated at the
-    points of the first of them only, and that table is broadcast to the
-    others.  The elements outside the range (cut end elements of a
-    shifted layout, clipped boundary spans of an open one) are each a
-    class of their own and evaluated point by point.  The table differs
-    from the per-point values by the rounding of the local coordinate,
-    about eps/h of each column's maximum.  Any other knots or breaks take
+    ``assembly.quadrature_grid`` returns).  The members of a class of
+    :func:`_classes` see the same p+1 B-spline pieces at the same local
+    points, so the table of each class's representative
+    (:func:`_class_tables`) is broadcast to the others.  It differs from
+    the per-point values by the rounding of the local coordinate, about
+    eps/h of each column's maximum.  Knots or breaks without classes take
     :func:`basis_samples` at every point.
     """
     breaks = np.asarray(breaks, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    n_el = breaks.size - 1
-    generic = _generic_range(kv, breaks)
-    if generic is None:
+    classes = _classes(kv, breaks, _layout(kv))
+    if classes is None:
         return basis_samples(kv, xs, r)
-    lo, hi = generic
-    m = xs.size // n_el
-    grid = xs.reshape(n_el, m)
-    # Element e lies in span e.  Evaluated: the elements left of the
-    # range, its first element, and those right of it.
-    own = np.concatenate((np.arange(lo + 1), np.arange(hi, n_el)))
-    pts = np.concatenate((grid[:lo + 1], grid[hi:]))
-    vals = _ders_basis(kv, np.repeat(own, m), pts.ravel(), r)
-    # (order, element, point, B-spline)
-    vals = vals.reshape(r + 1, kv.p + 1, own.size, m).transpose(0, 2, 3, 1)
-    data = np.empty((r + 1, n_el, m, kv.p + 1))
-    data[:, :lo + 1] = vals[:, :lo + 1]
-    data[:, lo + 1:hi] = vals[:, lo:lo + 1]
-    data[:, hi:] = vals[:, lo + 1:]
-    return _sample_matrices(kv, np.repeat(np.arange(n_el), m),
+    cls, reps = classes
+    grid = xs.reshape(cls.size, -1)
+    data = np.take(_class_tables(kv, reps, grid[reps], r), cls, axis=1)
+    return _sample_matrices(kv, np.repeat(np.arange(cls.size), grid.shape[1]),
                             data.reshape(r + 1, xs.size, -1))
 
 
@@ -229,18 +216,19 @@ def _layout(kv: KnotVector):
     return den, sigma, clip
 
 
-def _generic_range(kv: KnotVector, breaks):
-    """Elements lo, ..., hi-1 of ``breaks`` that share one B-spline table
-    (lo < hi), or None when the knots carry no uniform layout, the breaks
-    are not its elements from x = 0 on (the whole of [0, 1] or a left
-    part), or no element is generic.
+def _classes(kv: KnotVector, breaks, layout):
+    """(cls, reps): the class cls[e] of each element e of ``breaks`` and
+    the first element reps[c] of each class, or None when ``layout`` (the
+    knots' :func:`_layout`) is None or the breaks are not its elements from
+    x = 0 on (the whole of [0, 1] or a left part).
 
     Element e lies in span e.  It is generic when it fills the span (a
     shifted layout cuts its end elements short) and, on a clipped layout,
     when none of the knots xi_{e-p}, ..., xi_{e+p+1} it depends on is
     clipped: (2(e-p) - sigma)/den >= 0 and (2(e+p+1) - sigma)/den <= 1.
-    All generic elements are translates of each other."""
-    layout = _layout(kv)
+    The generic elements are translates of each other and form one class,
+    represented by the one nearest x = 0, where the local coordinate
+    rounds least; every other element is a class of its own."""
     k = breaks.size - 1
     if layout is None or not 1 <= k <= kv.n_el:
         return None
@@ -255,7 +243,20 @@ def _generic_range(kv: KnotVector, breaks):
     if clip:
         lo = max(lo, p + (sigma + 1) // 2)
         hi = min(hi, (den + sigma) // 2 - p)
-    return (lo, hi) if lo < hi else None
+    # the generic elements lo, ..., hi-1 join class lo
+    e = np.arange(k)
+    cls = np.minimum(e, lo) + np.maximum(e - max(hi, lo + 1) + 1, 0)
+    return cls, np.unique(cls, return_index=True)[1]
+
+
+def _class_tables(kv: KnotVector, reps, pts, r):
+    """Derivatives 0..r of the p+1 B-splines active on each element
+    reps[c] at its points pts[c], as one contiguous (r+1, classes, points,
+    p+1) array, from one run of the Cox-de Boor triangle."""
+    m = pts.shape[1]
+    vals = _ders_basis(kv, np.repeat(reps, m), pts.ravel(), r)
+    return np.ascontiguousarray(
+        vals.reshape(r + 1, kv.p + 1, reps.size, m).transpose(0, 2, 3, 1))
 
 
 def active_derivatives(kv: KnotVector, x):

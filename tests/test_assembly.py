@@ -18,8 +18,8 @@ from eigenspline import (
     reduced_basis_matrix,
 )
 from eigenspline import assembly, poisson
-from eigenspline.assembly import (MAX_GAUSS, _band, _congruence, _gram_bands,
-                                  _pencil, bspline_load, quadrature_grid)
+from eigenspline.assembly import (MAX_GAUSS, _band, _congruence, _pencil,
+                                  bspline_load, quadrature_grid)
 from eigenspline.splines import bspline_eval_batch
 from kernel_oracles import (band_matvec, band_to_dense, congruence_band,
                             trace_fit_band)
@@ -436,15 +436,17 @@ class TestGramOracles:
             monkeypatch.setattr("eigenspline.assembly.bspline_eval_batch",
                                 counting)
             calls.clear()
-            s, m = _pencil(sp)
+            s, m, g1, g0 = _pencil(sp)
             monkeypatch.undo()
             assert calls == [1]
             for got, ref in ((s, s_ref), (m, m_ref)):
                 assert (got.n, got.bandwidth) == (ref.n, ref.bandwidth)
                 assert got.band.tobytes() == ref.band.tobytes()
-            g1, g0 = _gram_bands(sp.knots, sp.breaks, (1, 0))
-            assert g0.tobytes() == bspline_gram(sp.knots, sp.breaks,
-                                                0).tobytes()
+            # the B-spline Gram matrices it returns are the public bands
+            for got, d in ((g1, 1), (g0, 0)):
+                assert (got.n, got.bandwidth) == (sp.knots.num_basis, sp.p)
+                assert got.band.tobytes() == bspline_gram(
+                    sp.knots, sp.breaks, d).tobytes()
             checked += 1
         assert checked == 195
 

@@ -29,6 +29,7 @@ from eigenspline import (
     solve_poisson_2d,
 )
 from eigenspline import assembly, poisson
+from eigenspline.assembly import quadrature_grid
 
 
 def spline_values(kv, coeffs, xs, r=0):
@@ -37,11 +38,18 @@ def spline_values(kv, coeffs, xs, r=0):
     return np.stack([b @ coeffs for b in basis_samples(kv, xs, r)])
 
 
-def correction_2d(spec1, spec2, prob):
-    """The Boolean-sum correction of a corrected 2D solve on these spaces."""
+def correction_2d(spec1, spec2, prob, samples=poisson._quadrature_samples):
+    """The Boolean-sum correction of a corrected 2D solve on these spaces,
+    its traces fitted on each direction's ``samples``."""
     return poisson._boundary_correction_2d(
-        spec1, spec2, prob,
-        poisson._per_direction(spec1, spec2, poisson._quadrature_samples))
+        spec1, spec2, prob, poisson._per_direction(spec1, spec2, samples))
+
+
+def per_point_samples(spec):
+    """The grid, weights and B-spline samples of
+    ``poisson._quadrature_samples``, sampled point by point."""
+    xs, ws = quadrature_grid(spec.breaks, spec.p + 3)
+    return xs, ws, basis_samples(spec.knots, xs, 1)
 
 
 class TestPresets:
@@ -385,15 +393,17 @@ class TestFastDiagonalization:
 def full_grid_solve_2d(spec1, spec2, prob, correct):
     """Oracle for solve_poisson_2d: (coeffs, err_l2, err_h1) with the load
     and the error integrals taken over the whole nq1 x nq2 Gauss grid at
-    once, and the correction load through dense Gram matrices."""
-    (xs1, ws1, phi1), (xs2, ws2, phi2) = (poisson._quadrature_samples(sp)
+    once, and the correction load through dense Gram matrices.  Its
+    B-splines are sampled point by point, not from the class tables of the
+    solve it checks."""
+    (xs1, ws1, phi1), (xs2, ws2, phi2) = (per_point_samples(sp)
                                           for sp in (spec1, spec2))
     grid = (xs1[:, None], xs2[None, :])
     wgt = ws1[:, None] * ws2[None, :]
     bb = phi1[0].T @ (wgt * prob.f(*grid)) @ phi2[0]
     corr = 0.0
     if correct:
-        corr = correction_2d(spec1, spec2, prob)
+        corr = correction_2d(spec1, spec2, prob, per_point_samples)
         g1s, g1m, g2s, g2m = (
             poisson._band(sp, bspline_gram(sp.knots, sp.breaks, d)).to_dense()
             for sp in (spec1, spec2) for d in (1, 0))
@@ -486,9 +496,12 @@ class TestPoisson2D:
         two = solve_poisson_2d(make_space("optimal", 3, 12, 0),
                                make_space("optimal", 3, 12, 0), prob,
                                correct=correct)
-        calls = dict.fromkeys(("generalized_eigen_sym", "_gram_bands",
-                               "_congruence", "grid_samples",
-                               "bspline_gram"), 0)
+        # the Gram evaluation and the congruences run inside
+        # assembly._pencil, so they are counted where it looks them up
+        modules = {"generalized_eigen_sym": poisson, "_gram_bands": assembly,
+                   "_congruence": assembly, "grid_samples": poisson,
+                   "bspline_gram": poisson}
+        calls = dict.fromkeys(modules, 0)
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -496,9 +509,9 @@ class TestPoisson2D:
                 return fn(*args, **kwargs)
             return wrapped
 
-        for name in calls:
-            monkeypatch.setattr(poisson, name,
-                                counting(name, getattr(poisson, name)))
+        for name, module in modules.items():
+            monkeypatch.setattr(module, name,
+                                counting(name, getattr(module, name)))
         sp = make_space("optimal", 3, 12, 0)
         one = solve_poisson_2d(sp, sp, prob, correct=correct)
         assert calls == {"generalized_eigen_sym": 1, "_gram_bands": 1,

@@ -22,7 +22,7 @@ from eigenspline import (
     reduced_basis_matrix,
     spectrum_1d,
 )
-from eigenspline import reports, spectrum
+from eigenspline import reports, spectrum, splines
 from eigenspline.assembly import quadrature_grid
 from eigenspline.cli import main
 from eigenspline.reports import StudyConfig, run_spectrum_study
@@ -248,6 +248,79 @@ class TestEigenfunctionErrorPass:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 8 * sp.n_el * EFUN_BLOCK
+
+
+class TestClassGeometry:
+    """Both error passes take their element classes, B-spline pieces and
+    span-midpoint angles from the knots' layout."""
+
+    @pytest.mark.parametrize("kind,p,n,bc", [
+        ("full", 5, 1112, 0), ("optimal", 5, 1925, 0), ("full", 4, 1200, 1),
+    ])
+    def test_exact_waves_match_extended_precision(self, kind, p, n, bc):
+        # Window, fixed before the run: 8 roundings of sqrt(2) |wave|, in
+        # units of sqrt(w).  Each sample of the sampled pass is built from
+        # a looked-up midpoint sine and cosine, the cosine and sine of the
+        # offset angle, the root of the weight and the amplitude, two
+        # products and a sum, each about one rounding of sqrt(2) sqrt(w).
+        # Reference: sqrt(w) a wave(omega (c_e + y)) at the exact midpoint
+        # c_e = (2e + 1 - sigma)/den, with the pass's own offsets y and
+        # weights w, in 40 digits.  Taking sin and cos of the rounded
+        # omega c_e instead is about 1e-12 off at these sizes.
+        mpmath = pytest.importorskip("mpmath")
+        sp = make_space(kind, p, n, bc)
+        den, sigma, _ = splines._layout(sp.knots)
+        cls, _, _, offsets, weights, sin_mid = spectrum._class_geometry(
+            sp, sp.n_el, p + 3)
+        neumann = sp.bc == BoundaryType.NEUMANN
+        modes = np.array([0, 1, 2, n // 3, n // 2, n - 3, n - 2, n - 1])
+        omega = exact_frequencies(sp.bc, n)[modes]
+        ex = spectrum._exact_waves(cls, offsets, weights, sin_mid, omega,
+                                   neumann).reshape(sp.n_el, p + 3, -1)
+        wave = mpmath.cos if neumann else mpmath.sin
+        elements = np.unique(np.r_[0:3, 3:sp.n_el:47, sp.n_el - 3:sp.n_el])
+        worst = 0.0
+        with mpmath.workdps(40):
+            for e in elements:
+                c = mpmath.mpf(int(2 * e + 1 - sigma)) / den
+                for q in range(p + 3):
+                    y = mpmath.mpf(offsets[cls[e], q])
+                    sw = mpmath.sqrt(mpmath.mpf(weights[cls[e], q]))
+                    for b, om in enumerate(omega):
+                        k = int(round(2.0 * om / np.pi))
+                        amp = mpmath.sqrt(2) if k else mpmath.mpf(1)
+                        ref = sw * amp * wave(mpmath.pi * k / 2 * (c + y))
+                        worst = max(worst, abs(ex[e, q, b] - float(ref))
+                                    / float(sw))
+        assert worst <= 8 * np.finfo(float).eps * np.sqrt(2.0), worst
+
+    def test_wave_errors_take_the_shared_tables(self, monkeypatch):
+        # The closed form's B-spline pieces are one run of the shared class
+        # table helper at the representatives' points (a shifted layout:
+        # both end elements cut, one class each, between them the
+        # generic class from element 1), and no cardinal B-spline is
+        # evaluated.
+        sp = make_space("optimal", 4, 97, 0)
+        _, nu = spectrum._certified_waves(sp, assemble_stiffness(sp),
+                                          assemble_mass(sp))
+        tables = []
+        real = spectrum._class_tables
+
+        def counting(kv, reps, pts, r):
+            tables.append((reps.copy(), pts.shape, r))
+            return real(kv, reps, pts, r)
+
+        def forbidden(*args):
+            raise AssertionError("cardinal B-spline evaluated")
+
+        monkeypatch.setattr(spectrum, "_class_tables", counting)
+        for module in (spectrum, splines):
+            monkeypatch.setattr(module, "cardinal_bspline", forbidden)
+        spectrum._wave_errors(sp, nu)
+        assert len(tables) == 1
+        reps, shape, r = tables[0]
+        assert np.array_equal(reps, [0, 1, sp.n_el - 1])
+        assert shape == (3, sp.p + 3) and r == 0
 
 
 class TestErrorPassRouting:

@@ -288,7 +288,11 @@ class TestGridSamples:
         sp = make_space("full", 5, 1112, 0)
         breaks = sp.breaks[:(sp.n_el + 1) // 2 + 1]
         _, ref, got = _grid_and_samples(sp.knots, breaks, 0)
-        assert splines._generic_range(sp.knots, breaks) == (5, breaks.size - 1)
+        # elements 5, ... to the end of the part are generic, one class
+        cls, reps = splines._classes(sp.knots, breaks,
+                                     splines._layout(sp.knots))
+        assert np.array_equal(reps, np.arange(6))
+        assert np.array_equal(cls, np.minimum(np.arange(breaks.size - 1), 5))
         assert np.array_equal(got[0].indices, ref[0].indices)
         assert_allclose(got[0].data, ref[0].data, rtol=0, atol=1e-12)
 
@@ -364,11 +368,52 @@ class TestGridSamples:
                  (sp.knots, sp.breaks[-(sp.p + 2):]),
                  (sp.knots, sp.breaks[1:])]
         for kv, breaks in cases:
-            assert splines._generic_range(kv, breaks) is None
+            assert splines._classes(kv, breaks, splines._layout(kv)) is None
             _, ref, got = _grid_and_samples(kv, breaks, 1)
             for d in range(2):
                 assert np.array_equal(got[d].data, ref[d].data)
                 assert np.array_equal(got[d].indices, ref[d].indices)
+
+    def test_layouts_without_generic_elements_take_classes(self,
+                                                           monkeypatch):
+        # A layout with at most one generic element (every other one
+        # depends on a clipped knot) has one class per element: the
+        # triangle runs once, on every point, and the samples are the
+        # per-point bits exactly, with no fall-back to basis_samples,
+        # which layouts with no generic element took before they had
+        # classes.  Here: the 24 full spaces with n = 2p + 3 and p >= 2.
+        evaluated = []
+        ders = splines._ders_basis
+
+        def counting(kv, spans, xs, r):
+            evaluated.append(xs.size)
+            return ders(kv, spans, xs, r)
+
+        def forbidden(*args):
+            raise AssertionError("per-point fall-back taken")
+
+        checked = 0
+        for sp in _table_spaces():
+            cls, reps = splines._classes(sp.knots, sp.breaks,
+                                         splines._layout(sp.knots))
+            if reps.size < sp.n_el:
+                continue
+            assert np.array_equal(cls, np.arange(sp.n_el))
+            assert np.array_equal(reps, np.arange(sp.n_el))
+            xs, _ = quadrature_grid(sp.breaks, sp.p + 3)
+            ref = basis_samples(sp.knots, xs, 1)
+            monkeypatch.setattr(splines, "_ders_basis", counting)
+            monkeypatch.setattr(splines, "basis_samples", forbidden)
+            evaluated.clear()
+            got = grid_samples(sp.knots, sp.breaks, xs, 1)
+            monkeypatch.undo()
+            assert evaluated == [xs.size]
+            for d in range(2):
+                assert np.array_equal(got[d].data, ref[d].data)
+                assert np.array_equal(got[d].indices, ref[d].indices)
+                assert np.array_equal(got[d].indptr, ref[d].indptr)
+            checked += 1
+        assert checked == 24
 
     def test_working_memory_below_one_triangle(self):
         # Optimal p = 5, n = 1925, r = 1: the samples themselves, (r + 1)
