@@ -246,7 +246,7 @@ def _classes(kv: KnotVector, breaks, layout):
     # the generic elements lo, ..., hi-1 join class lo
     e = np.arange(k)
     cls = np.minimum(e, lo) + np.maximum(e - max(hi, lo + 1) + 1, 0)
-    return cls, np.unique(cls, return_index=True)[1]
+    return cls, np.flatnonzero(np.diff(cls, prepend=-1))
 
 
 def _class_tables(kv: KnotVector, reps, pts, r):
