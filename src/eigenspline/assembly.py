@@ -5,18 +5,19 @@ Gauss-Legendre grid of all elements: p+1 points per element make the
 spline-spline integrands exact, loads and error functionals use p+3
 points.  Elements are the knot spans intersected with [0, 1]
 (equivalently, consecutive breakpoints).  The per-element blocks are
-scattered straight into packed symmetric band storage, and reduced-space
-matrices are sparse congruence transforms of those banded B-spline Gram
-matrices by the space's stored sparse extraction (for full spaces, whose
-extraction selects B-splines, a slice of the band), so neither a dense
-n x n matrix nor a dense extraction is formed; loads and coefficient maps
-multiply by the same sparse extraction.  A spectrum takes its stiffness
-and mass from one evaluation of the B-splines.  Loads and errors sample
-the B-splines on their grid with one table per element class
+scattered straight into packed symmetric band storage, and a space's
+matrices are congruences of those banded B-spline Gram matrices under the
+space's signed assignment of B-splines to basis functions
+(:mod:`eigenspline.spaces`): a slice of the band for full spaces, whose
+assignment keeps consecutive B-splines, and for fold spaces the band's
+signed entries scattered into the rows they fold onto, so neither a dense
+n x n matrix nor a sparse one is formed; loads and coefficient maps go
+through the same assignment.  A spectrum takes its stiffness and mass
+from one evaluation of the B-splines.  Loads and errors sample the
+B-splines on their grid with one table per element class
 (:func:`eigenspline.splines.grid_samples`); the Gram batch evaluates them
-point by point.  The direct quadrature
-route over the reduced basis exists in the test suite as an independent
-oracle.
+point by point.  The direct quadrature route over the reduced basis exists
+in the test suite as an independent oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .exceptions import ConfigError, NumericalError
-from .spaces import MAX_DEGREE, SpaceKind, SpaceSpec
+from .spaces import MAX_DEGREE, SpaceKind, SpaceSpec, _fold, _unfold
 from .splines import KnotVector, bspline_eval_batch, grid_samples
 
 MAX_GAUSS = MAX_DEGREE + 3
@@ -67,8 +68,10 @@ class SymBandMatrix:
 
     ``band[d, j] == A[j + d, j]`` for 0 <= d <= bandwidth (entries running
     past the matrix edge are zero), the layout accepted by scipy's
-    symmetric banded solvers.  Only this class touches that layout; other
-    code converts through :meth:`from_sparse` and :meth:`to_sparse`.
+    symmetric banded solvers.  Only this class and the congruence that
+    scatters into it touch that layout; the trace fit's normal equations
+    convert through :meth:`from_sparse`, and products go through
+    :meth:`to_sparse`.
     """
 
     n: int
@@ -226,20 +229,36 @@ def _band(spec: SpaceSpec, band) -> SymBandMatrix:
 def _congruence(spec: SpaceSpec, gram) -> SymBandMatrix:
     """E G E^T of the B-spline Gram band ``gram`` under the extraction E.
 
-    A full space's extraction selects the consecutive B-splines from the
-    first row's column on, so its product is that slice of the band, with
-    the entries that run past the matrix edge zeroed.  Fold extractions
-    take the sparse product, symmetrised."""
-    e = spec.extraction
+    A full space keeps the consecutive B-splines from the one on row 0 on,
+    so its product is that slice of the band, with the entries that run
+    past the matrix edge zeroed.  On a fold, B-splines a and b on rows r_a
+    and r_b add s_a s_b G_ab to A[r_a, r_b] and A[r_b, r_a]: one entry of
+    the lower band, twice on the diagonal when a != b share a row.  The
+    entries are summed in ascending diagonal of G, then column, so the
+    result is exactly symmetric; its bandwidth is that of its last
+    nonzero diagonal."""
+    n, p = spec.n, spec.p
     if spec.kind == SpaceKind.FULL:
-        n, p = spec.n, spec.p
-        lo = e.indices[0]
+        lo = int(np.argmax(spec.rows == 0))
         band = gram[:, lo:lo + n].copy()
         for d in range(1, p + 1):
             band[d, n - d:] = 0.0
         return SymBandMatrix(n=n, bandwidth=p, band=band)
-    a = e @ _band(spec, gram).to_sparse() @ e.T
-    return SymBandMatrix.from_sparse(0.5 * (a + a.T))
+    nb = spec.knots.num_basis
+    rows, signs = spec.rows, spec.signs
+    # G[b + d, b] = gram[d, b], d ascending, then b
+    d, b = np.nonzero(np.arange(nb) < nb - np.arange(p + 1)[:, None])
+    ra, rb = rows[b + d], rows[b]
+    keep = (ra >= 0) & (rb >= 0)
+    d, b, ra, rb = d[keep], b[keep], ra[keep], rb[keep]
+    vals = gram[d, b] * (signs[b + d] * signs[b])
+    vals[(ra == rb) & (d > 0)] *= 2.0
+    off = np.abs(ra - rb)
+    band = np.bincount(off * n + np.minimum(ra, rb), weights=vals,
+                       minlength=(p + 1) * n).reshape(p + 1, n)
+    used = np.flatnonzero(band.any(axis=1))
+    bw = int(used[-1]) if used.size else 0
+    return SymBandMatrix(n=n, bandwidth=bw, band=band[:bw + 1])
 
 
 def _pencil(spec: SpaceSpec):
@@ -263,8 +282,7 @@ def assemble_stiffness(spec: SpaceSpec) -> SymBandMatrix:
 
 def assemble_load(spec: SpaceSpec, f) -> np.ndarray:
     """Load vector (f, phi_i) with the p+3-point rule."""
-    bb = bspline_load(spec.knots, spec.breaks, f)
-    return spec.extraction @ bb
+    return _fold(spec, bspline_load(spec.knots, spec.breaks, f))
 
 
 def bspline_load(knots: KnotVector, breaks, f, d=0):
@@ -340,6 +358,6 @@ def function_error(spec: SpaceSpec, coeffs, exact, exact_d1=None):
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (spec.n,):
         raise ConfigError("coefficient vector has wrong length")
-    bcoeffs = spec.extraction.T @ coeffs
+    bcoeffs = _unfold(spec, coeffs)
     return error_b_coefficients(spec.knots, spec.breaks, bcoeffs, exact,
                                 exact_d1)

@@ -39,7 +39,7 @@ from .assembly import (SymBandMatrix, _band, _congruence, _error_norm,
                        quadrature_grid)
 from .eigensolve import generalized_eigen_sym
 from .exceptions import ConfigError, NumericalError
-from .spaces import BoundaryType, SpaceSpec
+from .spaces import BoundaryType, SpaceSpec, _fold, _unfold
 from .splines import KnotVector, active_derivatives, grid_samples
 
 # x1 quadrature rows per block of the 2D load and error integrals: bounds
@@ -198,10 +198,10 @@ def solve_poisson_1d(spec: SpaceSpec, prob: ManufacturedProblem1D,
         corr = hermite_correction_1d(
             spec, *hermite_data_from_problem(spec, prob))
         bb = bb - _band(spec, g1).matvec(corr)
-    coeffs = _congruence(spec, g1).solve(spec.extraction @ bb, "stiffness")
+    coeffs = _congruence(spec, g1).solve(_fold(spec, bb), "stiffness")
     err_l2 = err_h1 = None
     if prob.u is not None:
-        bc_total = spec.extraction.T @ coeffs
+        bc_total = _unfold(spec, coeffs)
         if corr is not None:
             bc_total = bc_total + corr
         err_l2, err_h1 = error_b_coefficients(
@@ -212,14 +212,14 @@ def solve_poisson_1d(spec: SpaceSpec, prob: ManufacturedProblem1D,
 
 def l2_projection(spec: SpaceSpec, f) -> np.ndarray:
     """Coefficients of the L2-orthogonal projection of f onto the space."""
-    rhs = spec.extraction @ bspline_load(spec.knots, spec.breaks, f)
+    rhs = _fold(spec, bspline_load(spec.knots, spec.breaks, f))
     return assemble_mass(spec).solve(rhs, "mass")
 
 
 def ritz_projection(spec: SpaceSpec, f_d1) -> np.ndarray:
     """Coefficients of the H1-seminorm-best approximation (for spaces on
     which the stiffness is definite, i.e. Dirichlet-type)."""
-    rhs = spec.extraction @ bspline_load(spec.knots, spec.breaks, f_d1, d=1)
+    rhs = _fold(spec, bspline_load(spec.knots, spec.breaks, f_d1, d=1))
     return assemble_stiffness(spec).solve(rhs, "stiffness")
 
 
@@ -358,12 +358,12 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
         bb = bb - (g2m.matvec(g1s.matvec(corr).T).T
                    + g2s.matvec(g1m.matvec(corr).T).T)
 
-    rhs = spec1.extraction @ bb @ spec2.extraction.T
+    rhs = _fold(spec2, _fold(spec1, bb).T).T
     u = fast_diagonalization_solve(s1, m1, s2, m2, rhs)
 
     err_l2 = err_h1 = None
     if prob.u is not None:
-        ctot = spec1.extraction.T @ u @ spec2.extraction
+        ctot = _unfold(spec2, _unfold(spec1, u).T).T
         if corr is not None:
             ctot = ctot + corr
 

@@ -13,18 +13,24 @@ boundary type, and one of three kinds.
   (Dirichlet only, constraints up to order p-1); for odd degree it
   coincides with ``OPTIMAL`` and is rejected.
 
-Each reduced basis function is stored as one row of an extraction matrix
-over the n_el + p B-splines of the knot sequence.  The basis is local, so
-the extraction is a ``scipy.sparse.csr_array`` built straight from its
-entries and never held dense: a unit entry per kept B-spline for full
-spaces, and for every optimal and reduced space one integer reflection
-fold.  Those spaces are the restrictions to [0, 1] of the splines on their
-symmetric knot sequence that are odd about a Dirichlet end and even about
-a Neumann end, so each B-spline adds +1 or -1 to the row of the basis
-function centred where it folds to.  In that basis the sampled waves
-sin(omega c_i) (cos for Neumann), c_i the row centres of
-:func:`_wave_centres`, are the discrete eigenvectors, and since the fold
-signs are the wave's odd and even reflections, ``extraction.T @ v`` of
+Each reduced basis function is a combination of the n_el + p B-splines of
+the knot sequence, and in every space the combination is a signed
+assignment: each B-spline lands in at most one basis function, with
+coefficient +1 or -1.  A spec stores it as two arrays over the
+B-splines, ``rows`` (the basis function, -1 when the B-spline is dropped)
+and ``signs`` (+1.0 or -1.0, 0.0 when dropped).  Full spaces keep a run of
+consecutive B-splines; every optimal and reduced space is one integer
+reflection fold.  Those spaces are the restrictions to [0, 1] of the
+splines on their symmetric knot sequence that are odd about a Dirichlet
+end and even about a Neumann end, so each B-spline adds +1 or -1 to the
+row of the basis function centred where it folds to.  The extraction E
+(row i holding the B-spline coefficients of basis function i) is never
+stored: E x is a sum of the signed entries onto their rows
+(:func:`_fold`), E^T y a signed gather (:func:`_unfold`), and
+``spec.extraction`` builds E as a sparse matrix only when asked for.  In
+that basis the sampled waves sin(omega c_i) (cos for Neumann), c_i the
+row centres of :func:`_wave_centres`, are the discrete eigenvectors, and
+since the fold signs are the wave's odd and even reflections, E^T v of
 such a wave v is the same wave sampled at every B-spline centre, those
 outside [0, 1] included.
 """
@@ -104,8 +110,8 @@ def _uniform_layout(p, n_el, den, sigma, clip=False):
 class SpaceSpec:
     """Fully constructed spline space (build with :func:`make_space`).
 
-    ``extraction`` is the (n, n_el + p) ``csr_array`` whose row i holds
-    the B-spline coefficients of basis function i.  Specs compare and hash
+    B-spline j of the knots adds ``signs[j]`` (+1 or -1) to basis function
+    ``rows[j]``, or is dropped (row -1, sign 0).  Specs compare and hash
     by identity, so two builds of one space are unequal objects.
     """
 
@@ -117,7 +123,18 @@ class SpaceSpec:
     h: float
     breaks: np.ndarray = field(repr=False)
     knots: KnotVector = field(repr=False)
-    extraction: scipy.sparse.csr_array = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    signs: np.ndarray = field(repr=False)
+
+    @property
+    def extraction(self) -> scipy.sparse.csr_array:
+        """The (n, n_el + p) extraction whose row i holds the B-spline
+        coefficients of basis function i, built from ``rows`` and
+        ``signs`` on each access."""
+        keep = np.flatnonzero(self.rows >= 0)
+        return scipy.sparse.csr_array(
+            (self.signs[keep], (self.rows[keep], keep)),
+            shape=(self.n, self.rows.size))
 
 
 def make_space(kind, p, n, bc) -> SpaceSpec:
@@ -144,7 +161,7 @@ def make_space(kind, p, n, bc) -> SpaceSpec:
             raise ConfigError("dimension too small for this degree")
         kv, breaks = _uniform_layout(p, n_el, 2 * n_el, 0, clip=True)
         h = 1.0 / n_el
-        extraction = _selection_extraction(n_el, p, bc)
+        rows, signs = _selection(kv.num_basis, bc)
     else:
         reduced = kind == SpaceKind.REDUCED_UNIFORM
         if reduced and p % 2 == 1:
@@ -161,12 +178,12 @@ def make_space(kind, p, n, bc) -> SpaceSpec:
             raise ConfigError("dimension too small for this degree")
         kv, breaks = _uniform_layout(p, n_el, den, sigma)
         h = 2.0 / den
-        extraction = _fold_extraction(p, kv.num_basis, den, sigma, bc)
+        rows, signs = _fold_assignment(p, kv.num_basis, den, sigma, bc)
 
-    if extraction.shape != (n, kv.num_basis):
+    if rows.max() + 1 != n:
         raise ConfigError("extraction construction lost rank")
     return SpaceSpec(kind=kind, p=p, n=n, bc=bc, n_el=n_el, h=h,
-                     breaks=breaks, knots=kv, extraction=extraction)
+                     breaks=breaks, knots=kv, rows=rows, signs=signs)
 
 
 def constrained_orders(kind, p, bc):
@@ -188,16 +205,18 @@ def constrained_orders(kind, p, bc):
     return even, odd
 
 
-def _selection_extraction(n_el, p, bc):
-    """One unit entry per B-spline the boundary type keeps."""
-    nb = n_el + p
+def _selection(nb, bc):
+    """(rows, signs) keeping the consecutive B-splines the boundary type
+    keeps: the first and last are dropped at Dirichlet ends."""
     lo = 0 if bc == BoundaryType.NEUMANN else 1
     hi = nb - 1 if bc == BoundaryType.DIRICHLET else nb
-    return scipy.sparse.eye_array(hi - lo, nb, k=lo, format="csr")
+    rows = np.arange(nb) - lo
+    keep = (rows >= 0) & (rows < hi - lo)
+    return np.where(keep, rows, -1), keep.astype(float)
 
 
-def _fold_extraction(p, nb, den, sigma, bc):
-    """Extraction of a constrained space by reflecting its B-splines.
+def _fold_assignment(p, nb, den, sigma, bc):
+    """(rows, signs) of a constrained space by reflecting its B-splines.
 
     The space is the restriction to [0, 1] of the splines on the symmetric
     knot sequence that are odd about a Dirichlet end and even about a
@@ -210,16 +229,38 @@ def _fold_extraction(p, nb, den, sigma, bc):
     folds onto an odd end is dropped.
     """
     s0, s1 = _end_signs(bc)
-    rows = _fold_centres(p, den, sigma, bc)
+    centres = _fold_centres(p, den, sigma, bc)
     q, m = np.divmod(2 * np.arange(nb) - p + 1 - sigma, 2 * den)
     back = m > den
     centre = np.where(back, 2 * den - m, m)
     sign = np.where(q % 2 == 0, 1.0, s0 * s1) * np.where(back, s1, 1.0)
-    keep = np.isin(centre, rows)
-    return scipy.sparse.coo_array(
-        (sign[keep], (np.searchsorted(rows, centre[keep]),
-                      np.flatnonzero(keep))),
-        shape=(rows.size, nb)).tocsr()
+    row = np.searchsorted(centres, centre)
+    keep = row < centres.size
+    keep[keep] = centres[row[keep]] == centre[keep]
+    return np.where(keep, row, -1), np.where(keep, sign, 0.0)
+
+
+def _fold(spec: SpaceSpec, x) -> np.ndarray:
+    """E x for the extraction E: the B-spline entries x[j] (along the
+    first axis) with their signs, summed onto their rows in ascending j,
+    the order of the sparse product, so that the sums match it bitwise."""
+    x = np.asarray(x, dtype=float)
+    keep = spec.rows >= 0
+    out = np.zeros((spec.n,) + x.shape[1:])
+    np.add.at(out, spec.rows[keep], x[keep]
+              * spec.signs[keep].reshape((-1,) + (1,) * (x.ndim - 1)))
+    return out
+
+
+def _unfold(spec: SpaceSpec, y) -> np.ndarray:
+    """E^T y for the extraction E: each B-spline's basis coefficient (along
+    the first axis) times its sign, zero for a dropped B-spline."""
+    y = np.asarray(y, dtype=float)
+    keep = spec.rows >= 0
+    out = np.zeros((spec.rows.size,) + y.shape[1:])
+    out[keep] = y[spec.rows[keep]] \
+        * spec.signs[keep].reshape((-1,) + (1,) * (y.ndim - 1))
+    return out
 
 
 def _end_signs(bc):
@@ -245,7 +286,7 @@ def _wave_centres(spec: SpaceSpec) -> np.ndarray:
 
 def reduced_basis_matrix(spec: SpaceSpec, xs, r=0) -> np.ndarray:
     """Derivatives 0..r of the reduced basis at many points: (r+1, nq, n)."""
-    return np.stack([(b @ spec.extraction.T).toarray()
+    return np.stack([_fold(spec, b.T.toarray()).T
                      for b in basis_samples(spec.knots, xs, r)])
 
 

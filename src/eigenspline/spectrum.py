@@ -10,10 +10,11 @@ univariate spectra.
 
 Eigenpairs of optimal and reduced spaces need no dense solve: in the
 reflection-fold basis of :mod:`eigenspline.spaces` the exact waves sampled
-at the row centres are the discrete eigenvectors, and their Rayleigh
-quotients are samples of the cardinal-spline symbol.  They are accepted
-under a residual, ordering and M-orthonormality certificate and kept as
-eigenvalues and amplitudes only.  Full spaces and uncertified waves use the
+at the row centres are the discrete eigenvectors, and their eigenvalues
+are samples of the cardinal-spline symbol, taken in closed form.  They are
+accepted under a residual, ordering and M-orthonormality certificate on
+the assembled pencil and kept as eigenvalues and amplitudes only.  Full
+spaces and uncertified waves use the
 generalized eigensolver: when both ends share a boundary type, x -> 1 - x
 maps the basis onto itself reversed, so the pencil splits into an even and
 an odd half of half the size (Cantoni & Butler, Linear Algebra Appl. 13,
@@ -37,17 +38,19 @@ each mode's squared error is a quadratic form in the midpoint sums of
 sin^2 and cos^2; the B-splines are evaluated once per class.  Full spaces
 and uncertified waves take the sampled pass: the B-splines are sampled
 once into a sparse matrix, rows scaled by the square roots of the
-weights, and each block of modes is mapped through the stored sparse
-extraction and sampled through it, the exact waves coming from angle
-addition over the span midpoints.  Modes of a split pencil are even or
-odd, as are their exact waves, so that pass samples only the elements
-left of 1/2.  Modes go in fixed-size blocks, so no dense quadrature-points
-x n array is formed.
+weights, and each block of modes is mapped to B-spline coefficients
+through the space's signed assignment and sampled through it, the exact
+waves coming from angle addition over the span midpoints.  Modes of a
+split pencil are even or odd, as are their exact waves, so that pass
+samples only the elements left of 1/2.  Modes go in fixed-size blocks,
+so no dense quadrature-points x n array is formed.
 The bound columns take the exact frequencies once per spectrum.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,9 +58,9 @@ import numpy as np
 from .assembly import _pencil, gauss_legendre, quadrature_grid
 from .eigensolve import generalized_eigen_sym
 from .exceptions import ConfigError
-from .spaces import BoundaryType, SpaceKind, SpaceSpec, _wave_centres
-from .splines import (_class_tables, _classes, _layout, cardinal_bspline,
-                      cardinal_bspline_derivative, grid_samples)
+from .spaces import (BoundaryType, SpaceKind, SpaceSpec, _unfold,
+                     _wave_centres)
+from .splines import _class_tables, _classes, _grid_samples, _layout
 
 ZERO_MODE_TOL = 1e-12
 # Modes per block of the eigenfunction-error pass and of the wave
@@ -160,8 +163,10 @@ def _certified_waves(spec: SpaceSpec, s, m):
     pencil S, M, or None when the waves fail the certificate.
 
     Mode l is the wave nu_l wave(omega_l c_i) over the fold's row centres
-    c_i, M-normalised, with its Rayleigh quotient as eigenvalue.  The
-    certificate: every residual |S v - lambda M v| is at most ``WAVE_TOL *
+    c_i, M-normalised, with the symbol's value (:func:`_symbol_frequencies`,
+    squared) as eigenvalue, so that no eigenvalue carries the pencil's
+    round-off.  The certificate checks on the pencil that the symbol
+    applies: every residual |S v - lambda M v| is at most ``WAVE_TOL *
     n^2 * eps`` times the largest |S v|, the eigenvalues ascend strictly,
     and |V^T M V - I| on ``WAVE_SAMPLE`` fixed columns (rebuilt from nu)
     is at most the same tolerance.  Waves are built and checked in blocks
@@ -171,14 +176,14 @@ def _certified_waves(spec: SpaceSpec, s, m):
     tol = WAVE_TOL * n * n * np.finfo(float).eps
     c = _wave_centres(spec)
     omega = exact_frequencies(spec.bc, n)
+    lam = _symbol_frequencies(spec) ** 2
     wave = np.cos if spec.bc == BoundaryType.NEUMANN else np.sin
-    lam, nu, res, s_norm = np.empty((4, n))
+    nu, res, s_norm = np.empty((3, n))
     for lo in range(0, n, EFUN_BLOCK):
         blk = slice(lo, min(lo + EFUN_BLOCK, n))
         vb = wave(np.outer(c, omega[blk]))
         sv, mv = s.matvec(vb), m.matvec(vb)
         scale = nu[blk] = 1.0 / np.sqrt(np.einsum("ik,ik->k", vb, mv))
-        lam[blk] = np.einsum("ik,ik->k", vb, sv) * scale ** 2
         s_norm[blk] = np.linalg.norm(sv, axis=0) * scale
         mv *= lam[blk]
         sv -= mv
@@ -195,24 +200,56 @@ def _certified_waves(spec: SpaceSpec, s, m):
 def _symbol_frequencies(spec: SpaceSpec) -> np.ndarray:
     """Closed-form discrete frequencies of an optimal or reduced space.
 
-    The pencil's symbol at theta_l = omega_l h, with q = 2p + 1 and N_q
-    the cardinal B-spline:
+    The pencil's symbol at theta_l = omega_l h.  With N_q the cardinal
+    B-spline, the mass symbol is m_p(theta) = sum_{|k|<=p} N_{2p+1}(p+1+k)
+    cos(k theta); the stiffness symbol is 4 sin^2(theta/2) m_{p-1}(theta),
+    since N_{2p+1}'' is the second difference of N_{2p-1}.  So
 
-        omega_h^2 = 2 sum_{|k|<=p} N_q''(p+1+k) sin^2(k theta / 2)
-                    / (h^2 sum_{|k|<=p} N_q(p+1+k) cos(k theta)),
+        omega_h = 2 sin(theta / 2) sqrt(m_{p-1} / m_p) / h,
 
-    the stiffness numerator in the sin^2 form, which does not cancel at
-    small theta.  Test reference only: studies report computed spectra.
+    and the Neumann constant (theta = 0) gets exactly 0.  Each m_p is a
+    polynomial in t = cos^2(theta/2) with positive coefficients
+    (:func:`_mass_symbol`), so no sum cancels at any theta: the cosine sum
+    itself loses up to 7e5 eps near theta = pi at p = 16.  These are the
+    pencil's eigenvalues in exact arithmetic, and the certified waves
+    report them.
     """
     p, h = spec.p, spec.h
-    k = np.arange(1, p + 1)
+    theta = exact_frequencies(spec.bc, spec.n) * h
+    t = np.cos(0.5 * theta) ** 2
+    ratio = np.polynomial.polynomial.polyval(t, _mass_symbol(p - 1)) \
+        / np.polynomial.polynomial.polyval(t, _mass_symbol(p))
+    return 2.0 * np.sin(0.5 * theta) * np.sqrt(ratio) / h
+
+
+@functools.cache
+def _mass_symbol(p):
+    """Coefficients, ascending in t = cos^2(theta/2), of the mass symbol
+    m_p(theta) = sum_{|k|<=p} N_q(p+1+k) cos(k theta), q = 2p + 1, each
+    rounded once from its exact value; read-only, computed once per degree.
+
+    q! N_q(j + 1) is the Eulerian number A(q, j), and cos(k theta) =
+    T_k(2t - 1) with integer coefficients, so q! m_p is an integer
+    polynomial in t.  Its coefficients are positive, as the roots of the
+    Euler-Frobenius polynomial sum_j A(q, j) z^j are negative reals.
+    """
     q = 2 * p + 1
-    theta = np.outer(exact_frequencies(spec.bc, spec.n) * h, k)
-    stiff = 4.0 * np.sin(0.5 * theta) ** 2 \
-        @ cardinal_bspline_derivative(q, 2, p + 1 + k)
-    mass = cardinal_bspline(q, p + 1) \
-        + 2.0 * np.cos(theta) @ cardinal_bspline(q, p + 1 + k)
-    return np.sqrt(stiff / mass) / h
+    # A(r, j) = (r - j) A(r - 1, j - 1) + (j + 1) A(r - 1, j)
+    euler = [1]
+    for r in range(2, q + 1):
+        euler = [(r - j) * a + (j + 1) * b for j, (a, b)
+                 in enumerate(zip([0] + euler, euler + [0]))]
+    coeffs = [euler[p]] + [0] * p
+    # T_0 and T_1 at x = 2t - 1, then T_k = (4t - 2) T_{k-1} - T_{k-2}
+    prev, cheb = [1], [-1, 2]
+    for k in range(1, p + 1):
+        for i, c in enumerate(cheb):
+            coeffs[i] += 2 * euler[p + k] * c
+        prev, cheb = cheb, [4 * a - 2 * b - c for a, b, c in zip(
+            [0] + cheb, cheb + [0], prev + [0, 0])]
+    out = np.array([c / math.factorial(q) for c in coeffs])
+    out.flags.writeable = False
+    return out
 
 
 def _eigenfunction_errors(spec: SpaceSpec, v, parity=None):
@@ -240,13 +277,13 @@ def _eigenfunction_errors(spec: SpaceSpec, v, parity=None):
     """
     n, m = spec.n, spec.p + 3
     n_el = spec.n_el if parity is None else (spec.n_el + 1) // 2
-    cls, _, _, offsets, weights, sin_mid = _class_geometry(spec, n_el, m)
+    cls, reps, _, offsets, weights, sin_mid = _class_geometry(spec, n_el, m)
     middle = parity is not None and spec.n_el % 2 == 1
     breaks = spec.breaks[:n_el + 1]
     xs, ws = quadrature_grid(breaks, m)
     if middle:
         ws[-m:] *= 0.5
-    b0 = grid_samples(spec.knots, breaks, xs, 0)[0]
+    b0 = _grid_samples(spec.knots, xs, 0, (cls, reps))[0]
     b0.data *= np.repeat(np.sqrt(ws), spec.p + 1)
     omega = exact_frequencies(spec.bc, n)
     neumann = spec.bc == BoundaryType.NEUMANN
@@ -260,7 +297,7 @@ def _eigenfunction_errors(spec: SpaceSpec, v, parity=None):
         ex = _exact_waves(cls, offsets, weights, sin_mid, omega[blk], neumann)
         if middle:
             ex[-m:] *= np.sqrt(0.5)
-        uh = b0 @ (spec.extraction.T @ v[:, blk])
+        uh = b0 @ _unfold(spec, v[:, blk])
         ov = np.einsum("qk,qk->k", ex, uh) * (1.0 + q[blk])
         # the modes of swapped parity, before the subtraction below
         # overwrites the exact waves

@@ -167,8 +167,13 @@ def grid_samples(kv: KnotVector, breaks, xs, r):
     :func:`basis_samples` at every point.
     """
     breaks = np.asarray(breaks, dtype=float)
+    return _grid_samples(kv, xs, r, _classes(kv, breaks, _layout(kv)))
+
+
+def _grid_samples(kv: KnotVector, xs, r, classes):
+    """:func:`grid_samples` with the grid's element ``classes`` (the
+    result of :func:`_classes`, possibly None) already decided."""
     xs = np.asarray(xs, dtype=float)
-    classes = _classes(kv, breaks, _layout(kv))
     if classes is None:
         return basis_samples(kv, xs, r)
     cls, reps = classes

@@ -1,16 +1,19 @@
-"""Closed-form eigenfunctions, the a-priori bounds, mode by mode, and the
-certified wave eigenvectors, for tests.
+"""Closed-form eigenfunctions, the a-priori bounds, mode by mode, the
+certified wave eigenvectors and an extended-precision symbol, for tests.
 
 The library builds its exact waves inline in the error pass, takes the
-plain bound for all modes of a space at once and keeps certified waves as
-amplitudes only; these are the per-mode references and the eigenvectors
-the tests compare against.
+plain bound for all modes of a space at once, keeps certified waves as
+amplitudes only and evaluates the symbol in floats; these are the
+per-mode references, the eigenvectors and the 40-digit frequencies the
+tests compare against.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
 from eigenspline import BoundaryType, ConfigError, exact_frequencies
-from eigenspline.spaces import _wave_centres
+from eigenspline.spaces import _layout_params, _wave_centres
 
 
 def exact_eigenfunction(bc, l):
@@ -75,3 +78,50 @@ def eigval_upper_bound_sharp(l, n, p, bc):
     if q >= 0.5:
         return np.nan, False
     return 1.0 / np.sqrt(1.0 - 2.0 * q) - 1.0, True
+
+
+def cardinal_integer_values(q):
+    """[N_q(t) for t = 0, ..., q + 1], the degree-q cardinal B-spline at
+    the integers, exactly, by the degree-raising recurrence
+    N_k(t) = (t N_{k-1}(t) + (k + 1 - t) N_{k-1}(t - 1)) / k."""
+    vals = [Fraction(1)] + [Fraction(0)] * (q + 1)
+    for k in range(1, q + 1):
+        vals = [(t * vals[t] + (k + 1 - t) * (vals[t - 1] if t else 0)) / k
+                for t in range(q + 2)]
+    return vals
+
+
+def symbol_frequencies_mp(spec, dps=40):
+    """The discrete frequencies of an optimal or reduced space from the
+    cardinal-spline symbol, as mpmath numbers at ``dps`` digits: exact
+    rational N_{2p+1} and N''_{2p+1} at the integers, and theta_l =
+    omega_l h with omega_l and h = 2/den exact.  Mode 1 of a Neumann space
+    is exactly 0."""
+    import mpmath
+
+    p = spec.p
+    q = 2 * p + 1
+    den, _, _ = _layout_params(spec.kind, p, spec.n, spec.bc)
+    mass = cardinal_integer_values(q)
+    low = cardinal_integer_values(q - 2) + [Fraction(0)] * 2
+    # N_q'' (t) = N_{q-2}(t) - 2 N_{q-2}(t - 1) + N_{q-2}(t - 2)
+    stiff = [low[t] - 2 * low[t - 1] + low[t - 2] for t in range(2, q + 2)]
+    stiff = [Fraction(0)] * 2 + stiff
+    shift = {BoundaryType.DIRICHLET: 0, BoundaryType.NEUMANN: -1,
+             BoundaryType.MIXED: Fraction(-1, 2)}[BoundaryType(spec.bc)]
+    out = []
+    with mpmath.workdps(dps):
+        def mp(x):
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        h = mpmath.mpf(2) / den
+        for l in range(1, spec.n + 1):
+            theta = mpmath.pi * mp(l + shift) * h
+            st = 4 * mpmath.fsum(mp(stiff[p + 1 + k])
+                                 * mpmath.sin(k * theta / 2) ** 2
+                                 for k in range(1, p + 1))
+            ma = mp(mass[p + 1]) + 2 * mpmath.fsum(
+                mp(mass[p + 1 + k]) * mpmath.cos(k * theta)
+                for k in range(1, p + 1))
+            out.append(mpmath.sqrt(st / ma) / h)
+    return out

@@ -4,8 +4,10 @@ eigenfunction-error pass.
 Test-only.  ``band_matvec`` is the diagonal loop that
 ``SymBandMatrix.matvec`` must match bitwise, and ``band_to_dense``,
 ``congruence_band`` and ``trace_fit_band`` are the hand-written band
-conversions that ``SymBandMatrix.to_dense``, ``assembly._congruence`` and
-``poisson._trace_fit`` must match bitwise; ``eigenfunction_errors`` is
+conversions that ``SymBandMatrix.to_dense``, ``assembly._congruence`` on
+full spaces and ``poisson._trace_fit`` must match bitwise;
+``exact_congruence_gap`` measures a fold space's congruence band against
+the exact sum of its float Gram terms; ``eigenfunction_errors`` is
 the error pass that weights every block by the quadrature weights
 explicitly, takes each exact wave at the sample points themselves with its
 angle reduced exactly, and sums each mode's column pairwise, which
@@ -64,6 +66,46 @@ def congruence_band(spec, d):
     out = np.zeros((bw + 1, spec.n))
     out[offs, a.col[keep]] = a.data[keep]
     return bw, out
+
+
+# Every finite float is an integer multiple of 2^-1074, so in units of
+# 2^-EXACT_SHIFT (and below 2^1024) it is an integer, and integer sums of
+# such terms are exact.
+EXACT_SHIFT = 1100
+
+
+def _exact_int(x):
+    num, den = float(x).as_integer_ratio()
+    return num * ((1 << EXACT_SHIFT) // den)
+
+
+def exact_congruence_gap(spec, gram, band):
+    """Largest |band - E G E^T| over the lower band of a fold space, with
+    E G E^T summed exactly from its float terms: entry (r, c), r >= c, is
+    the sum over B-splines a, b on rows r and c of s_a s_b G_ab, G_ab the
+    float entry of the Gram band ``gram`` (packed lower, bandwidth p).
+    ``band`` is a packed lower band of any bandwidth; its missing
+    diagonals count as zero."""
+    e = spec.extraction.tocsc()
+    p, nb = gram.shape[0] - 1, gram.shape[1]
+    row = {j: (e.indices[e.indptr[j]], e.data[e.indptr[j]])
+           for j in range(nb) if e.indptr[j + 1] > e.indptr[j]}
+    exact = {}
+    for a, (ra, sa) in row.items():
+        for b in range(max(0, a - p), min(nb, a + p + 1)):
+            if b not in row or row[b][0] > ra:
+                continue
+            rb, sb = row[b]
+            g = gram[abs(a - b), min(a, b)] * sa * sb
+            exact[ra - rb, rb] = exact.get((ra - rb, rb), 0) + _exact_int(g)
+    for d in range(band.shape[0]):
+        for j in range(spec.n - d):
+            exact.setdefault((d, j), 0)
+    worst = 0
+    for (d, j), value in exact.items():
+        got = band[d, j] if d < band.shape[0] else 0.0
+        worst = max(worst, abs(_exact_int(got) - value))
+    return worst / (1 << EXACT_SHIFT)
 
 
 def trace_fit_band(b):

@@ -15,7 +15,8 @@ from eigenspline import (
     make_space,
     reduced_basis_matrix,
 )
-from eigenspline.spaces import _wave_centres
+from eigenspline import assembly
+from eigenspline.spaces import _layout_params, _wave_centres
 
 # explicit extraction matrices for small spaces, rows = basis functions,
 # columns = scaled cardinal B-splines on the matching knot sequence
@@ -265,6 +266,101 @@ class TestSparseExtraction:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+
+def _reflected_extraction(sp):
+    """Dense extraction of a space, built by reflecting each B-spline's
+    centre one end at a time.  Full spaces keep B-splines in order and drop
+    the first at a Dirichlet or mixed left end and the last at a Dirichlet
+    right end.  On a fold, B-spline j's centre (the midpoint of its knots,
+    in units of 1/den) is mirrored at x = 0 and x = 1 until it lies in
+    [0, den], its sign flipping at each odd (Dirichlet) end crossed; a
+    centre that lands on an odd end is dropped, and the rows are the
+    distinct landing points in ascending order."""
+    p, nb = sp.p, sp.knots.num_basis
+    if sp.kind == "full":
+        lo = 0 if sp.bc == 1 else 1
+        hi = nb - 1 if sp.bc == 0 else nb
+        return np.eye(nb)[lo:hi]
+    den = _layout_params(sp.kind, p, sp.n, sp.bc)[0]
+    odd0, odd1 = sp.bc != 1, sp.bc == 0
+    t = sp.knots.values
+    landed = []
+    for j in range(nb):
+        z, sign = int(round(0.5 * (t[j] + t[j + p + 1]) * den)), 1.0
+        while not 0 <= z <= den:
+            if z < 0:
+                z, sign = -z, -sign if odd0 else sign
+            else:
+                z, sign = 2 * den - z, -sign if odd1 else sign
+        if (z == 0 and odd0) or (z == den and odd1):
+            sign = 0.0
+        landed.append((z, sign))
+    rows = sorted({z for z, sign in landed if sign})
+    e = np.zeros((len(rows), nb))
+    for j, (z, sign) in enumerate(landed):
+        if sign:
+            e[rows.index(z), j] = sign
+    return e
+
+
+class TestSignedAssignment:
+    """A space stores its extraction as one row and one sign per B-spline;
+    the sparse extraction is built from them only when asked for."""
+
+    def test_reproduces_the_reflected_extraction(self):
+        checked = 0
+        for kind in ("full", "optimal", "reduced"):
+            for bc in (0, 1, 2):
+                for p in range(1, 17):
+                    sizes = {2 * p + 3, 40, 97}
+                    small = _smallest_space(kind, p, bc)
+                    for sp in [small] + [_space_or_none(kind, p, n, bc)
+                                         for n in sorted(sizes)]:
+                        if sp is None:
+                            continue
+                        ref = _reflected_extraction(sp)
+                        nb = sp.knots.num_basis
+                        assert sp.rows.shape == sp.signs.shape == (nb,)
+                        kept = sp.rows >= 0
+                        assert np.array_equal(sp.signs != 0.0, kept)
+                        e = np.zeros((sp.n, nb))
+                        e[sp.rows[kept], np.flatnonzero(kept)] = \
+                            sp.signs[kept]
+                        assert e.tobytes() == ref.tobytes()
+                        assert sp.extraction.toarray().tobytes() \
+                            == ref.tobytes()
+                        checked += 1
+        assert checked == 416
+
+    def test_builds_no_sparse_matrix(self, monkeypatch):
+        # make_space and the pencil construct no scipy.sparse object; the
+        # extraction view does, so it is the control
+        made = []
+
+        def forbidden(self, *args, **kwargs):
+            made.append(type(self).__name__)
+            raise AssertionError("sparse matrix constructed")
+
+        monkeypatch.setattr(scipy.sparse._base._spbase, "__init__",
+                            forbidden)
+        for kind, p, n, bc in (("full", 3, 20, 0), ("full", 4, 21, 1),
+                               ("optimal", 3, 20, 0), ("optimal", 4, 20, 1),
+                               ("optimal", 5, 3, 2), ("reduced", 4, 16, 0),
+                               ("reduced", 2, 2, 0)):
+            sp = make_space(kind, p, n, bc)
+            assembly._pencil(sp)
+        assert made == []
+        with pytest.raises(AssertionError):
+            sp.extraction
+        assert made == ["csr_array"]
+
+
+def _space_or_none(kind, p, n, bc):
+    try:
+        return make_space(kind, p, n, bc)
+    except ConfigError:
+        return None
 
 
 class TestRejections:

@@ -27,9 +27,11 @@ from eigenspline.assembly import quadrature_grid
 from eigenspline.cli import main
 from eigenspline.reports import StudyConfig, run_spectrum_study
 from eigenspline.spectrum import EFUN_BLOCK
-from eigenspline.splines import bspline_eval_batch, grid_samples
+from eigenspline.splines import bspline_eval_batch
+from eigenspline.spaces import _wave_centres
 from exact_modes import (eigval_upper_bound, eigval_upper_bound_sharp,
-                         exact_eigenfunction, wave_vectors)
+                         exact_eigenfunction, symbol_frequencies_mp,
+                         wave_vectors)
 from kernel_oracles import band_matvec
 from kernel_oracles import eigenfunction_errors as loop_errors
 
@@ -180,13 +182,13 @@ class TestEigenfunctionErrorPass:
 
         def counting(*args, **kwargs):
             evals.append(args)
-            return grid_samples(*args, **kwargs)
+            return splines._grid_samples(*args, **kwargs)
 
         def forbidden(*args, **kwargs):
             dense.append(args)
             return reduced_basis_matrix(*args, **kwargs)
 
-        monkeypatch.setattr("eigenspline.spectrum.grid_samples", counting)
+        monkeypatch.setattr("eigenspline.spectrum._grid_samples", counting)
         for target in ("eigenspline.spaces", "eigenspline.spectrum"):
             monkeypatch.setattr(f"{target}.reduced_basis_matrix", forbidden,
                                 raising=False)
@@ -198,9 +200,32 @@ class TestEigenfunctionErrorPass:
             sp = make_space("full", 5, n, bc)
             spectrum_1d(sp)
             assert len(evals) == 1
-            assert evals[0][3] == 0
-            assert evals[0][2].size == elements(sp.n_el) * (sp.p + 3)
+            assert evals[0][2] == 0
+            assert evals[0][1].size == elements(sp.n_el) * (sp.p + 3)
             assert not dense
+
+    def test_one_layout_per_sampled_pass(self, monkeypatch):
+        # the pass reads the knots' layout once and hands its element
+        # classes to the sampler, which finds none of its own
+        calls = []
+        real = splines._layout
+
+        def counting(kv):
+            calls.append(kv)
+            return real(kv)
+
+        for module in (splines, spectrum):
+            monkeypatch.setattr(module, "_layout", counting)
+        for bc in (0, 2):
+            sp = make_space("full", 5, 200, bc)
+            s, m = assemble_stiffness(sp), assemble_mass(sp)
+            if bc == BoundaryType.MIXED:
+                (_, v), parity = generalized_eigen_sym(s, m), None
+            else:
+                _, v, parity = spectrum._mirror_eigenpairs(s, m)
+            calls.clear()
+            spectrum._eigenfunction_errors(sp, v, parity)
+            assert calls == [sp.knots]
 
     def test_working_memory_far_below_dense_samples(self, monkeypatch):
         # the eigenpairs are computed outside the measurement, and handed
@@ -314,8 +339,9 @@ class TestClassGeometry:
             raise AssertionError("cardinal B-spline evaluated")
 
         monkeypatch.setattr(spectrum, "_class_tables", counting)
-        for module in (spectrum, splines):
-            monkeypatch.setattr(module, "cardinal_bspline", forbidden)
+        # the spectrum module holds no cardinal B-spline evaluator of its own
+        assert not hasattr(spectrum, "cardinal_bspline")
+        monkeypatch.setattr(splines, "cardinal_bspline", forbidden)
         spectrum._wave_errors(sp, nu)
         assert len(tables) == 1
         reps, shape, r = tables[0]
@@ -334,14 +360,14 @@ class TestErrorPassRouting:
 
         def sampling(*args, **kwargs):
             calls.append("grid_samples")
-            return grid_samples(*args, **kwargs)
+            return splines._grid_samples(*args, **kwargs)
 
         def sampled(*args, **kwargs):
             calls.append("_eigenfunction_errors")
             return errors(*args, **kwargs)
 
         errors = spectrum._eigenfunction_errors
-        monkeypatch.setattr("eigenspline.spectrum.grid_samples", sampling)
+        monkeypatch.setattr("eigenspline.spectrum._grid_samples", sampling)
         monkeypatch.setattr(spectrum, "_eigenfunction_errors", sampled)
         return calls
 
@@ -738,17 +764,36 @@ class TestNoDenseMatrix:
 
 
 # Symbol-oracle window in units of n^2 eps (the growth of cond(S)); the
-# largest gap measured over the grid below is 10.5 n^2 eps (p=10, n=12).
+# largest gap measured over the grid below is 10.4 n^2 eps (optimal mixed
+# p=10, n=12).
 SYMBOL_WINDOW = 32.0
 
 
+def _wave_quotients(sp):
+    """Rayleigh quotients of the sampled waves on the assembled pencil,
+    as the wave certificate builds the waves, in blocks of columns."""
+    s, m = assemble_stiffness(sp), assemble_mass(sp)
+    c = _wave_centres(sp)
+    omega = exact_frequencies(sp.bc, sp.n)
+    wave = np.cos if sp.bc == BoundaryType.NEUMANN else np.sin
+    quotients = np.empty(sp.n)
+    for lo in range(0, sp.n, 256):
+        v = wave(np.outer(c, omega[lo:lo + 256]))
+        quotients[lo:lo + 256] = np.einsum("ik,ik->k", v, s.matvec(v)) \
+            / np.einsum("ik,ik->k", v, m.matvec(v))
+    return quotients
+
+
 class TestSymbolOracle:
-    """The computed spectra of optimal and reduced spaces against the
-    closed-form cardinal-spline symbol at theta_l = omega_l h."""
+    """The assembled pencils of optimal and reduced spaces against the
+    closed-form cardinal-spline symbol at theta_l = omega_l h: the
+    Rayleigh quotients of the sampled waves, which the spectra no longer
+    report, so that the symbol is checked against the pencil it stands
+    for."""
 
     @staticmethod
     def _gap(sp):
-        w = spectrum_1d(sp).eigenvalues
+        w = _wave_quotients(sp)
         ref = spectrum._symbol_frequencies(sp)
         ok = ref > 0.0  # the Neumann constant has no relative gap
         gap = np.abs(np.sqrt(np.clip(w[ok], 0.0, None)) / ref[ok] - 1.0)
@@ -772,10 +817,48 @@ class TestSymbolOracle:
 
     def test_one_mode_shift_is_caught(self):
         sp = make_space("optimal", 3, 60, 0)
-        w = spectrum_1d(sp).frequencies
+        w = np.sqrt(_wave_quotients(sp))
         ref = spectrum._symbol_frequencies(sp)
         shifted = np.abs(w[1:] / ref[:-1] - 1.0).max()
         assert shifted > 1e6 * SYMBOL_WINDOW * 60 ** 2 * np.finfo(float).eps
+
+
+# Reported frequencies of certified waves against the 40-digit symbol,
+# relative, in units of n eps.  The largest gap measured over the cases
+# below is 0.072 n eps (optimal Dirichlet p=3, n=20; 1.4 eps), and no
+# case exceeds 2.4 eps.  The Rayleigh quotients reported before failed on
+# seven of them, by up to 107 n eps (reduced p=12, n=100), and read
+# 1.1e-12 relative, 4.0 n eps, at optimal Dirichlet p=5, n=1287.
+SYMBOL_MP_WINDOW = 1.0
+
+
+class TestSymbolEigenvalues:
+    """Certified waves report the symbol's eigenvalues, so their
+    frequencies carry none of the assembled pencil's round-off."""
+
+    @pytest.mark.parametrize("kind,p,n,bc", [
+        ("optimal", 5, 1287, 0), ("optimal", 4, 1200, 1),
+        ("optimal", 3, 1100, 2), ("reduced", 4, 1200, 0),
+        ("optimal", 3, 20, 0), ("optimal", 3, 20, 1), ("optimal", 4, 20, 2),
+        ("reduced", 4, 16, 0), ("optimal", 6, 200, 0), ("optimal", 5, 300, 2),
+        ("optimal", 10, 200, 0), ("optimal", 13, 300, 1),
+        ("reduced", 12, 100, 0),
+    ])
+    def test_frequencies_against_extended_precision(self, kind, p, n, bc):
+        mpmath = pytest.importorskip("mpmath")
+        sp = make_space(kind, p, n, bc)
+        result = spectrum_1d(sp)
+        ref = symbol_frequencies_mp(sp)
+        with mpmath.workdps(40):
+            gap = max(abs(mpmath.mpf(float(f)) / r - 1)
+                      for f, r in zip(result.frequencies, ref) if r != 0)
+        assert float(gap) <= SYMBOL_MP_WINDOW * n * np.finfo(float).eps
+        assert np.array_equal(result.frequencies,
+                              spectrum._symbol_frequencies(sp))
+        if bc == BoundaryType.NEUMANN:
+            assert ref[0] == 0
+            assert result.eigenvalues[0] == 0.0
+            assert result.frequencies[0] == 0.0
 
 
 class TestModeErrors:
