@@ -207,7 +207,8 @@ def constrained_orders(kind, p, bc):
 
 def _selection(nb, bc):
     """(rows, signs) keeping the consecutive B-splines the boundary type
-    keeps: the first and last are dropped at Dirichlet ends."""
+    keeps: the first is dropped at a Dirichlet left end (Dirichlet and
+    mixed), the last at a Dirichlet right end."""
     lo = 0 if bc == BoundaryType.NEUMANN else 1
     hi = nb - 1 if bc == BoundaryType.DIRICHLET else nb
     rows = np.arange(nb) - lo

@@ -826,9 +826,9 @@ class TestSymbolOracle:
 # Reported frequencies of certified waves against the 40-digit symbol,
 # relative, in units of n eps.  The largest gap measured over the cases
 # below is 0.072 n eps (optimal Dirichlet p=3, n=20; 1.4 eps), and no
-# case exceeds 2.4 eps.  The Rayleigh quotients reported before failed on
-# seven of them, by up to 107 n eps (reduced p=12, n=100), and read
-# 1.1e-12 relative, 4.0 n eps, at optimal Dirichlet p=5, n=1287.
+# case exceeds 2.4 eps.  The Rayleigh quotients reported before exceed
+# the window on six of them, by up to 107 n eps (reduced p=12, n=100),
+# and read 1.1e-12 relative, 4.0 n eps, at optimal Dirichlet p=5, n=1287.
 SYMBOL_MP_WINDOW = 1.0
 
 
