@@ -1,23 +1,24 @@
 """Galerkin assembly on spline spaces.
 
-Gram matrices are assembled in one vectorised pass over the concatenated
-Gauss-Legendre grid of all elements: p+1 points per element make the
-spline-spline integrands exact, loads and error functionals use p+3
-points.  Elements are the knot spans intersected with [0, 1]
-(equivalently, consecutive breakpoints).  The per-element blocks are
-scattered straight into packed symmetric band storage, and a space's
-matrices are congruences of those banded B-spline Gram matrices under the
-space's signed assignment of B-splines to basis functions
+Gram matrices use the p+1-point Gauss-Legendre rule on every element,
+which makes the spline-spline integrands exact; loads and error
+functionals use p+3 points.  Elements are the knot spans intersected with
+[0, 1] (equivalently, consecutive breakpoints).  Every grid takes its
+B-spline values from one table per element class
+(:mod:`eigenspline.splines`; on knots without a uniform layout every
+element is a class of its own): the Gram bands form one (p+1)^2 block per
+class and add the blocks of all elements into packed symmetric band
+storage with one ``bincount``, and loads and errors sample through
+:func:`eigenspline.splines.grid_samples`.  A space's matrices are
+congruences of those banded B-spline Gram matrices under the space's
+signed assignment of B-splines to basis functions
 (:mod:`eigenspline.spaces`): a slice of the band for full spaces, whose
 assignment keeps consecutive B-splines, and for fold spaces the band's
 signed entries scattered into the rows they fold onto, so neither a dense
 n x n matrix nor a sparse one is formed; loads and coefficient maps go
 through the same assignment.  A spectrum takes its stiffness and mass
-from one evaluation of the B-splines.  Loads and errors sample the
-B-splines on their grid with one table per element class
-(:func:`eigenspline.splines.grid_samples`); the Gram batch evaluates them
-point by point.  The direct quadrature route over the reduced basis exists
-in the test suite as an independent oracle.
+from one table of the B-splines.  The direct quadrature route over the
+reduced basis exists in the test suite as an independent oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import scipy.sparse
 
 from .exceptions import ConfigError, NumericalError
 from .spaces import MAX_DEGREE, SpaceKind, SpaceSpec, _fold, _unfold
-from .splines import KnotVector, bspline_eval_batch, grid_samples
+from .splines import (KnotVector, _class_tables, _classes, _layout,
+                      find_spans, grid_samples)
 
 MAX_GAUSS = MAX_DEGREE + 3
 
@@ -194,28 +196,52 @@ def bspline_gram(knots: KnotVector, breaks, d):
 
 def _gram_bands(knots: KnotVector, breaks, orders):
     """Bands of :func:`bspline_gram` for each derivative order in
-    ``orders``, from one evaluation of the B-splines on the p+1-point grid.
-    The order-d values of a higher-order evaluation are those of an
-    order-d one, bit for bit, so each band is the one that
-    :func:`bspline_gram` returns for d."""
+    ``orders``, from one evaluation of the B-splines on the p+1-point grid
+    of one element per class.
+
+    The members of a class of ``splines._classes`` share their
+    representative's (p+1)^2 element block, so the interior diagonals are
+    exactly constant; knots or breaks without classes take every element
+    as its own class.  Each band entry adds its elements' block entries in
+    ascending element order from 0.0, in one ``bincount``.  On a layout
+    whose knots mirror about x = 1/2 the right half of each diagonal is
+    the mirror of its left half, as in exact arithmetic, so the band is
+    exactly mirror-symmetric.  The order-d values of a higher-order
+    evaluation are those of an order-d one, bit for bit, so each band is
+    the one that :func:`bspline_gram` returns for d."""
     p = knots.p
     m = p + 1
-    n_el = len(breaks) - 1
+    nb = knots.num_basis
+    breaks = np.asarray(breaks, dtype=float)
+    n_el = breaks.size - 1
+    layout = _layout(knots)
+    classes = _classes(knots, breaks, layout)
+    cls, reps = classes or (np.arange(n_el),) * 2
     xs, ws = quadrature_grid(breaks, m)
-    spans, vals = bspline_eval_batch(knots, max(orders), xs)
-    # Element e's active B-splines start at column lo[e]; the columns are
-    # distinct, so each scatter below touches every entry at most once.
-    # Running a downward adds the elements in ascending order.
-    lo = spans[::m]
+    # element e's active B-splines start at column lo[e]
+    lo = find_spans(knots, xs[::m])
+    pts, ws = xs.reshape(n_el, m)[reps], ws.reshape(n_el, m)[reps]
+    vals = _class_tables(knots, lo[reps], pts, max(orders))
+    # block entry (a + k, a) of element e lands on band[k, lo[e] + a]; in
+    # k ascending, a descending, e ascending each entry's elements arrive
+    # in ascending order
+    k, a = np.array([(k, a) for k in range(p + 1)
+                     for a in range(p - k, -1, -1)]).T
+    target = ((k * nb + a)[:, None] + lo).ravel()
+    # x -> 1 - x maps knot (2k - sigma)/den onto knot n_el - k when
+    # den = 2 (n_el - sigma)
+    mirrored = classes is not None and n_el == knots.n_el \
+        and layout[0] == 2 * (n_el - layout[1])
     bands = []
     for d in orders:
-        v = vals[:, d, :].reshape(n_el, m, p + 1)
-        blocks = np.einsum("eqa,eqb,eq->eab", v, v, ws.reshape(n_el, m))
-        band = np.zeros((p + 1, knots.num_basis))
-        for k in range(p + 1):
-            diag = np.diagonal(blocks, offset=-k, axis1=1, axis2=2)
-            for a in range(p - k, -1, -1):
-                band[k, lo + a] += diag[:, a]
+        blocks = np.einsum("cqa,cqb,cq->cab", vals[d], vals[d], ws)
+        band = np.bincount(target, weights=blocks[:, a + k, a][cls].T.ravel(),
+                           minlength=(p + 1) * nb).reshape(p + 1, nb)
+        if mirrored:
+            for j in range(p + 1):
+                row = band[j, :nb - j]
+                half = row.size // 2
+                row[row.size - half:] = row[:half][::-1]
         bands.append(band)
     return bands
 

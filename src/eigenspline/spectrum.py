@@ -178,11 +178,13 @@ def _certified_waves(spec: SpaceSpec, s, m):
     omega = exact_frequencies(spec.bc, n)
     lam = _symbol_frequencies(spec) ** 2
     wave = np.cos if spec.bc == BoundaryType.NEUMANN else np.sin
+    # one diagonal-format copy of each matrix for every product below
+    s, m = s.to_sparse(), m.to_sparse()
     nu, res, s_norm = np.empty((3, n))
     for lo in range(0, n, EFUN_BLOCK):
         blk = slice(lo, min(lo + EFUN_BLOCK, n))
         vb = wave(np.outer(c, omega[blk]))
-        sv, mv = s.matvec(vb), m.matvec(vb)
+        sv, mv = s @ vb, m @ vb
         scale = nu[blk] = 1.0 / np.sqrt(np.einsum("ik,ik->k", vb, mv))
         s_norm[blk] = np.linalg.norm(sv, axis=0) * scale
         mv *= lam[blk]
@@ -192,7 +194,7 @@ def _certified_waves(spec: SpaceSpec, s, m):
     vs = wave(np.outer(c, omega[idx])) * nu[idx]
     certified = (np.all(np.diff(lam) > 0.0)
                  and res.max() <= tol * s_norm.max()
-                 and np.abs(vs.T @ m.matvec(vs)
+                 and np.abs(vs.T @ (m @ vs)
                             - np.eye(idx.size)).max() <= tol)
     return (lam, nu) if certified else None
 

@@ -5,19 +5,20 @@ on [0, p+1], unit integral) through the two-term degree-raising
 recurrence.  ``bspline_eval_batch`` evaluates, at many points of [0, 1],
 the p+1 B-splines of a knot sequence that are active at each point,
 together with derivatives up to a requested order, via the Cox-de Boor
-triangle.  Apart from the Gram assembly, which scatters element blocks
-into band storage, and the closed-form error pass (below), every consumer
-reaches it through one of three views: ``basis_samples``, the sparse
-points x B-splines sample matrices that reduced-basis samples are
-products with, ``grid_samples``, the same matrices on a quadrature grid
-(loads, error integrals, trace fits, the sampled error pass), and
-``active_derivatives``, the square endpoint system of the B-splines
-active at one point.  This module alone decides which elements of a grid
-are translates of each other (``_classes``, on the uniform layouts of
-``_layout``); ``_class_tables`` evaluates one table per class, which
-``grid_samples`` broadcasts and the closed-form error pass of
-:mod:`eigenspline.spectrum` takes as is.  Other knots and breaks, and
-arbitrary points, are evaluated point by point.  Point evaluation is
+triangle.  Apart from the Gram assembly and the closed-form error pass
+(below), every consumer reaches it through one of three views:
+``basis_samples``, the sparse points x B-splines sample matrices that
+reduced-basis samples are products with, ``grid_samples``, the same
+matrices on a quadrature grid (loads, error integrals, trace fits, the
+sampled error pass), and ``active_derivatives``, the square endpoint
+system of the B-splines active at one point.  This module alone decides
+which elements of a grid are translates of each other (``_classes``, on
+the uniform layouts of ``_layout``); ``_class_tables`` evaluates one
+table per class, which ``grid_samples`` broadcasts, and which the Gram
+assembly of :mod:`eigenspline.assembly` and the closed-form error pass of
+:mod:`eigenspline.spectrum` take as is.  Other knots and breaks are
+evaluated point by point (the Gram assembly takes each of their elements
+as its own class), as are arbitrary points.  Point evaluation is
 right-continuous at knots; x = 1 takes left limits so the last element is
 closed.
 """

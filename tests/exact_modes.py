@@ -14,6 +14,7 @@ import numpy as np
 
 from eigenspline import BoundaryType, ConfigError, exact_frequencies
 from eigenspline.spaces import _layout_params, _wave_centres
+from eigenspline.splines import _layout
 
 
 def exact_eigenfunction(bc, l):
@@ -125,3 +126,94 @@ def symbol_frequencies_mp(spec, dps=40):
                 for k in range(1, p + 1))
             out.append(mpmath.sqrt(st / ma) / h)
     return out
+
+
+def exact_knots(knots):
+    """The knots of a uniform layout (``splines._layout``) as Fractions:
+    (2k - sigma)/den, k = -p..n_el+p, clipped to [0, 1] when the layout
+    is."""
+    den, sigma, clip = _layout(knots)
+    out = [Fraction(2 * k - sigma, den)
+           for k in range(-knots.p, knots.n_el + knots.p + 1)]
+    return [min(max(t, Fraction(0)), Fraction(1)) for t in out] if clip \
+        else out
+
+
+def exact_gram_band(t, p, n_el, d):
+    """The d-th derivative B-spline Gram band of the knots ``t`` (Fractions,
+    ``KnotVector.values`` order) over [0, 1], exactly: ``band[k][j]`` is
+    the integral of N_{j+k}^(d) N_j^(d) over the elements, each B-spline
+    piece a polynomial with Fraction coefficients from the Cox-de Boor
+    recursion and each product integrated in closed form."""
+
+    def mul(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def add(a, b):
+        n = max(len(a), len(b))
+        return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                for i in range(n)]
+
+    nb = n_el + p
+    band = [[Fraction(0)] * nb for _ in range(p + 1)]
+    for e in range(n_el):
+        lo, hi = max(t[e + p], Fraction(0)), min(t[e + p + 1], Fraction(1))
+        # pieces[j] on element e of the B-splines on t[e+p-k..], degree k
+        pieces = [[Fraction(1)]]
+        for k in range(1, p + 1):
+            nxt = []
+            for i in range(k + 1):
+                j = e + p - k + i
+                piece = [Fraction(0)]
+                if i > 0:
+                    left = pieces[i - 1]
+                    den = t[j + k] - t[j]
+                    piece = add(piece, mul(left, [-t[j] / den, 1 / den]))
+                if i < k:
+                    right = pieces[i]
+                    den = t[j + k + 1] - t[j + 1]
+                    piece = add(piece, mul(right, [t[j + k + 1] / den,
+                                                   -1 / den]))
+                nxt.append(piece)
+            pieces = nxt
+        for _ in range(d):
+            pieces = [[c * i for i, c in enumerate(q)][1:] or [Fraction(0)]
+                      for q in pieces]
+        for a in range(p + 1):
+            for b in range(a, p + 1):
+                prod = mul(pieces[a], pieces[b])
+                band[b - a][e + a] += sum(
+                    c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
+                    for i, c in enumerate(prod))
+    return band
+
+
+def full_pencil_eigenvalues_mp(spec, dps=40):
+    """Eigenvalues, ascending, of a full space's pencil assembled exactly
+    (:func:`exact_gram_band` on its rational knots, then the slice of the
+    B-splines it keeps), as mpmath numbers at ``dps`` digits: those of
+    L^{-1} S L^{-T}, L the Cholesky factor of M, from ``mpmath.eigsy``."""
+    import mpmath
+
+    p, n = spec.p, spec.n
+    knots = exact_knots(spec.knots)
+    lo = int(np.argmax(spec.rows == 0))
+    with mpmath.workdps(dps):
+        pencil = []
+        for d in (1, 0):
+            band = exact_gram_band(knots, p, spec.n_el, d)
+            a = mpmath.zeros(n, n)
+            for k in range(p + 1):
+                for j in range(n - k):
+                    x = band[k][lo + j]
+                    a[j + k, j] = a[j, j + k] = \
+                        mpmath.mpf(x.numerator) / x.denominator
+            pencil.append(a)
+        s, m = pencil
+        inv = mpmath.inverse(mpmath.cholesky(m))
+        w = mpmath.eigsy(inv * s * inv.T, eigvals_only=True)
+        return sorted(w[i] for i in range(n))

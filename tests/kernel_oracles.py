@@ -2,10 +2,14 @@
 eigenfunction-error pass.
 
 Test-only.  ``band_matvec`` is the diagonal loop that
-``SymBandMatrix.matvec`` must match bitwise, and ``band_to_dense``,
+``SymBandMatrix.matvec`` and the products with ``SymBandMatrix.to_sparse``
+must match bitwise (``LoopProduct`` stands in for the latter), and ``band_to_dense``,
 ``congruence_band`` and ``trace_fit_band`` are the hand-written band
 conversions that ``SymBandMatrix.to_dense``, ``assembly._congruence`` on
 full spaces and ``poisson._trace_fit`` must match bitwise;
+``pointwise_gram_band`` is the Gram band evaluated at every quadrature
+point, which ``bspline_gram`` must match bitwise on knots without element
+classes and to round-off on the uniform layouts;
 ``exact_congruence_gap`` measures a fold space's congruence band against
 the exact sum of its float Gram terms; ``eigenfunction_errors`` is
 the error pass that weights every block by the quadrature weights
@@ -19,7 +23,7 @@ import numpy as np
 import scipy.sparse
 
 from eigenspline import (BoundaryType, SymBandMatrix, basis_samples,
-                         bspline_gram, exact_frequencies)
+                         bspline_eval_batch, bspline_gram, exact_frequencies)
 from eigenspline.assembly import quadrature_grid
 from eigenspline.spectrum import EFUN_BLOCK
 
@@ -38,6 +42,17 @@ def band_matvec(a, x):
     return y
 
 
+class LoopProduct:
+    """Stand-in for ``SymBandMatrix.to_sparse()`` whose products
+    ``LoopProduct(a) @ x`` run the diagonal loop :func:`band_matvec`."""
+
+    def __init__(self, a):
+        self.a = a
+
+    def __matmul__(self, x):
+        return band_matvec(self.a, x)
+
+
 def band_to_dense(a):
     """The dense matrix of a SymBandMatrix, one diagonal at a time."""
     out = np.zeros((a.n, a.n))
@@ -47,6 +62,27 @@ def band_to_dense(a):
         if d:
             out[idx, idx + d] = a.band[d, :a.n - d]
     return out
+
+
+def pointwise_gram_band(knots, breaks, d):
+    """The B-spline Gram band of :func:`bspline_gram` with the B-splines
+    evaluated at every point of the p+1-point grid, and each element's
+    block added into the band one diagonal entry at a time, elements in
+    ascending order."""
+    p = knots.p
+    m = p + 1
+    n_el = len(breaks) - 1
+    xs, ws = quadrature_grid(breaks, m)
+    spans, vals = bspline_eval_batch(knots, d, xs)
+    lo = spans[::m]
+    v = vals[:, d, :].reshape(n_el, m, p + 1)
+    blocks = np.einsum("eqa,eqb,eq->eab", v, v, ws.reshape(n_el, m))
+    band = np.zeros((p + 1, knots.num_basis))
+    for k in range(p + 1):
+        diag = np.diagonal(blocks, offset=-k, axis1=1, axis2=2)
+        for a in range(p - k, -1, -1):
+            band[k, lo + a] += diag[:, a]
+    return band
 
 
 def congruence_band(spec, d):

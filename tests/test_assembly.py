@@ -17,13 +17,15 @@ from eigenspline import (
     make_space,
     reduced_basis_matrix,
 )
-from eigenspline import assembly, poisson
+from eigenspline import assembly, poisson, splines
 from eigenspline.assembly import (MAX_GAUSS, _band, _congruence, _pencil,
                                   bspline_load, quadrature_grid)
 from eigenspline.spaces import _fold, _unfold
-from eigenspline.splines import bspline_eval_batch
+from eigenspline.splines import KnotVector, bspline_eval_batch
+from exact_modes import exact_gram_band, exact_knots
 from kernel_oracles import (band_matvec, band_to_dense, congruence_band,
-                            exact_congruence_gap, trace_fit_band)
+                            exact_congruence_gap, pointwise_gram_band,
+                            trace_fit_band)
 
 # Fold congruence bands against the exact sum of their float Gram terms,
 # in units of eps times the band's largest entry.  Measured over the
@@ -70,6 +72,15 @@ def _layout_sweep(sizes=lambda p: (25, 97),
                         yield make_space(kind, p, n, bc)
                     except ConfigError:
                         pass
+
+
+def _arbitrary_knots(p, n_el, rng):
+    """Open knots with random interior knots on [0, 1], and their breaks:
+    a sequence with no uniform layout."""
+    inner = np.sort(rng.uniform(0.0, 1.0, n_el - 1))
+    values = np.concatenate((np.zeros(p + 1), inner, np.ones(p + 1)))
+    return (KnotVector(p=p, n_el=n_el, values=values),
+            np.concatenate(([0.0], inner, [1.0])))
 
 
 def _bitwise_sizes(p):
@@ -414,35 +425,55 @@ class TestGramOracles:
                             rtol=1e-14, atol=1e-14 * np.abs(oracle).max())
 
     def test_one_gram_is_one_evaluation_call(self, monkeypatch):
-        calls = []
+        # the Cox-de Boor triangle runs once, on the p+1 points of each
+        # class representative of a layout, and of every element of knots
+        # without classes
+        tables, triangles = [], []
+        real_tables, real_triangle = assembly._class_tables, \
+            splines._ders_basis
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return bspline_eval_batch(*args, **kwargs)
+        def counting_tables(kv, spans, pts, r):
+            tables.append((r, pts.size))
+            return real_tables(kv, spans, pts, r)
 
-        monkeypatch.setattr("eigenspline.assembly.bspline_eval_batch",
-                            counting)
-        sp = make_space("optimal", 5, 40, 0)
-        bspline_gram(sp.knots, sp.breaks, 1)
-        assert len(calls) == 1
-        assert calls[0][2].size == sp.n_el * (sp.p + 1)
+        def counting_triangle(kv, spans, xs, r):
+            triangles.append(xs.size)
+            return real_triangle(kv, spans, xs, r)
+
+        monkeypatch.setattr(assembly, "_class_tables", counting_tables)
+        monkeypatch.setattr(splines, "_ders_basis", counting_triangle)
+        for kind, p, n, bc in (("optimal", 5, 40, 0), ("full", 4, 300, 1),
+                               ("reduced", 6, 50, 0)):
+            sp = make_space(kind, p, n, bc)
+            _, reps = splines._classes(sp.knots, sp.breaks,
+                                       splines._layout(sp.knots))
+            assert reps.size < sp.n_el
+            tables.clear(), triangles.clear()
+            bspline_gram(sp.knots, sp.breaks, 1)
+            assert tables == [(1, reps.size * (p + 1))]
+            assert triangles == [reps.size * (p + 1)]
+        kv, breaks = _arbitrary_knots(3, 17, np.random.default_rng(4))
+        tables.clear(), triangles.clear()
+        bspline_gram(kv, breaks, 1)
+        assert tables == [(1, 17 * 4)]
+        assert triangles == [17 * 4]
 
     def test_pencil_is_one_evaluation_and_bitwise(self, monkeypatch):
-        # both Gram bands from one order-1 evaluation: the pencil equals
+        # both Gram bands from one order-1 class table: the pencil equals
         # the two public assemblies byte for byte on every space of the
         # sweep (the order-0 values of an order-1 evaluation are those of
         # an order-0 one)
         calls = []
+        real = assembly._class_tables
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return bspline_eval_batch(*args, **kwargs)
+        def counting(kv, spans, pts, r):
+            calls.append(r)
+            return real(kv, spans, pts, r)
 
         checked = 0
         for sp in _layout_sweep(_bitwise_sizes):
             s_ref, m_ref = assemble_stiffness(sp), assemble_mass(sp)
-            monkeypatch.setattr("eigenspline.assembly.bspline_eval_batch",
-                                counting)
+            monkeypatch.setattr(assembly, "_class_tables", counting)
             calls.clear()
             s, m, g1, g0 = _pencil(sp)
             monkeypatch.undo()
@@ -457,6 +488,99 @@ class TestGramOracles:
                     sp.knots, sp.breaks, d).tobytes()
             checked += 1
         assert checked == 195
+
+    def test_arbitrary_knots_bitwise_against_pointwise(self):
+        # knots without element classes take every element as its own
+        # class: the per-point evaluation, bit for bit, in every order
+        rng = np.random.default_rng(7)
+        checked = 0
+        for p in range(1, 9):
+            for n_el in (2, 3, 17, 40):
+                kv, breaks = _arbitrary_knots(p, n_el, rng)
+                assert splines._layout(kv) is None
+                for d in range(p + 1):
+                    got = bspline_gram(kv, breaks, d)
+                    assert got.tobytes() == \
+                        pointwise_gram_band(kv, breaks, d).tobytes()
+                    checked += 1
+        assert checked == 4 * 44
+
+    def test_class_bands_match_pointwise(self):
+        # Window, stated before the run: 2 (p+1) n_el eps of the band's
+        # largest entry.  The per-point values carry the rounding of each
+        # Gauss point, about eps/h = n_el eps in the local coordinate,
+        # which moves a B-spline's p+1 pieces and their derivatives by a
+        # few times that; the class tables are evaluated at the points of
+        # the element nearest x = 0, where the coordinate rounds least.
+        eps = np.finfo(float).eps
+        checked = worst = 0
+        for sp in _layout_sweep(_bitwise_sizes):
+            for d in (0, 1):
+                got = bspline_gram(sp.knots, sp.breaks, d)
+                ref = pointwise_gram_band(sp.knots, sp.breaks, d)
+                gap = np.abs(got - ref).max() / np.abs(ref).max()
+                worst = max(worst, gap / (sp.n_el * eps))
+                assert gap <= 2 * (sp.p + 1) * sp.n_el * eps, \
+                    (sp.kind, sp.bc, sp.p, sp.n, d)
+                checked += 1
+        assert checked == 2 * 195
+        # the two evaluations are not the same
+        assert worst > 0.0
+
+    @pytest.mark.parametrize("kind,p,n,bc", [
+        ("full", 7, 17, 0), ("full", 3, 20, 1), ("full", 8, 30, 2),
+        ("optimal", 5, 24, 2), ("optimal", 8, 19, 0), ("reduced", 4, 24, 0),
+    ])
+    def test_class_bands_against_exact_rationals(self, kind, p, n, bc):
+        # Window, stated before the run: 8 (p+1) eps of the band's largest
+        # entry, whatever n_el: each entry adds p+1 element blocks, each a
+        # (p+1)-point sum of products of B-spline values and derivatives
+        # that are exact to a few eps.  Reference: the Gram band of the
+        # exact rational knots, each B-spline piece a rational polynomial
+        # integrated in closed form.
+        eps = np.finfo(float).eps
+        sp = make_space(kind, p, n, bc)
+        knots = exact_knots(sp.knots)
+        for d in (0, 1):
+            ref = np.array([[float(x) for x in row] for row in
+                            exact_gram_band(knots, p, sp.n_el, d)])
+            got = bspline_gram(sp.knots, sp.breaks, d)
+            assert np.abs(got - ref).max() <= \
+                8 * (p + 1) * eps * np.abs(ref).max()
+
+    def test_interior_diagonals_constant_and_mirror_exact(self):
+        # Every element of the generic class shares one block, so each
+        # band entry whose elements are all generic is the same on its
+        # diagonal.  On layouts whose knots mirror about x = 1/2 the band
+        # is mirror-symmetric, G[i, j] == G[nb-1-i, nb-1-j]; full
+        # Dirichlet and Neumann pencils (both ends dropped alike) then
+        # satisfy A == J A J bit for bit.
+        checked = mirrored = 0
+        for sp in _layout_sweep(_bitwise_sizes):
+            p, nb = sp.p, sp.knots.num_basis
+            layout = splines._layout(sp.knots)
+            cls, _ = splines._classes(sp.knots, sp.breaks, layout)
+            generic = np.flatnonzero(cls == np.bincount(cls).argmax())
+            s, m, g1, g0 = _pencil(sp)
+            for g in (g1, g0):
+                for k in range(p + 1):
+                    inner = g.band[k, generic[0] + p - k:generic[-1] + 1]
+                    assert np.all(inner == inner[:1])
+            if layout[0] == 2 * (sp.n_el - layout[1]):
+                for g in (g1, g0):
+                    for k in range(p + 1):
+                        row = g.band[k, :nb - k]
+                        assert np.array_equal(row, row[::-1])
+                mirrored += 1
+                if sp.kind == "full" and sp.bc != 2:
+                    for a in (s, m):
+                        dense = a.to_dense()
+                        assert np.array_equal(dense, dense[::-1, ::-1])
+                        checked += 1
+        # every full and reduced layout, and the optimal Dirichlet and
+        # Neumann ones (an optimal mixed layout has den = 2n + 1 odd)
+        assert mirrored == 165
+        assert checked == 2 * 60
 
     def test_full_congruence_is_a_band_slice(self, monkeypatch):
         # a full space's extraction selects B-splines, so its congruence

@@ -26,6 +26,7 @@ import glob
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from eigenspline.cli import main
@@ -166,6 +167,52 @@ def test_matches_golden(name, tmp_path):
     assert sorted(produced) == sorted(golden)
     for fname, text in produced.items():
         compare(golden[fname], text)
+
+
+# The golden studies whose discrete frequencies come from the generalized
+# eigensolver on a full space's pencil: (degree, dimension, boundary) of
+# the one univariate space each is built on.
+EIGENSOLVED = {
+    "spectrum-full-dirichlet": (3, 20, 0),
+    "spectrum-full-neumann": (4, 20, 1),
+    "spectrum-full-mixed": (3, 20, 2),
+    "spectrum2d-full-mixed": (3, 8, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EIGENSOLVED))
+def test_eigensolved_goldens_against_extended_precision(name):
+    # Evidence for the committed omega_h column of each full-space golden.
+    # Reference: the eigenvalues of the pencil assembled exactly from the
+    # rational knots, in 40 digits (mpmath.eigsy of L^-1 S L^-T); a
+    # tensor mode's is the sum of its two univariate ones.  Windows,
+    # stated before the run: on nonzero modes a relative gap of n^2 eps
+    # (eps cond(S), as for the spectra's round-off windows); on the
+    # Neumann constant, whose exact eigenvalue is 0, omega_h^2 at most
+    # n eps lambda_max, the eigensolver's backward error there.
+    mpmath = pytest.importorskip("mpmath")
+    from exact_modes import full_pencil_eigenvalues_mp
+
+    from eigenspline import make_space
+
+    p, n, bc = EIGENSOLVED[name]
+    lam = full_pencil_eigenvalues_mp(make_space("full", p, n, bc))
+    header, rows = _table(_read_outputs(GOLDEN, name)[f"{name}.csv"])
+    modes = [header.index(c) for c in ("l", "l2") if c in header]
+    omega_h = header.index("omega_h")
+    eps = np.finfo(float).eps
+    checked = 0
+    with mpmath.workdps(40):
+        for row in rows:
+            ref = mpmath.fsum(lam[int(row[k]) - 1] for k in modes)
+            got = mpmath.mpf(row[omega_h])
+            if bc == 1 and row[modes[0]] == "1":
+                assert abs(ref) < mpmath.mpf(10) ** -30
+                assert got ** 2 <= n * eps * lam[-1]
+            else:
+                assert abs(got / mpmath.sqrt(ref) - 1) <= n * n * eps, row
+            checked += 1
+    assert checked == len(rows) == n ** len(modes)
 
 
 def test_regenerates_only_named_studies(tmp_path, monkeypatch, capsys):
