@@ -14,6 +14,7 @@ from eigenspline import (
     make_space,
 )
 from jacobi_oracle import jacobi_generalized_eigen
+from kernel_oracles import band_matvec
 
 
 def random_spd(rng, n, cond=1e3):
@@ -54,6 +55,19 @@ class TestProduction:
         w1, _ = generalized_eigen_sym(s_band, m_band)
         w2, _ = generalized_eigen_sym(s_band.to_dense(), m_band.to_dense())
         assert_allclose(w1, w2, rtol=1e-13)
+
+    def test_eigenvalues_are_rayleigh_quotients(self):
+        # v^T S v / v^T M v of each returned vector, in ascending order,
+        # within n eps: the products are the diagonal loop's bit for bit,
+        # and the two sums of n terms over a block of columns may round
+        # differently.  LAPACK's own eigenvalues are 17 n eps off here.
+        sp = make_space("full", 4, 300, 0)
+        s, m = assemble_stiffness(sp), assemble_mass(sp)
+        w, v = generalized_eigen_sym(s, m)
+        ref = np.einsum("ik,ik->k", v, band_matvec(s, v)) \
+            / np.einsum("ik,ik->k", v, band_matvec(m, v))
+        assert_allclose(w, ref, rtol=sp.n * np.finfo(float).eps, atol=0)
+        assert np.all(np.diff(w) >= 0.0)
 
     def test_rejects_indefinite_mass(self):
         s = np.eye(3)

@@ -670,10 +670,14 @@ class TestMirrorSplit:
         # the vectors are even or odd as their parity says
         assert np.array_equal(v[::-1], v * parity)
 
-    @pytest.mark.parametrize("p,n,bc", [(5, 1113, 0), (4, 1200, 1)])
+    @pytest.mark.parametrize("p,n,bc", [(5, 1113, 0), (4, 1200, 1),
+                                        (8, 1000, 1)])
     def test_low_mode_round_off_floor(self, p, n, bc):
-        # the dense solve of the whole pencil reads -2.7e-11 and -3.0e-11
-        # here, the split -1.3e-12 and -9.8e-13
+        # the dense solve of the whole pencil read -2.7e-11 and -3.0e-11
+        # on the first two, LAPACK's eigenvalues of the split -1.3e-12,
+        # -9.8e-13 and -1.2e-11 on the per-point pencils, and -2.1e-12,
+        # -1.5e-11 and -5.4e-11 on the class-table pencils; their Rayleigh
+        # quotients read -5.7e-14, -6.9e-12 and -6.6e-13
         rep = mode_errors(spectrum_1d(make_space("full", p, n, bc)))
         assert rep.e_freq[~rep.zero_mode].min() >= ROUND_OFF_FLOOR
 
