@@ -3,10 +3,11 @@ eigenfunction-error pass.
 
 Test-only.  ``band_matvec`` is the diagonal loop that
 ``SymBandMatrix.matvec`` and the products with ``SymBandMatrix.to_sparse``
-must match bitwise (``LoopProduct`` stands in for the latter), and ``band_to_dense``,
-``congruence_band`` and ``trace_fit_band`` are the hand-written band
-conversions that ``SymBandMatrix.to_dense``, ``assembly._congruence`` on
-full spaces and ``poisson._trace_fit`` must match bitwise;
+must match bitwise (``LoopProduct`` stands in for the latter), and
+``band_to_dense``, ``congruence_band`` and ``trace_fit_band`` are the
+hand-written band conversions that ``SymBandMatrix.to_dense``,
+``assembly._congruence`` on full spaces and ``poisson._trace_fit`` must
+match bitwise;
 ``pointwise_gram_band`` is the Gram band evaluated at every quadrature
 point, which ``bspline_gram`` must match bitwise on knots without element
 classes and to round-off on the uniform layouts;
