@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from eigenspline import (
@@ -68,6 +69,22 @@ class TestProduction:
             / np.einsum("ik,ik->k", v, band_matvec(m, v))
         assert_allclose(w, ref, rtol=sp.n * np.finfo(float).eps, atol=0)
         assert np.all(np.diff(w) >= 0.0)
+
+    def test_quotients_of_a_cluster_come_back_sorted(self):
+        # eigenvalues closer than their rounding: the quotients of LAPACK's
+        # vectors need not ascend in LAPACK's order, so they are re-sorted
+        # together with their vectors
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        s = (q * (1.0 + 1e-16 * np.arange(12))) @ q.T
+        s = 0.5 * (s + s.T)
+        w_lapack, _ = scipy.linalg.eigh(s, np.eye(12))
+        w, v = generalized_eigen_sym(s, np.eye(12))
+        quotients = np.einsum("ik,ik->k", v, s @ v) \
+            / np.einsum("ik,ik->k", v, v)
+        assert np.all(np.diff(w) >= 0.0)
+        assert_allclose(w, quotients, rtol=4 * np.finfo(float).eps, atol=0)
+        assert not np.array_equal(w, w_lapack)
 
     def test_rejects_indefinite_mass(self):
         s = np.eye(3)
