@@ -6,10 +6,14 @@ functionals use p+3 points.  Elements are the knot spans intersected with
 [0, 1] (equivalently, consecutive breakpoints).  Every grid takes its
 B-spline values from one table per element class
 (:mod:`eigenspline.splines`; on knots without a uniform layout every
-element is a class of its own): the Gram bands form one (p+1)^2 block per
-class and add the blocks of all elements into packed symmetric band
-storage with one ``bincount``, and loads and errors sample through
-:func:`eigenspline.splines.grid_samples`.  A space's matrices are
+element is a class of its own), built once per grid by
+:func:`_element_grid`: the Gram bands form one (p+1)^2 block per class
+and add the blocks of all elements into packed symmetric band storage
+with one ``bincount``; a load contracts each element's f w with its class
+table and adds the p+1 entries of all elements onto the B-splines with
+one ``bincount``; an error integral takes the discrete function at each
+element's points as its p+1 gathered coefficients times its class table.
+Neither forms a sample matrix.  A space's matrices are
 congruences of those banded B-spline Gram matrices under the space's
 signed assignment of B-splines to basis functions
 (:mod:`eigenspline.spaces`): a slice of the band for full spaces, whose
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -33,7 +38,7 @@ import scipy.sparse
 from .exceptions import ConfigError, NumericalError
 from .spaces import MAX_DEGREE, SpaceKind, SpaceSpec, _fold, _unfold
 from .splines import (KnotVector, _class_tables, _classes, _layout,
-                      find_spans, grid_samples)
+                      find_spans)
 
 MAX_GAUSS = MAX_DEGREE + 3
 
@@ -62,6 +67,61 @@ def quadrature_grid(breaks, m):
     xs = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     ws = (half[:, None] * w[None, :]).ravel()
     return xs, ws
+
+
+class _Grid(NamedTuple):
+    """An m-point grid over breaks with one B-spline table per element
+    class (:func:`_element_grid`)."""
+
+    xs: np.ndarray          # points, element after element
+    ws: np.ndarray          # their weights
+    lo: np.ndarray          # column of each element's first active B-spline
+    cls: np.ndarray         # class of each element
+    reps: np.ndarray        # first element of each class
+    tables: np.ndarray      # (r+1, classes, m, p+1) class tables
+    layout: Optional[tuple]  # the knots' layout when the breaks have classes
+
+
+def _element_grid(knots: KnotVector, breaks, m, r) -> _Grid:
+    """The m-point grid over ``breaks`` and derivatives 0..r of the p+1
+    B-splines active on each class representative at its points, from
+    one run of the Cox-de Boor triangle.
+
+    The classes are those of ``splines._classes``; knots or breaks without
+    classes take every element as its own class.  Element e's active
+    B-splines are columns lo[e], ..., lo[e] + p, read off its first point.
+    """
+    breaks = np.asarray(breaks, dtype=float)
+    n_el = breaks.size - 1
+    layout = _layout(knots)
+    classes = _classes(knots, breaks, layout)
+    cls, reps = classes or (np.arange(n_el),) * 2
+    xs, ws = quadrature_grid(breaks, m)
+    lo = find_spans(knots, xs[::m])
+    tables = _class_tables(knots, lo[reps], xs.reshape(n_el, m)[reps], r)
+    return _Grid(xs, ws, lo, cls, reps, tables,
+                 None if classes is None else layout)
+
+
+def _class_products(tables, reps, rows):
+    """rows[e] @ tables[c] for every element e of class c, as one
+    (elements, l) array from (elements, k) rows and (classes, k, l) tables.
+
+    A class is the run of consecutive elements from reps[c] on: the
+    classes of several elements take one product each, the others one
+    batched product together.  Non-finite or overflowing data propagate
+    without a warning; the callers' finiteness checks raise."""
+    n = rows.shape[0]
+    size = np.diff(reps, append=n)
+    single = size == 1
+    out = np.empty((n, tables.shape[2]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[reps[single]] = np.einsum("ck,ckl->cl", rows[reps[single]],
+                                      tables[single])
+        for c in np.flatnonzero(~single):
+            run = slice(reps[c], reps[c] + size[c])
+            out[run] = rows[run] @ tables[c]
+    return out
 
 
 @dataclass
@@ -210,18 +270,10 @@ def _gram_bands(knots: KnotVector, breaks, orders):
     evaluation are those of an order-d one, bit for bit, so each band is
     the one that :func:`bspline_gram` returns for d."""
     p = knots.p
-    m = p + 1
     nb = knots.num_basis
-    breaks = np.asarray(breaks, dtype=float)
-    n_el = breaks.size - 1
-    layout = _layout(knots)
-    classes = _classes(knots, breaks, layout)
-    cls, reps = classes or (np.arange(n_el),) * 2
-    xs, ws = quadrature_grid(breaks, m)
-    # element e's active B-splines start at column lo[e]
-    lo = find_spans(knots, xs[::m])
-    pts, ws = xs.reshape(n_el, m)[reps], ws.reshape(n_el, m)[reps]
-    vals = _class_tables(knots, lo[reps], pts, max(orders))
+    g = _element_grid(knots, breaks, p + 1, max(orders))
+    n_el, lo, cls, layout = g.lo.size, g.lo, g.cls, g.layout
+    ws = g.ws.reshape(n_el, -1)[g.reps]
     # block entry (a + k, a) of element e lands on band[k, lo[e] + a]; in
     # k ascending, a descending, e ascending each entry's elements arrive
     # in ascending order
@@ -230,11 +282,12 @@ def _gram_bands(knots: KnotVector, breaks, orders):
     target = ((k * nb + a)[:, None] + lo).ravel()
     # x -> 1 - x maps knot (2k - sigma)/den onto knot n_el - k when
     # den = 2 (n_el - sigma)
-    mirrored = classes is not None and n_el == knots.n_el \
+    mirrored = layout is not None and n_el == knots.n_el \
         and layout[0] == 2 * (n_el - layout[1])
     bands = []
     for d in orders:
-        blocks = np.einsum("cqa,cqb,cq->cab", vals[d], vals[d], ws)
+        vals = g.tables[d]
+        blocks = np.einsum("cqa,cqb,cq->cab", vals, vals, ws)
         band = np.bincount(target, weights=blocks[:, a + k, a][cls].T.ravel(),
                            minlength=(p + 1) * nb).reshape(p + 1, nb)
         if mirrored:
@@ -314,9 +367,23 @@ def assemble_load(spec: SpaceSpec, f) -> np.ndarray:
 def bspline_load(knots: KnotVector, breaks, f, d=0):
     """Load vector of f against the d-th derivatives of all B-splines,
     with the p+3-point rule."""
-    xs, ws = quadrature_grid(breaks, knots.p + 3)
-    b = grid_samples(knots, breaks, xs, d)[d]
-    return b.T @ (np.asarray(f(xs), dtype=float) * ws)
+    return _grid_load(knots, _element_grid(knots, breaks, knots.p + 3, d),
+                      f, d)
+
+
+def _grid_load(knots: KnotVector, g: _Grid, f, d):
+    """:func:`bspline_load` on the grid ``g``: each element contracts its
+    f w with its class table, and one ``bincount`` adds the elements' p+1
+    entries onto the B-splines, in ascending element order."""
+    fw = np.asarray(f(g.xs), dtype=float) * g.ws
+    loc = _class_products(g.tables[d], g.reps, fw.reshape(g.lo.size, -1))
+    return np.bincount(_columns(knots, g).ravel(), weights=loc.ravel(),
+                       minlength=knots.num_basis)
+
+
+def _columns(knots: KnotVector, g: _Grid):
+    """(elements, p+1) columns of the B-splines active on each element."""
+    return g.lo[:, None] + np.arange(knots.p + 1)
 
 
 def error_b_coefficients(knots: KnotVector, breaks, bcoeffs, exact,
@@ -327,16 +394,27 @@ def error_b_coefficients(knots: KnotVector, breaks, bcoeffs, exact,
     Returns (err_l2, err_h1); err_h1 is None when no derivative of the
     target is supplied.
     """
-    bcoeffs = np.asarray(bcoeffs, dtype=float)
-    r = 1 if exact_d1 is not None else 0
-    xs, ws = quadrature_grid(breaks, knots.p + 3)
-    b = grid_samples(knots, breaks, xs, r)
-    err_l2 = _error_norm(
-        "L2", [(ws, np.asarray(exact(xs), dtype=float) - b[0] @ bcoeffs)])
+    if np.shape(bcoeffs) != (knots.num_basis,):
+        raise ConfigError("coefficient vector has wrong length")
+    g = _element_grid(knots, breaks, knots.p + 3, int(exact_d1 is not None))
+    return _grid_errors(knots, g, bcoeffs, exact, exact_d1)
+
+
+def _grid_errors(knots: KnotVector, g: _Grid, bcoeffs, exact, exact_d1):
+    """:func:`error_b_coefficients` on the grid ``g``: the spline's order-d
+    values on each element are its p+1 gathered coefficients times the
+    transposed class table."""
+    local = np.asarray(bcoeffs, dtype=float)[_columns(knots, g)]
+
+    def miss(fn, d):
+        """Exact minus discrete d-th derivative at the grid points."""
+        h = _class_products(g.tables[d].transpose(0, 2, 1), g.reps, local)
+        return np.asarray(fn(g.xs), dtype=float) - h.ravel()
+
+    err_l2 = _error_norm("L2", [(g.ws, miss(exact, 0))])
     if exact_d1 is None:
         return err_l2, None
-    return err_l2, _error_norm(
-        "H1", [(ws, np.asarray(exact_d1(xs), dtype=float) - b[1] @ bcoeffs)])
+    return err_l2, _error_norm("H1", [(g.ws, miss(exact_d1, 1))])
 
 
 def _error_norm(what, blocks):

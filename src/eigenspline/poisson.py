@@ -33,14 +33,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import (SymBandMatrix, _band, _congruence, _error_norm,
-                       _finite, _pencil, assemble_mass, assemble_stiffness,
-                       bspline_gram, bspline_load, error_b_coefficients,
-                       quadrature_grid)
+from .assembly import (SymBandMatrix, _band, _congruence, _element_grid,
+                       _error_norm, _finite, _grid_errors, _grid_load,
+                       _pencil, assemble_mass, assemble_stiffness,
+                       bspline_gram, bspline_load, quadrature_grid)
 from .eigensolve import generalized_eigen_sym
 from .exceptions import ConfigError, NumericalError
 from .spaces import BoundaryType, SpaceSpec, _fold, _unfold
-from .splines import KnotVector, active_derivatives, grid_samples
+from .splines import KnotVector, bspline_eval_batch, grid_samples
 
 # x1 quadrature rows per block of the 2D load and error integrals: bounds
 # their working memory at a few (nq2 x ROW_BLOCK) arrays.
@@ -131,16 +131,18 @@ def _hermite(kv: KnotVector, left, right) -> np.ndarray:
     0, 2, ..., 2*floor(p/2) at x = 0 and x = 1; any trailing axes carry
     through.  The p+1 conditions per endpoint (the data at even orders,
     zero at the odd orders up to p) fix the first and the last p+1
-    B-spline coefficients through the two endpoint systems; the others
-    are zero.  Returns the (num_basis, ...) coefficients.
+    B-spline coefficients through the two endpoint systems, both taken
+    from one evaluation; the others are zero.  Returns the (num_basis, ...)
+    coefficients.
     """
     p = kv.p
+    systems = bspline_eval_batch(kv, p, [0.0, 1.0])[1]
     coeffs = np.zeros((kv.num_basis,) + left.shape[1:])
-    for x, data, sl in ((0.0, left, slice(0, p + 1)),
-                        (1.0, right, slice(-(p + 1), None))):
+    for a, data, sl in ((systems[0], left, slice(0, p + 1)),
+                        (systems[1], right, slice(-(p + 1), None))):
         rhs = np.zeros((p + 1,) + data.shape[1:])
         rhs[::2] = data
-        coeffs[sl] = _endpoint_solve(active_derivatives(kv, x), rhs)
+        coeffs[sl] = _endpoint_solve(a, rhs)
     return coeffs
 
 
@@ -187,12 +189,16 @@ def solve_poisson_1d(spec: SpaceSpec, prob: ManufacturedProblem1D,
     With correction the discrete problem solves for u0 = u - s_u with the
     right-hand side (f, v) - (s_u', v') and the correction is added back
     for error evaluation.  One B-spline stiffness band serves both the
-    reduced stiffness and the correction's product.
+    reduced stiffness and the correction's product, and one p+3-point
+    grid with its class tables serves the load and both error integrals.
     """
     if spec.bc != BoundaryType.DIRICHLET:
         raise ConfigError("poisson solves support Dirichlet boundaries only")
-    g1 = bspline_gram(spec.knots, spec.breaks, 1)
-    bb = bspline_load(spec.knots, spec.breaks, prob.f)
+    kv = spec.knots
+    g1 = bspline_gram(kv, spec.breaks, 1)
+    grid = _element_grid(kv, spec.breaks, spec.p + 3,
+                         int(prob.u is not None and prob.u_d1 is not None))
+    bb = _grid_load(kv, grid, prob.f, 0)
     corr = None
     if correct:
         corr = hermite_correction_1d(
@@ -204,8 +210,8 @@ def solve_poisson_1d(spec: SpaceSpec, prob: ManufacturedProblem1D,
         bc_total = _unfold(spec, coeffs)
         if corr is not None:
             bc_total = bc_total + corr
-        err_l2, err_h1 = error_b_coefficients(
-            spec.knots, spec.breaks, bc_total, prob.u, prob.u_d1)
+        err_l2, err_h1 = _grid_errors(kv, grid, bc_total, prob.u,
+                                      prob.u_d1)
     return PoissonSolution1D(spec=spec, coeffs=coeffs, correction=corr,
                              err_l2=err_l2, err_h1=err_h1)
 

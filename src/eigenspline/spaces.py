@@ -244,12 +244,15 @@ def _fold_assignment(p, nb, den, sigma, bc):
 def _fold(spec: SpaceSpec, x) -> np.ndarray:
     """E x for the extraction E: the B-spline entries x[j] (along the
     first axis) with their signs, summed onto their rows in ascending j,
-    the order of the sparse product, so that the sums match it bitwise."""
+    the order of the sparse product, so that the sums match it bitwise.
+    Infinite entries of opposite signs meeting on a row give NaN without
+    a warning; the solves' finiteness checks raise."""
     x = np.asarray(x, dtype=float)
     keep = spec.rows >= 0
     out = np.zeros((spec.n,) + x.shape[1:])
-    np.add.at(out, spec.rows[keep], x[keep]
-              * spec.signs[keep].reshape((-1,) + (1,) * (x.ndim - 1)))
+    with np.errstate(invalid="ignore"):
+        np.add.at(out, spec.rows[keep], x[keep]
+                  * spec.signs[keep].reshape((-1,) + (1,) * (x.ndim - 1)))
     return out
 
 

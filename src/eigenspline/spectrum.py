@@ -60,7 +60,8 @@ from .eigensolve import generalized_eigen_sym
 from .exceptions import ConfigError
 from .spaces import (BoundaryType, SpaceKind, SpaceSpec, _unfold,
                      _wave_centres)
-from .splines import _class_tables, _classes, _grid_samples, _layout
+from .splines import (_class_tables, _classes, _eulerian, _grid_samples,
+                      _layout)
 
 ZERO_MODE_TOL = 1e-12
 # Modes per block of the eigenfunction-error pass and of the wave
@@ -236,11 +237,7 @@ def _mass_symbol(p):
     Euler-Frobenius polynomial sum_j A(q, j) z^j are negative reals.
     """
     q = 2 * p + 1
-    # A(r, j) = (r - j) A(r - 1, j - 1) + (j + 1) A(r - 1, j)
-    euler = [1]
-    for r in range(2, q + 1):
-        euler = [(r - j) * a + (j + 1) * b for j, (a, b)
-                 in enumerate(zip([0] + euler, euler + [0]))]
+    euler = _eulerian(q)
     coeffs = [euler[p]] + [0] * p
     # T_0 and T_1 at x = 2t - 1, then T_k = (4t - 2) T_{k-1} - T_{k-2}
     prev, cheb = [1], [-1, 2]

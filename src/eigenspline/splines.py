@@ -2,31 +2,34 @@
 
 ``cardinal_bspline`` evaluates the degree-p cardinal B-spline (supported
 on [0, p+1], unit integral) through the two-term degree-raising
-recurrence.  ``bspline_eval_batch`` evaluates, at many points of [0, 1],
-the p+1 B-splines of a knot sequence that are active at each point,
-together with derivatives up to a requested order, via the Cox-de Boor
-triangle.  Apart from the Gram assembly and the closed-form error pass
-(below), every consumer reaches it through one of three views:
-``basis_samples``, the sparse points x B-splines sample matrices that
-reduced-basis samples are products with, ``grid_samples``, the same
-matrices on a quadrature grid (loads, error integrals, trace fits, the
-sampled error pass), and ``active_derivatives``, the square endpoint
-system of the B-splines active at one point.  This module alone decides
-which elements of a grid are translates of each other (``_classes``, on
-the uniform layouts of ``_layout``); ``_class_tables`` evaluates one
-table per class, which ``grid_samples`` broadcasts, and which the Gram
-assembly of :mod:`eigenspline.assembly` and the closed-form error pass of
-:mod:`eigenspline.spectrum` take as is.  Other knots and breaks are
-evaluated point by point (the Gram assembly takes each of their elements
-as its own class), as are arbitrary points.  Point evaluation is
+recurrence, and at the integers as the Eulerian numbers over p!.
+``bspline_eval_batch`` evaluates, at many points of [0, 1], the p+1
+B-splines of a knot sequence that are active at each point, together with
+derivatives up to a requested order, via the Cox-de Boor triangle; the
+Hermite endpoint systems take it at x = 0 and x = 1 in one call
+(``active_derivatives`` is that square system at one point).  Sampled
+consumers reach it through two views: ``basis_samples``, the sparse
+points x B-splines sample matrices that reduced-basis samples are
+products with, and ``grid_samples``, the same matrices on a quadrature
+grid (the 2D Poisson load, error integrals and trace fits, the sampled
+error pass).  This module alone decides which elements of a grid are
+translates of each other (``_classes``, on the uniform layouts of
+``_layout``); ``_class_tables`` evaluates one table per class, which
+``grid_samples`` broadcasts, and which the Gram bands, the 1D loads and
+error integrals of :mod:`eigenspline.assembly` and the closed-form error
+pass of :mod:`eigenspline.spectrum` contract as is.  On other knots and
+breaks ``grid_samples`` evaluates point by point and the assembly takes
+each element as its own class; arbitrary points are evaluated point by
+point.  Point evaluation is
 right-continuous at knots; x = 1 takes left limits so the last element is
 closed.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import scipy.sparse
@@ -39,7 +42,9 @@ def cardinal_bspline(p, t):
 
     The degree-0 spline is the indicator of [0, 1), which fixes the
     right-continuous convention for every degree; the support is exactly
-    [0, p+1].
+    [0, p+1].  At an integer t = j + 1 the value is A(p, j) / p!, the
+    Eulerian number rounded once, where the recurrence would round at
+    every step.
     """
     if p < 0:
         raise ConfigError("degree must be >= 0")
@@ -51,7 +56,25 @@ def cardinal_bspline(p, t):
             s = t - j
             vals[j] = (s / k) * vals[j] + ((k + 1 - s) / k) * vals[j + 1]
     out = vals[0]
+    if p:
+        exact = np.array([0.0] + [a / factorial(p) for a in _eulerian(p)]
+                         + [0.0])
+        whole = (t == np.floor(t)) & (t >= 0.0) & (t <= p + 1)
+        out = np.where(whole, exact[np.where(whole, t, 0.0).astype(np.intp)],
+                       out)
     return float(out) if out.ndim == 0 else out
+
+
+@functools.cache
+def _eulerian(q):
+    """The Eulerian numbers A(q, 0), ..., A(q, q-1) of q >= 1, as exact
+    integers: q! N_q(j + 1) = A(q, j) for the cardinal B-spline N_q."""
+    # A(r, j) = (r - j) A(r - 1, j - 1) + (j + 1) A(r - 1, j)
+    euler = [1]
+    for r in range(2, q + 1):
+        euler = [(r - j) * a + (j + 1) * b for j, (a, b)
+                 in enumerate(zip([0] + euler, euler + [0]))]
+    return tuple(euler)
 
 
 def cardinal_bspline_derivative(p, r, t):
@@ -234,7 +257,8 @@ def _classes(kv: KnotVector, breaks, layout):
     clipped: (2(e-p) - sigma)/den >= 0 and (2(e+p+1) - sigma)/den <= 1.
     The generic elements are translates of each other and form one class,
     represented by the one nearest x = 0, where the local coordinate
-    rounds least; every other element is a class of its own."""
+    rounds least; every other element is a class of its own.  Each class
+    is a run of consecutive elements, so cls is nondecreasing."""
     k = breaks.size - 1
     if layout is None or not 1 <= k <= kv.n_el:
         return None

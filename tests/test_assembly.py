@@ -19,9 +19,11 @@ from eigenspline import (
 )
 from eigenspline import assembly, poisson, splines
 from eigenspline.assembly import (MAX_GAUSS, _band, _congruence, _pencil,
-                                  bspline_load, quadrature_grid)
+                                  bspline_load, error_b_coefficients,
+                                  quadrature_grid)
 from eigenspline.spaces import _fold, _unfold
-from eigenspline.splines import KnotVector, bspline_eval_batch
+from eigenspline.splines import (KnotVector, basis_samples,
+                                 bspline_eval_batch, grid_samples)
 from exact_modes import exact_gram_band, exact_knots
 from kernel_oracles import (band_matvec, band_to_dense, congruence_band,
                             exact_congruence_gap, pointwise_gram_band,
@@ -710,6 +712,72 @@ class TestLoadsAndErrors:
                                   e @ bb @ e2.T)
             assert np.array_equal(_unfold(other, _unfold(sp, u).T).T,
                                   e.T @ u @ e2)
+
+    def test_contractions_match_sampled_products(self):
+        # Loads (orders 0 and 1) and L2/H1 error integrals of the element
+        # contractions against products with two csr sample routes:
+        # basis_samples at every point, which uses no class table (the
+        # independent oracle), and grid_samples, whose values are the
+        # class tables themselves (summation order only).  On every kind x
+        # bc x p <= 10 layout at n = 25 and 97, and on breaks without
+        # classes: the right end's p+1 elements and every element split in
+        # two.  f = 2 + cos(3x) lies in [1, 3]; the coefficients c are
+        # uniform in [-1, 1].
+        #
+        # Windows (eps = 2^-52), fixed before the first run:
+        # - independent: a class table and the per-point triangle see the
+        #   local coordinate, through the rounded points and knot
+        #   differences, up to rel = 4 eps slope apart, slope =
+        #   4 (p + 1) / h with h the shortest knot span, which also bounds
+        #   |B^(d+1)| / |B^(d)|-scale growth: |delta B^(d)| <= slope^d
+        #   rel.  The order-d load is off by at most max|f| (p + 1) hmax
+        #   slope^d rel (hmax the longest span), the order-d error by at
+        #   most (p + 1) slope^d rel; the same-table windows below come
+        #   on top.
+        # - same tables: each load entry sums K = (p + 1)(p + 3) products
+        #   in another order, so |delta| <= 2 (K + 2) eps sum|terms|, and
+        #   each spline value sums p + 1 products, so an error is off by
+        #   at most 2 (p + 3) eps max_q sum_a |c_a B_a^(d)(x_q)|.
+        eps = np.finfo(float).eps
+        f = lambda x: 2.0 + np.cos(3.0 * x)
+        zero, zero_d1 = (lambda x: 0.0 * x), (lambda x: 0.0 * x)
+        rng = np.random.default_rng(23)
+        cases = []
+        for sp in _layout_sweep():
+            cases.append((sp.knots, sp.breaks))
+            if sp.n == 25:
+                mid = 0.5 * (sp.breaks[:-1] + sp.breaks[1:])
+                cases.append((sp.knots, sp.breaks[-(sp.p + 2):]))
+                cases.append((sp.knots, np.sort(np.append(sp.breaks, mid))))
+        classless = 0
+        for kv, breaks in cases:
+            p = kv.p
+            spans = np.diff(kv.values)
+            h, hmax = spans[spans > 0].min(), spans.max()
+            slope = 4 * (p + 1) / h
+            rel = 4 * eps * slope
+            xs, ws = quadrature_grid(breaks, p + 3)
+            classless += splines._classes(
+                kv, breaks, splines._layout(kv)) is None
+            point, table = basis_samples(kv, xs, 1), \
+                grid_samples(kv, breaks, xs, 1)
+            fw = f(xs) * ws
+            c = rng.uniform(-1.0, 1.0, kv.num_basis)
+            got_err = error_b_coefficients(kv, breaks, c, zero, zero_d1)
+            for d in (0, 1):
+                got = bspline_load(kv, breaks, f, d)
+                terms = abs(point[d]).T @ np.abs(fw)
+                same = 2 * ((p + 1) * (p + 3) + 2) * eps * terms
+                indep = same + 3.0 * (p + 1) * hmax * slope ** d * rel
+                assert np.all(np.abs(got - table[d].T @ fw) <= same)
+                assert np.all(np.abs(got - point[d].T @ fw) <= indep)
+                size = (abs(point[d]) @ np.abs(c)).max()
+                same = 2 * (p + 3) * eps * size
+                indep = same + (p + 1) * slope ** d * rel
+                for b, window in ((table[d], same), (point[d], indep)):
+                    want = np.sqrt(np.sum(ws * (b @ c) ** 2))
+                    assert abs(got_err[d] - want) <= window, (p, d)
+        assert classless >= 60
 
     def test_load_polynomial_exact(self):
         # x -> x against hats: interior entries h * x_i

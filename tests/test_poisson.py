@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 from numpy.testing import assert_allclose
 
 from eigenspline import (
@@ -28,7 +29,7 @@ from eigenspline import (
     solve_poisson_1d,
     solve_poisson_2d,
 )
-from eigenspline import assembly, poisson
+from eigenspline import assembly, poisson, splines
 from eigenspline.assembly import quadrature_grid
 
 
@@ -184,6 +185,12 @@ def _nan(x):
     return np.full_like(np.asarray(x, dtype=float), np.nan)
 
 
+def _zero_systems(kv, r, xs):
+    """Stand-in for ``bspline_eval_batch`` whose endpoint systems are
+    singular."""
+    return None, np.zeros((len(xs), r + 1, kv.p + 1))
+
+
 class TestFailureContract:
     # non-finite loads and failed factorizations surface as NumericalError,
     # never as scipy's ValueError or LinAlgError
@@ -199,6 +206,18 @@ class TestFailureContract:
         sp = make_space("optimal", 3, 12, 0)
         with pytest.raises(NumericalError, match="not finite"):
             self.SOLVES[which](sp, _nan)
+
+    @pytest.mark.parametrize("which", sorted(SOLVES))
+    def test_infinite_load_rejected(self, which):
+        # inf times the B-spline values (and the zeros among their
+        # derivatives) in the element contractions, and infinities of
+        # opposite signs folded onto one row, raise no RuntimeWarning; the
+        # solve's finiteness check raises
+        sp = make_space("optimal", 3, 12, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="not finite"):
+                self.SOLVES[which](sp, lambda x: np.full_like(x, np.inf))
 
     @pytest.mark.parametrize("which", sorted(SOLVES))
     def test_failed_factorization_mapped(self, which, monkeypatch):
@@ -258,8 +277,7 @@ class TestFailureContract:
                     solve_poisson_2d(sp, sp, prob)
 
     def test_singular_endpoint_system_mapped(self, monkeypatch):
-        monkeypatch.setattr(poisson, "active_derivatives",
-                            lambda kv, x: np.zeros((kv.p + 1, kv.p + 1)))
+        monkeypatch.setattr(poisson, "bspline_eval_batch", _zero_systems)
         sp = make_space("optimal", 3, 12, 0)
         with pytest.raises(NumericalError, match="endpoint system"):
             hermite_correction_1d(sp, [0.0, 1.0], [0.0, 1.0])
@@ -305,6 +323,37 @@ class TestPoisson1D:
         sp = make_space("optimal", 3, 16, 1)
         with pytest.raises(ConfigError):
             solve_poisson_1d(sp, get_preset("sin2pi"))
+
+    @pytest.mark.parametrize("correct", [False, True])
+    def test_one_grid_and_no_sample_matrix(self, correct, monkeypatch):
+        # the load and both error integrals share one p+3-point grid of
+        # class tables: the Cox-de Boor triangle runs for the Gram band,
+        # for that grid and, corrected, once for both endpoint systems.
+        # No csr sample matrix is built; the only sparse object is the
+        # correction product's diagonal-format band.
+        sp = make_space("optimal", 4, 40, 0)
+        prob = get_preset("ex73")
+        want = solve_poisson_1d(sp, prob, correct=correct)
+        runs, made = [], []
+        real_ders, real_init = splines._ders_basis, \
+            scipy.sparse._base._spbase.__init__
+
+        def counting(kv, spans, xs, r):
+            runs.append(r)
+            return real_ders(kv, spans, xs, r)
+
+        def recording(self, *args, **kwargs):
+            made.append(type(self).__name__)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(splines, "_ders_basis", counting)
+        monkeypatch.setattr(scipy.sparse._base._spbase, "__init__",
+                            recording)
+        got = solve_poisson_1d(sp, prob, correct=correct)
+        assert runs == [1, 1] + [sp.p] * correct
+        assert set(made) <= {"dia_array"} and (correct or not made)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert (got.err_l2, got.err_h1) == (want.err_l2, want.err_h1)
 
     def test_vanishing_data_correction_is_noop(self):
         # with endpoint data that are exact zeros the corrected path must

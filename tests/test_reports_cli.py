@@ -568,8 +568,9 @@ class TestCli:
     ], ids=lambda args: args[0])
     def test_singular_endpoint_system_exits_3(self, tmp_path, monkeypatch,
                                               capsys, args):
-        monkeypatch.setattr("eigenspline.poisson.active_derivatives",
-                            lambda kv, x: np.zeros((kv.p + 1, kv.p + 1)))
+        monkeypatch.setattr(
+            "eigenspline.poisson.bspline_eval_batch",
+            lambda kv, r, xs: (None, np.zeros((len(xs), r + 1, kv.p + 1))))
         out = tmp_path / "p.csv"
         code = main(args + ["--correct", "on", "--out", str(out)])
         assert code == 3

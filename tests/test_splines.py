@@ -1,6 +1,8 @@
 """Tests for cardinal and general B-spline evaluation."""
 
 import tracemalloc
+from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -44,6 +46,22 @@ class TestCardinal:
 
     def test_cubic_peak(self):
         assert_allclose(cardinal_bspline(3, 2.0), 2.0 / 3.0)
+
+    @pytest.mark.parametrize("p", range(17))
+    def test_integer_points_rounded_once(self, p):
+        # p! N_p(t) = sum_k (-1)^k C(p+1, k) (t - k)_+^p exactly, with the
+        # right-continuous (0)_+^0 = 1; every integer value is that
+        # fraction correctly rounded, as an array and as a scalar
+        def plus(x):
+            return x ** p if x > 0 or (x == 0 and p == 0) else 0
+
+        ts = range(-1, p + 3)
+        want = [float(Fraction(sum((-1) ** k * comb(p + 1, k) * plus(t - k)
+                                   for k in range(p + 2)), factorial(p)))
+                for t in ts]
+        got = cardinal_bspline(p, np.array(ts, dtype=float))
+        assert got.tolist() == want
+        assert [cardinal_bspline(p, float(t)) for t in ts] == want
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 7])
     def test_symmetry(self, p):
