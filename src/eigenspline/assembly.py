@@ -377,13 +377,9 @@ def _grid_load(knots: KnotVector, g: _Grid, f, d):
     entries onto the B-splines, in ascending element order."""
     fw = np.asarray(f(g.xs), dtype=float) * g.ws
     loc = _class_products(g.tables[d], g.reps, fw.reshape(g.lo.size, -1))
-    return np.bincount(_columns(knots, g).ravel(), weights=loc.ravel(),
+    cols = g.lo[:, None] + np.arange(knots.p + 1)
+    return np.bincount(cols.ravel(), weights=loc.ravel(),
                        minlength=knots.num_basis)
-
-
-def _columns(knots: KnotVector, g: _Grid):
-    """(elements, p+1) columns of the B-splines active on each element."""
-    return g.lo[:, None] + np.arange(knots.p + 1)
 
 
 def error_b_coefficients(knots: KnotVector, breaks, bcoeffs, exact,
@@ -404,7 +400,8 @@ def _grid_errors(knots: KnotVector, g: _Grid, bcoeffs, exact, exact_d1):
     """:func:`error_b_coefficients` on the grid ``g``: the spline's order-d
     values on each element are its p+1 gathered coefficients times the
     transposed class table."""
-    local = np.asarray(bcoeffs, dtype=float)[_columns(knots, g)]
+    local = np.asarray(bcoeffs, dtype=float)[
+        g.lo[:, None] + np.arange(knots.p + 1)]
 
     def miss(fn, d):
         """Exact minus discrete d-th derivative at the grid points."""

@@ -6,8 +6,8 @@ recurrence, and at the integers as the Eulerian numbers over p!.
 ``bspline_eval_batch`` evaluates, at many points of [0, 1], the p+1
 B-splines of a knot sequence that are active at each point, together with
 derivatives up to a requested order, via the Cox-de Boor triangle; the
-Hermite endpoint systems take it at x = 0 and x = 1 in one call
-(``active_derivatives`` is that square system at one point).  Sampled
+Hermite endpoint systems, the first and the last p+1 B-splines' derivatives
+0..p at x = 0 and x = 1, come from one call.  Sampled
 consumers reach it through two views: ``basis_samples``, the sparse
 points x B-splines sample matrices that reduced-basis samples are
 products with, and ``grid_samples``, the same matrices on a quadrature
@@ -287,15 +287,6 @@ def _class_tables(kv: KnotVector, reps, pts, r):
     vals = _ders_basis(kv, np.repeat(reps, m), pts.ravel(), r)
     return np.ascontiguousarray(
         vals.reshape(r + 1, kv.p + 1, reps.size, m).transpose(0, 2, 3, 1))
-
-
-def active_derivatives(kv: KnotVector, x):
-    """Derivatives 0..p of the p+1 B-splines active at one point x.
-
-    Returns the (p+1, p+1) matrix ``[d, a]``; at x = 0 and x = 1 the
-    active B-splines are the first and the last p+1 of the sequence.
-    """
-    return bspline_eval_batch(kv, kv.p, [x])[1][0]
 
 
 def _ders_basis(kv, spans, xs, r):

@@ -20,7 +20,7 @@ from eigenspline import (
 )
 from eigenspline import splines
 from eigenspline.assembly import quadrature_grid
-from eigenspline.splines import active_derivatives, grid_samples
+from eigenspline.splines import grid_samples
 from kernel_oracles import eigenfunction_errors as loop_errors
 
 
@@ -177,10 +177,9 @@ class TestEvaluation:
 
     def test_open_knot_endpoint_values(self):
         kv = open_knots(3, 6)
-        left = active_derivatives(kv, 0.0)
+        left, right = bspline_eval_batch(kv, kv.p, [0.0, 1.0])[1]
         assert_allclose(left[0, 0], 1.0)
         assert_allclose(left[0, 1:], 0.0, atol=1e-15)
-        right = active_derivatives(kv, 1.0)
         assert_allclose(right[0, -1], 1.0)
         assert_allclose(right[0, :-1], 0.0, atol=1e-15)
 
@@ -229,9 +228,10 @@ class TestBasisSamples:
         kv = make_space(kind, p, n, bc).knots
         nb = kv.num_basis
         ends = [b.toarray() for b in basis_samples(kv, [0.0, 1.0], p)]
-        for q, x, cols in ((0, 0.0, slice(0, p + 1)),
-                           (1, 1.0, slice(nb - p - 1, nb))):
-            system = active_derivatives(kv, x)
+        # the endpoint systems of poisson._hermite
+        systems = bspline_eval_batch(kv, p, [0.0, 1.0])[1]
+        for q, cols in ((0, slice(0, p + 1)), (1, slice(nb - p - 1, nb))):
+            system = systems[q]
             assert system.shape == (p + 1, p + 1)
             for d in range(p + 1):
                 assert np.array_equal(ends[d][q, cols], system[d])
