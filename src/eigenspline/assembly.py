@@ -130,10 +130,11 @@ class SymBandMatrix:
 
     ``band[d, j] == A[j + d, j]`` for 0 <= d <= bandwidth (entries running
     past the matrix edge are zero), the layout accepted by scipy's
-    symmetric banded solvers.  Only this class and the congruence that
-    scatters into it touch that layout; the trace fit's normal equations
-    convert through :meth:`from_sparse`, and products go through
-    :meth:`to_sparse`.
+    symmetric banded solvers.  Only this class, the congruence that
+    scatters into it and :func:`_pencil_rows`, which reads a pencil's rows
+    for the wave certificate, touch that layout; the trace fit's normal
+    equations convert through :meth:`from_sparse`, and products
+    (:meth:`matvec`, the eigensolver's) go through :meth:`to_sparse`.
     """
 
     n: int
@@ -347,6 +348,33 @@ def _pencil(spec: SpaceSpec):
     g1, g0 = _gram_bands(spec.knots, spec.breaks, (1, 0))
     return _congruence(spec, g1), _congruence(spec, g0), \
         _band(spec, g1), _band(spec, g0)
+
+
+def _pencil_rows(s: SymBandMatrix, m: SymBandMatrix, lo, hi):
+    """(middle, rows, cols, edge) of a pencil S, M of one bandwidth w, read
+    from the bands, or None when some row in [lo, hi) of S or of M is not
+    the middle row n // 2 bitwise (row i reads band[d, i] and band[d, i -
+    d]; lo >= w).
+
+    ``middle[k]`` is that row's band column (a_0, ..., a_w) of S (k = 0)
+    and of M (k = 1); ``edge[k]`` the dense rows [0, lo) and [hi, n),
+    index array ``rows``, on the columns ``cols`` that they touch.
+    """
+    n, w = s.n, s.bandwidth
+    bands = np.array((s.band, m.band))
+    middle = bands[:, :, n // 2]
+    if hi > lo:
+        skip = np.arange(lo - w, hi) < lo - np.arange(w + 1)[:, None]
+        if not np.all((bands[:, :, lo - w:hi] == middle[:, :, None])
+                      | skip):
+            return None
+    rows = np.concatenate((np.arange(lo), np.arange(hi, n)))
+    top = min(lo + w, n)
+    cols = np.concatenate((np.arange(top), np.arange(max(hi - w, top), n)))
+    gap = np.abs(rows[:, None] - cols)
+    edge = np.where(gap <= w, bands[:, np.minimum(gap, w),
+                                    np.minimum(rows[:, None], cols)], 0.0)
+    return middle, rows, cols, edge
 
 
 def assemble_mass(spec: SpaceSpec) -> SymBandMatrix:

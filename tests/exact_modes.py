@@ -158,37 +158,50 @@ def exact_gram_band(t, p, n_el, d):
         return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
                 for i in range(n)]
 
-    nb = n_el + p
-    band = [[Fraction(0)] * nb for _ in range(p + 1)]
-    for e in range(n_el):
-        lo, hi = max(t[e + p], Fraction(0)), min(t[e + p + 1], Fraction(1))
-        # pieces[j] on element e of the B-splines on t[e+p-k..], degree k
+    def block(t, lo, hi):
+        # the element's (p+1)^2 block from the 2p + 2 knots it depends on,
+        # t[p] its left end, integrated over [lo, hi]
         pieces = [[Fraction(1)]]
         for k in range(1, p + 1):
             nxt = []
             for i in range(k + 1):
-                j = e + p - k + i
+                j = p - k + i
                 piece = [Fraction(0)]
                 if i > 0:
-                    left = pieces[i - 1]
                     den = t[j + k] - t[j]
-                    piece = add(piece, mul(left, [-t[j] / den, 1 / den]))
+                    piece = add(piece, mul(pieces[i - 1], [-t[j] / den,
+                                                           1 / den]))
                 if i < k:
-                    right = pieces[i]
                     den = t[j + k + 1] - t[j + 1]
-                    piece = add(piece, mul(right, [t[j + k + 1] / den,
-                                                   -1 / den]))
+                    piece = add(piece, mul(pieces[i], [t[j + k + 1] / den,
+                                                       -1 / den]))
                 nxt.append(piece)
             pieces = nxt
         for _ in range(d):
             pieces = [[c * i for i, c in enumerate(q)][1:] or [Fraction(0)]
                       for q in pieces]
+        out = {}
         for a in range(p + 1):
             for b in range(a, p + 1):
                 prod = mul(pieces[a], pieces[b])
-                band[b - a][e + a] += sum(
-                    c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
-                    for i, c in enumerate(prod))
+                out[a, b] = sum(c * (hi ** (i + 1) - lo ** (i + 1)) / (i + 1)
+                                for i, c in enumerate(prod))
+        return out
+
+    nb = n_el + p
+    band = [[Fraction(0)] * nb for _ in range(p + 1)]
+    blocks = {}
+    for e in range(n_el):
+        # in coordinates from the element's left knot, so that translated
+        # elements (every generic one of a uniform layout) share one block
+        x0 = t[e + p]
+        local = tuple(x - x0 for x in t[e:e + 2 * p + 2])
+        key = local + (max(x0, Fraction(0)) - x0, min(t[e + p + 1],
+                                                      Fraction(1)) - x0)
+        if key not in blocks:
+            blocks[key] = block(local, key[-2], key[-1])
+        for (a, b), x in blocks[key].items():
+            band[b - a][e + a] += x
     return band
 
 
@@ -217,3 +230,37 @@ def full_pencil_eigenvalues_mp(spec, dps=40):
         inv = mpmath.inverse(mpmath.cholesky(m))
         w = mpmath.eigsy(inv * s * inv.T, eigvals_only=True)
         return sorted(w[i] for i in range(n))
+
+
+def wave_amplitudes_mp(spec, dps=40):
+    """The amplitudes nu_l = 1 / sqrt(v^T M v) of the waves v_i = wave(omega_l
+    c_i) of an optimal or reduced space (cos for Neumann, sin otherwise),
+    as mpmath numbers at ``dps`` digits, on the mass matrix assembled
+    exactly: v^T M v = u^T G u with G the exact B-spline Gram
+    (:func:`exact_gram_band`) and u = E^T v the wave's B-spline
+    coefficients from the space's signed assignment, with the exact centres
+    c_i = z_i / den and omega_l = pi k_l / 2."""
+    import mpmath
+
+    from eigenspline.spaces import _fold_centres
+
+    den, sigma, _ = _layout_params(spec.kind, spec.p, spec.n, spec.bc)
+    z = _fold_centres(spec.p, den, sigma, spec.bc)
+    gram = exact_gram_band(exact_knots(spec.knots), spec.p, spec.n_el, 0)
+    k = np.rint(2.0 * exact_frequencies(spec.bc, spec.n) / np.pi).astype(int)
+    wave = mpmath.cos if spec.bc == BoundaryType.NEUMANN else mpmath.sin
+    nb = spec.rows.size
+    out = []
+    with mpmath.workdps(dps):
+        g = [[mpmath.mpf(x.numerator) / x.denominator for x in row]
+             for row in gram]
+        for kl in k:
+            v = [wave(mpmath.pi * int(kl) * int(zi) / (2 * den)) for zi in z]
+            u = [int(s) * v[r] if r >= 0 else mpmath.mpf(0)
+                 for r, s in zip(spec.rows, spec.signs)]
+            quad = mpmath.fsum(g[0][j] * u[j] ** 2 for j in range(nb))
+            quad += 2 * mpmath.fsum(g[d][j] * u[j + d] * u[j]
+                                    for d in range(1, spec.p + 1)
+                                    for j in range(nb - d))
+            out.append(1 / mpmath.sqrt(quad))
+    return out

@@ -3,9 +3,9 @@ eigenfunction-error pass.
 
 Test-only.  ``band_matvec`` is the diagonal loop that
 ``SymBandMatrix.matvec`` and the products with ``SymBandMatrix.to_sparse``
-must match bitwise (``LoopProduct`` stands in for the latter), and
-``band_to_dense``, ``congruence_band`` and ``trace_fit_band`` are the
-hand-written band conversions that ``SymBandMatrix.to_dense``,
+must match bitwise and that the wave certificate's residuals are checked
+against; ``band_to_dense``, ``congruence_band`` and ``trace_fit_band`` are
+the hand-written band conversions that ``SymBandMatrix.to_dense``,
 ``assembly._congruence`` on full spaces and ``poisson._trace_fit`` must
 match bitwise;
 ``pointwise_gram_band`` is the Gram band evaluated at every quadrature
@@ -41,17 +41,6 @@ def band_matvec(a, x):
         y[d:] += b * x[:-d]
         y[:-d] += b * x[d:]
     return y
-
-
-class LoopProduct:
-    """Stand-in for ``SymBandMatrix.to_sparse()`` whose products
-    ``LoopProduct(a) @ x`` run the diagonal loop :func:`band_matvec`."""
-
-    def __init__(self, a):
-        self.a = a
-
-    def __matmul__(self, x):
-        return band_matvec(self.a, x)
 
 
 def band_to_dense(a):
