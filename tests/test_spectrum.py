@@ -57,7 +57,7 @@ def _mirror_split(v):
 
 def _merged(halves, order):
     """The mirror split's eigenvectors as one (n, n) array, merged in
-    ``order`` from the half solutions by the error pass's own builder."""
+    ``order`` from the half solutions by the error pass's own merge."""
     n = halves[0].shape[0] + halves[1].shape[0]
     return spectrum._mirror_modes(halves, order, n)
 
