@@ -7,12 +7,15 @@ the computed vectors on the pencil as given.  The test suite cross-checks
 it against an independent dense Jacobi-rotation oracle for small pencils.
 
 It is the package's only eigensolver and the only code that forms an
-eigenvector matrix: optimal and reduced spectra reach it only when their
-sampled waves fail the certificate in :mod:`eigenspline.spectrum`, full
-spectra always, and fast diagonalization calls it directly.  A spectrum
-whose two ends share a boundary type calls it on the even and odd halves
-of its mirror-symmetric pencil, so dense n x n pencils remain only for
-mixed boundaries and fast diagonalization.
+eigenvector matrix.  Optimal and reduced spaces reach it only when their
+sampled waves fail the certificate in :mod:`eigenspline.spectrum`, in a
+spectrum and in a direction of the 2D Poisson solve alike (certified
+directions take sine transforms there); full spaces always reach it, and
+the public ``fast_diagonalization_solve`` calls it on both pencils.  A
+spectrum whose two ends share a boundary type calls it on the even and
+odd halves of its mirror-symmetric pencil, so dense n x n pencils remain
+for mixed-boundary spectra and for the dense route of fast
+diagonalization.
 """
 
 from __future__ import annotations

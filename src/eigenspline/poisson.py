@@ -18,12 +18,22 @@ the even normal-derivative traces on the edges x1 = 0, 1, fitted by least
 squares in the x2 full spline space, P2 likewise across x2, and P1 P2
 interpolates the corner jets in both directions.
 
-Dirichlet boundaries only; the 2D solve runs through fast diagonalization
-of the two univariate pencils.  The 2D load and error integrals run over
-blocks of ``ROW_BLOCK`` x1 quadrature rows, so no full tensor grid of
-samples is ever formed; within a block the samples are weighted, and the
-residuals formed and squared, in place, with the weights applied per
-axis, so no weight grid is formed either.
+Dirichlet boundaries only.  The 2D solve runs through fast
+diagonalization of the two univariate pencils (Buzbee, Golub & Nielson,
+SIAM J. Numer. Anal. 7, 1970).  A direction whose space passes the wave
+certificate of :mod:`eigenspline.spectrum` has sampled sine waves as
+eigenvectors, so it takes the certificate's eigenvalues and amplitudes
+and applies the waves as sine transforms by the real FFT: no eigensolve
+and no n x n matrix.  Full spaces and uncertified waves take the dense
+eigensolver.  A source given as separable terms, f = sum_k a_k(x1)
+b_k(x2), gets its load by sum factorisation (Antolin, Buffa, Calabro,
+Martinelli & Sangalli, CMAME 285, 2015), two 1D loads per term.
+Otherwise the load, and always the L2/H1 error integrals (whose separable
+expansion would cancel), run over blocks of ``ROW_BLOCK`` x1 quadrature
+rows, so no full tensor grid of samples is ever formed; within a block
+the samples are weighted, and the residuals formed and squared, in
+place, with the weights applied per axis, so no weight grid is formed
+either.
 """
 
 from __future__ import annotations
@@ -39,7 +49,9 @@ from .assembly import (SymBandMatrix, _band, _congruence, _element_grid,
                        bspline_gram, bspline_load, quadrature_grid)
 from .eigensolve import generalized_eigen_sym
 from .exceptions import ConfigError, NumericalError
-from .spaces import BoundaryType, SpaceSpec, _fold, _unfold
+from .spaces import (BoundaryType, SpaceKind, SpaceSpec, _fold,
+                     _fold_centres, _layout_params, _unfold)
+from .spectrum import _certified_waves
 from .splines import KnotVector, bspline_eval_batch, grid_samples
 
 # x1 quadrature rows per block of the 2D load and error integrals: bounds
@@ -66,14 +78,10 @@ class ManufacturedProblem1D:
         """Spot-check -u'' = f at 20 fixed points, to 1e-8 relative."""
         if self.u is None or self.u_d1 is None:
             return
-        x = np.random.default_rng(0).uniform(0.05, 0.95, 20)
+        x = _spot_points()[0]
         d = 1e-6
         upp = (self.u_d1(x + d) - self.u_d1(x - d)) / (2 * d)
-        fx = self.f(x)
-        err = np.max(np.abs(fx + upp) / np.maximum(1.0, np.abs(fx)))
-        if not err <= 1e-8:
-            raise NumericalError(
-                f"problem {self.name!r} fails the -u''=f spot check ({err:.2e})")
+        _spot_check(self.name, "-u''=f", self.f(x), -upp, 1e-8)
 
 
 @dataclass
@@ -81,7 +89,9 @@ class ManufacturedProblem2D:
     """Problem -(u_x1x1 + u_x2x2) = f on the unit square, u = 0 on the edge.
 
     ``u_mixed(a1, a2, x1, x2)`` evaluates mixed derivatives of u
-    (broadcasting); it feeds the boundary correction traces.
+    (broadcasting); it feeds the boundary correction traces.  ``factors``,
+    when given, lists 1D callable pairs (a_k, b_k) with f(x1, x2) =
+    sum_k a_k(x1) b_k(x2); the load is then taken by sum factorisation.
     """
 
     name: str
@@ -90,20 +100,41 @@ class ManufacturedProblem2D:
     u_x1: Optional[Callable] = None
     u_x2: Optional[Callable] = None
     u_mixed: Optional[Callable] = None
+    factors: Optional[list] = None
 
     def validate(self):
-        """Spot-check -lap(u) = f at 20 fixed points, to 1e-10 relative."""
-        if self.u_mixed is None:
+        """Spot-check -lap(u) = f, and f = sum_k a_k b_k when factors are
+        given, at 20 fixed points, each to 1e-10 relative."""
+        self._check_factors()
+        if self.u_mixed is not None:
+            x1, x2 = _spot_points()
+            lap = self.u_mixed(2, 0, x1, x2) + self.u_mixed(0, 2, x1, x2)
+            _spot_check(self.name, "-lap(u)=f", self.f(x1, x2), -lap, 1e-10)
+
+    def _check_factors(self):
+        """The factor half of :meth:`validate`."""
+        if self.factors is None:
             return
-        rng = np.random.default_rng(0)
-        x1 = rng.uniform(0.05, 0.95, 20)
-        x2 = rng.uniform(0.05, 0.95, 20)
-        lap = self.u_mixed(2, 0, x1, x2) + self.u_mixed(0, 2, x1, x2)
-        fx = self.f(x1, x2)
-        err = np.max(np.abs(fx + lap) / np.maximum(1.0, np.abs(fx)))
-        if not err <= 1e-10:
-            raise NumericalError(
-                f"problem {self.name!r} fails the -lap(u)=f spot check")
+        if not self.factors:
+            raise ConfigError(f"problem {self.name!r} lists no factors")
+        x1, x2 = _spot_points()
+        _spot_check(self.name, "f = sum a_k b_k", self.f(x1, x2),
+                    sum(a(x1) * b(x2) for a, b in self.factors), 1e-10)
+
+
+def _spot_points():
+    """The 20 fixed spot points of each direction."""
+    rng = np.random.default_rng(0)
+    return rng.uniform(0.05, 0.95, 20), rng.uniform(0.05, 0.95, 20)
+
+
+def _spot_check(name, what, fx, gx, tol):
+    """NumericalError unless |f - g| <= tol max(1, |f|) at every spot
+    point; NaN fails."""
+    err = np.max(np.abs(fx - gx) / np.maximum(1.0, np.abs(fx)))
+    if not err <= tol:
+        raise NumericalError(
+            f"problem {name!r} fails the {what} spot check ({err:.2e})")
 
 
 def hermite_correction_1d(spec: SpaceSpec, left_data, right_data) \
@@ -243,19 +274,87 @@ def _per_direction(arg1, arg2, build):
 def fast_diagonalization_solve(s1, m1, s2, m2, rhs):
     """Solve (S1 x M2 + M1 x S2) u = rhs through univariate eigenpairs.
 
-    ``rhs`` and the result are (n1, n2) coefficient arrays.  The same
-    pencil passed for both directions is solved once; a non-finite
-    right-hand side or solution raises NumericalError.
+    ``rhs`` and the result are (n1, n2) coefficient arrays.  Both pencils
+    take the dense eigensolver, the same pencil passed for both directions
+    once; a non-finite right-hand side or solution raises NumericalError.
     """
+    modes1 = _dense_modes(s1, m1)
+    modes2 = modes1 if s2 is s1 and m2 is m1 else _dense_modes(s2, m2)
+    return _tensor_solve(modes1, modes2, rhs)
+
+
+def _tensor_solve(modes1, modes2, rhs):
+    """u = V1 ((V1^T rhs V2) / (w1_i + w2_j)) V2^T from the two directions'
+    (eigenvalues, V^T, V) of :func:`_modes`; a non-finite right-hand side
+    or solution, or a zero eigenvalue sum, raises NumericalError."""
     _finite(rhs, "tensor solve: right-hand side")
-    w1, v1 = generalized_eigen_sym(s1, m1)
-    w2, v2 = (w1, v1) if s2 is s1 and m2 is m1 \
-        else generalized_eigen_sym(s2, m2)
+    (w1, to1, from1), (w2, to2, from2) = modes1, modes2
     den = w1[:, None] + w2[None, :]
     if np.any(np.abs(den) < 1e-12):
         raise NumericalError("singular tensor pencil (zero eigenvalue pair)")
-    rhat = v1.T @ rhs @ v2
-    return _finite(v1 @ (rhat / den) @ v2.T, "tensor solve: solution")
+    rhat = to2(to1(rhs, 0), 1)
+    return _finite(from2(from1(rhat / den, 0), 1), "tensor solve: solution")
+
+
+def _modes(spec: SpaceSpec, s, m):
+    """(eigenvalues, to_modes, from_modes) of a Dirichlet direction's
+    pencil S, M, with V its M-orthonormal eigenvectors: to_modes(x, axis)
+    applies V^T along an axis of a 2D array (x V along axis 1) and
+    from_modes(y, axis) applies V (y V^T along axis 1).
+
+    Certified waves (:func:`spectrum._certified_waves`) have V_il = nu_l
+    sin(pi l z_i / den) on the fold's integer centres z_i, so both
+    products are sine sums (:func:`_sine_sums`) with the certificate's
+    eigenvalues and amplitudes nu; full spaces and uncertified waves take
+    the dense eigensolver (:func:`_dense_modes`).
+    """
+    waves = spec.kind != SpaceKind.FULL and _certified_waves(spec, s, m)
+    if not waves:
+        return _dense_modes(s, m)
+    lam, nu = waves
+    den, sigma, _ = _layout_params(spec.kind, spec.p, spec.n, spec.bc)
+    z = _fold_centres(spec.p, den, sigma, spec.bc)
+    # the centres are every other integer in (0, den), so they and the
+    # mode numbers are slices; optimal centres are even (den = 2n + 2),
+    # and halving them and den halves the transforms
+    half = 2 - z[0] % 2
+    den //= half
+    z = slice(z[0] // half, z[-1] // half + 1, 2 // half)
+    l = slice(1, spec.n + 1)
+    scale = (nu[:, None], nu)
+
+    def to_modes(x, axis):
+        return _sine_sums(x, axis, z, l, den) * scale[axis]
+
+    def from_modes(y, axis):
+        return _sine_sums(y * scale[axis], axis, l, z, den)
+
+    return lam, to_modes, from_modes
+
+
+def _dense_modes(s, m):
+    """:func:`_modes` of the pencil from the dense eigensolver."""
+    w, v = generalized_eigen_sym(s, m)
+    return (w, lambda x, axis: v.T @ x if axis == 0 else x @ v,
+            lambda y, axis: v @ y if axis == 0 else y @ v.T)
+
+
+def _sine_sums(x, axis, src, dst, den):
+    """sum_j x_j sin(pi src_j dst_k / den) along ``axis`` of a 2D array,
+    for integer positions src and dst in [0, den], given as slices.
+
+    The entries are scattered onto a length-2 den grid at src; minus the
+    imaginary part of its real FFT is the sum at every integer dst.  With
+    src the fold centres and dst the mode numbers, or the reverse, this is
+    DST-I on optimal Dirichlet spaces (centres i, den = n + 1, once
+    halved) and DST-II, or back DST-III, on reduced ones (centres 2i - 1,
+    den = 2n).
+    """
+    rows = x.T if axis == 0 else x
+    grid = np.zeros((rows.shape[0], 2 * den))
+    grid[:, src] = rows
+    out = -np.fft.rfft(grid)[:, dst].imag
+    return out.T if axis == 0 else out
 
 
 def _trace_fit(samples):
@@ -322,16 +421,19 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
 
     Passing the same space object for both directions assembles, samples
     and solves it once.  The load and the L2/H1 error integrals use the
-    p+3-point rule in each direction and run over blocks of ``ROW_BLOCK``
-    x1 quadrature rows: f, u and the discrete solution are only ever
-    sampled on one block of rows times the whole x2 grid, and weighted,
-    differenced and squared in place.
+    p+3-point rule in each direction.  A problem with ``factors`` takes
+    its load as sum_k (Phi1^T W1 a_k)(Phi2^T W2 b_k)^T; otherwise the
+    load, and always the error integrals, run over blocks of
+    ``ROW_BLOCK`` x1 quadrature rows: f, u and the discrete solution are
+    only ever sampled on one block of rows times the whole x2 grid, and
+    weighted, differenced and squared in place.  Each direction is solved
+    in its modes (:func:`_modes`).
     """
     if spec1.bc != BoundaryType.DIRICHLET \
             or spec2.bc != BoundaryType.DIRICHLET:
         raise ConfigError("poisson solves support Dirichlet boundaries only")
-    (s1, m1, g1s, g1m), (s2, m2, g2s, g2m) = _per_direction(
-        spec1, spec2, _pencil)
+    (g1s, g1m, modes1), (g2s, g2m, modes2) = _per_direction(
+        spec1, spec2, _direction)
     samples = _per_direction(spec1, spec2, _quadrature_samples)
     (xs1, ws1, phi1), (xs2, ws2, phi2) = samples
     blocks = [slice(lo, lo + ROW_BLOCK)
@@ -348,14 +450,18 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
             v = np.array(np.broadcast_to(v, (x2.size, x1.size)))
         return v
 
-    bb = np.zeros((spec1.knots.num_basis, spec2.knots.num_basis))
-    for blk in blocks:
-        wf = on_block(prob.f, blk)
-        wf *= ws2[:, None]
-        wf *= ws1[None, blk]
-        bb += phi1[0][blk].T @ (phi2[0].T @ wf).T
-        # free this block's samples before the next block forms its own
-        del wf
+    if prob.factors is not None:
+        prob._check_factors()
+        bb = _factored_load(prob.factors, samples)
+    else:
+        bb = np.zeros((spec1.knots.num_basis, spec2.knots.num_basis))
+        for blk in blocks:
+            wf = on_block(prob.f, blk)
+            wf *= ws2[:, None]
+            wf *= ws1[None, blk]
+            bb += phi1[0][blk].T @ (phi2[0].T @ wf).T
+            # free this block's samples before the next block forms its own
+            del wf
 
     corr = None
     if correct:
@@ -365,7 +471,7 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
                    + g2s.matvec(g1m.matvec(corr).T).T)
 
     rhs = _fold(spec2, _fold(spec1, bb).T).T
-    u = fast_diagonalization_solve(s1, m1, s2, m2, rhs)
+    u = _tensor_solve(modes1, modes2, rhs)
 
     err_l2 = err_h1 = None
     if prob.u is not None:
@@ -389,6 +495,23 @@ def solve_poisson_2d(spec1: SpaceSpec, spec2: SpaceSpec,
                                         for blk in blocks))
     return PoissonSolution2D(spec1=spec1, spec2=spec2, coeffs=u,
                              correction=corr, err_l2=err_l2, err_h1=err_h1)
+
+
+def _direction(spec: SpaceSpec):
+    """(G1, G0, modes) of a direction: the B-spline Gram bands of the
+    correction load and the :func:`_modes` of the space's pencil."""
+    s, m, g1, g0 = _pencil(spec)
+    return g1, g0, _modes(spec, s, m)
+
+
+def _factored_load(factors, samples):
+    """sum_k (Phi1^T W1 a_k)(Phi2^T W2 b_k)^T: the B-spline load of f =
+    sum_k a_k(x1) b_k(x2), one 1D load per factor on each direction's
+    quadrature ``samples``."""
+    (xs1, ws1, phi1), (xs2, ws2, phi2) = samples
+    a = np.column_stack([ws1 * a_k(xs1) for a_k, _ in factors])
+    b = np.column_stack([ws2 * b_k(xs2) for _, b_k in factors])
+    return (phi1[0].T @ a) @ (phi2[0].T @ b).T
 
 
 def _quadrature_samples(spec: SpaceSpec):

@@ -8,7 +8,8 @@
             order cap of the constrained subspaces and exercises the
             correction.
 ``ex75``    2D, u = x1 (1 - cos(2 pi x1)) (1 - e^{x2}) (1 - e^{1-x2}):
-            separable with closed-form mixed derivatives of every order.
+            separable with closed-form mixed derivatives of every order;
+            f = -(g'' w + g w'') is supplied as its two separable factors.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ def preset_ex75() -> ManufacturedProblem2D:
         u_x1=lambda x1, x2: u_mixed(1, 0, x1, x2),
         u_x2=lambda x1, x2: u_mixed(0, 1, x1, x2),
         u_mixed=u_mixed,
+        factors=[(lambda x: -_g_deriv(2, x), lambda x: _w_deriv(0, x)),
+                 (lambda x: -_g_deriv(0, x), lambda x: _w_deriv(2, x))],
     )
 
 

@@ -28,11 +28,11 @@ row of the basis function centred where it folds to.  The extraction E
 stored: E x is a sum of the signed entries onto their rows
 (:func:`_fold`), E^T y a signed gather (:func:`_unfold`), and
 ``spec.extraction`` builds E as a sparse matrix only when asked for.  In
-that basis the sampled waves sin(omega c_i) (cos for Neumann), c_i the
-row centres of :func:`_wave_centres`, are the discrete eigenvectors, and
-since the fold signs are the wave's odd and even reflections, E^T v of
-such a wave v is the same wave sampled at every B-spline centre, those
-outside [0, 1] included.
+that basis the sampled waves sin(omega c_i) (cos for Neumann), c_i = z_i
+/ den the row centres of :func:`_fold_centres`, are the discrete
+eigenvectors, and since the fold signs are the wave's odd and even
+reflections, E^T v of such a wave v is the same wave sampled at every
+B-spline centre, those outside [0, 1] included.
 """
 
 from __future__ import annotations
@@ -280,12 +280,6 @@ def _fold_centres(p, den, sigma, bc):
     s0, s1 = _end_signs(bc)
     c = np.arange((1 - p - sigma) % 2, den + 1, 2)
     return c[((c != 0) | (s0 > 0)) & ((c != den) | (s1 > 0))]
-
-
-def _wave_centres(spec: SpaceSpec) -> np.ndarray:
-    """Row centres c_i in [0, 1] of an optimal or reduced space's fold."""
-    den, sigma, _ = _layout_params(spec.kind, spec.p, spec.n, spec.bc)
-    return _fold_centres(spec.p, den, sigma, spec.bc) / den
 
 
 def reduced_basis_matrix(spec: SpaceSpec, xs, r=0) -> np.ndarray:

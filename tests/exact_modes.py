@@ -13,8 +13,14 @@ from fractions import Fraction
 import numpy as np
 
 from eigenspline import BoundaryType, ConfigError, exact_frequencies
-from eigenspline.spaces import _layout_params, _wave_centres
+from eigenspline.spaces import _fold_centres, _layout_params
 from eigenspline.splines import _layout
+
+
+def wave_centres(spec):
+    """Row centres c_i in [0, 1] of an optimal or reduced space's fold."""
+    den, sigma, _ = _layout_params(spec.kind, spec.p, spec.n, spec.bc)
+    return _fold_centres(spec.p, den, sigma, spec.bc) / den
 
 
 def exact_eigenfunction(bc, l):
@@ -42,7 +48,7 @@ def wave_vectors(spec, nu):
     c_i) at the fold's row centres c_i (cos for Neumann, sin otherwise),
     the values the wave certificate checks."""
     wave = np.cos if spec.bc == BoundaryType.NEUMANN else np.sin
-    return wave(np.outer(_wave_centres(spec),
+    return wave(np.outer(wave_centres(spec),
                          exact_frequencies(spec.bc, spec.n))) * nu
 
 
@@ -241,8 +247,6 @@ def wave_amplitudes_mp(spec, dps=40):
     coefficients from the space's signed assignment, with the exact centres
     c_i = z_i / den and omega_l = pi k_l / 2."""
     import mpmath
-
-    from eigenspline.spaces import _fold_centres
 
     den, sigma, _ = _layout_params(spec.kind, spec.p, spec.n, spec.bc)
     z = _fold_centres(spec.p, den, sigma, spec.bc)

@@ -1,5 +1,6 @@
 """Tests for Poisson solves, projections and the boundary-data correction."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -29,8 +30,9 @@ from eigenspline import (
     solve_poisson_1d,
     solve_poisson_2d,
 )
-from eigenspline import assembly, poisson, splines
+from eigenspline import assembly, poisson, spectrum, splines
 from eigenspline.assembly import quadrature_grid
+from test_spectrum import REFUSED
 
 
 def spline_values(kv, coeffs, xs, r=0):
@@ -93,6 +95,25 @@ class TestPresets:
             u_mixed=u_mixed)
         with pytest.raises(NumericalError):
             bad.validate()
+
+    def test_validate_catches_wrong_factors(self):
+        # ex75's second factor with the wrong sign: the exact solution
+        # still solves -lap(u) = f, but the factors sum to another source;
+        # the check and the solve both refuse it
+        good = get_preset("ex75")
+        (a1, b1), (a2, b2) = good.factors
+        bad = dataclasses.replace(
+            good, factors=[(a1, b1), (lambda x: -a2(x), b2)])
+        with pytest.raises(NumericalError, match="sum a_k b_k"):
+            bad.validate()
+        sp = make_space("optimal", 3, 12, 0)
+        with pytest.raises(NumericalError, match="sum a_k b_k"):
+            solve_poisson_2d(sp, sp, bad)
+
+    def test_empty_factor_list_rejected(self):
+        prob = dataclasses.replace(get_preset("ex75"), factors=[])
+        with pytest.raises(ConfigError, match="no factors"):
+            prob.validate()
 
 
 class TestHermiteCorrection:
@@ -439,6 +460,174 @@ class TestFastDiagonalization:
             fast_diagonalization_solve(s, m, s, m, np.ones((8, 8)))
 
 
+def kron_residual(sp1, sp2, u, rhs):
+    """||S1 U M2 + M1 U S2 - R|| / ||R|| on the banded pencils."""
+    s1, m1 = assemble_stiffness(sp1), assemble_mass(sp1)
+    s2, m2 = assemble_stiffness(sp2), assemble_mass(sp2)
+    r = m2.matvec(s1.matvec(u).T).T + s2.matvec(m1.matvec(u).T).T - rhs
+    return np.linalg.norm(r) / np.linalg.norm(rhs)
+
+
+def captured_rhs(sp1, sp2, prob, monkeypatch):
+    """The folded load that the 2D solve hands to its tensor solve."""
+    got = []
+
+    def spy(modes1, modes2, rhs):
+        got.append(rhs)
+        return np.zeros_like(rhs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(poisson, "_tensor_solve", spy)
+        solve_poisson_2d(sp1, sp2, prob)
+    return got[0]
+
+
+def forbid_eigensolve(monkeypatch):
+    """Make the 2D solve's dense eigensolver raise."""
+    def refuse(*args):
+        raise AssertionError("dense eigensolve called")
+
+    monkeypatch.setattr(poisson, "generalized_eigen_sym", refuse)
+
+
+class TestTransformRoute:
+    """Certified wave directions take sine transforms, not eigh."""
+
+    # optimal and reduced Dirichlet spaces, p = 2-8, square (one space
+    # object for both directions, or equal sizes) and not, n <= 300
+    CASES = [
+        (("optimal", 2, 300), ("optimal", 2, 300)),
+        (("optimal", 3, 120), ("optimal", 5, 97)),
+        (("optimal", 4, 255), None),
+        (("optimal", 6, 64), ("optimal", 7, 150)),
+        (("optimal", 8, 211), ("optimal", 8, 40)),
+        (("reduced", 2, 50), ("reduced", 4, 280)),
+        (("reduced", 6, 200), None),
+        (("reduced", 8, 97), ("optimal", 3, 64)),
+    ]
+
+    @pytest.mark.parametrize("dims1,dims2", CASES)
+    def test_matches_dense_route(self, dims1, dims2, monkeypatch):
+        # Windows, set before the run.  On a white-noise right-hand side
+        # the routes agree to 1e-10 of the solution's maximum (the dense
+        # route's residual reached 9e-10 at n = 1023 on a smooth source,
+        # far less at n <= 300).  There the residual against the rounded
+        # pencil is led by the lowest modes, whose symbol eigenvalue may
+        # leave the rounded pencil's by the certificate's tolerance
+        # WAVE_TOL n^2 eps, so the transform's residual is held to that or
+        # to the dense one's, whichever is larger.  On the solve's own
+        # source (the ex75 load) it is no larger than the dense one's.
+        sp1 = make_space(*dims1, 0)
+        sp2 = sp1 if dims2 is None else make_space(*dims2, 0)
+        noise = np.random.default_rng(sp1.n + sp2.n).standard_normal(
+            (sp1.n, sp2.n))
+        load = captured_rhs(sp1, sp2, get_preset("ex75"), monkeypatch)
+        pencils = (assemble_stiffness(sp1), assemble_mass(sp1),
+                   assemble_stiffness(sp2), assemble_mass(sp2))
+        dense = [fast_diagonalization_solve(*pencils, rhs)
+                 for rhs in (noise, load)]
+        forbid_eigensolve(monkeypatch)
+        (_, _, modes1), (_, _, modes2) = poisson._per_direction(
+            sp1, sp2, poisson._direction)
+        wave = [poisson._tensor_solve(modes1, modes2, rhs)
+                for rhs in (noise, load)]
+        assert np.max(np.abs(wave[0] - dense[0])) \
+            <= 1e-10 * np.max(np.abs(dense[0]))
+        tol = spectrum.WAVE_TOL * max(sp1.n, sp2.n) ** 2 \
+            * np.finfo(float).eps
+        assert kron_residual(sp1, sp2, wave[0], noise) \
+            <= max(tol, kron_residual(sp1, sp2, dense[0], noise))
+        assert kron_residual(sp1, sp2, wave[1], load) \
+            <= kron_residual(sp1, sp2, dense[1], load)
+
+    @pytest.mark.parametrize("correct", [False, True])
+    def test_certified_solve_makes_no_eigensolve(self, correct,
+                                                 monkeypatch):
+        sp1 = make_space("optimal", 4, 60, 0)
+        sp2 = make_space("reduced", 4, 40, 0)
+        prob = get_preset("ex75")
+        want = solve_poisson_2d(sp1, sp2, prob, correct=correct)
+        forbid_eigensolve(monkeypatch)
+        got = solve_poisson_2d(sp1, sp2, prob, correct=correct)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert got.err_l2 < 1e-3
+
+    def test_refused_waves_fall_back_to_eigh(self, monkeypatch):
+        # a space whose waves the certificate refuses takes the dense
+        # eigensolver; the certified direction still takes the transform
+        kind, bc, p, n = min(REFUSED)
+        refused = make_space(kind, p, n, bc)
+        certified = make_space("optimal", 3, 30, 0)
+        s, m = assemble_stiffness(refused), assemble_mass(refused)
+        assert spectrum._certified_waves(refused, s, m) is None
+        calls = []
+        real = poisson.generalized_eigen_sym
+
+        def counting(s, m):
+            calls.append(s.n)
+            return real(s, m)
+
+        monkeypatch.setattr(poisson, "generalized_eigen_sym", counting)
+        prob = get_preset("ex75")
+        sol = solve_poisson_2d(refused, certified, prob)
+        assert calls == [refused.n]
+        rhs = np.random.default_rng(3).standard_normal((n, certified.n))
+        (_, _, modes1), (_, _, modes2) = (
+            poisson._direction(sp) for sp in (refused, certified))
+        assert_allclose(modes1[0], real(s, m)[0], rtol=0, atol=0)
+        u = poisson._tensor_solve(modes1, modes2, rhs)
+        dense = fast_diagonalization_solve(
+            s, m, assemble_stiffness(certified), assemble_mass(certified),
+            rhs)
+        assert np.max(np.abs(u - dense)) <= 1e-10 * np.max(np.abs(dense))
+        assert np.isfinite(sol.err_l2)
+
+
+class TestFactoredLoad:
+    @pytest.mark.parametrize("dims1,dims2", [
+        (("optimal", 4, 255), None), (("optimal", 3, 40), ("reduced", 4, 57)),
+        (("full", 3, 60), ("full", 5, 33))])
+    def test_matches_tensor_grid_load(self, dims1, dims2, monkeypatch):
+        # Window, set before the run: 1e-14 of the load's maximum (the two
+        # sums differ only in rounding; measured 7.7e-16 at p = 4, n = 255)
+        sp1 = make_space(*dims1, 0)
+        sp2 = sp1 if dims2 is None else make_space(*dims2, 0)
+        prob = get_preset("ex75")
+        grid = captured_rhs(sp1, sp2, dataclasses.replace(
+            prob, factors=None), monkeypatch)
+        factored = captured_rhs(sp1, sp2, prob, monkeypatch)
+        assert np.max(np.abs(factored - grid)) \
+            <= 1e-14 * np.max(np.abs(grid))
+
+    @pytest.mark.parametrize("kind", ["optimal", "full"])
+    def test_unfactored_problem_unchanged(self, kind, monkeypatch):
+        # without factors the load takes the row blocks, bitwise the
+        # block loop as it was before factored loads; on a full space the
+        # dense route then gives bitwise the solution it gave before
+        sp1 = make_space(kind, 3, 40, 0)
+        sp2 = make_space(kind, 4, 57, 0)
+        prob = dataclasses.replace(get_preset("ex75"), factors=None)
+        monkeypatch.setattr(poisson, "ROW_BLOCK", 7)
+        (xs1, ws1, phi1), (xs2, ws2, phi2) = (
+            poisson._quadrature_samples(sp) for sp in (sp1, sp2))
+        bb = np.zeros((sp1.knots.num_basis, sp2.knots.num_basis))
+        for lo in range(0, xs1.size, 7):
+            blk = slice(lo, lo + 7)
+            wf = np.asarray(prob.f(xs1[None, blk], xs2[:, None]), float)
+            wf *= ws2[:, None]
+            wf *= ws1[None, blk]
+            bb += phi1[0][blk].T @ (phi2[0].T @ wf).T
+        want = poisson._fold(sp2, poisson._fold(sp1, bb).T).T
+        assert np.array_equal(
+            captured_rhs(sp1, sp2, prob, monkeypatch), want)
+        if kind == "full":
+            u = fast_diagonalization_solve(
+                assemble_stiffness(sp1), assemble_mass(sp1),
+                assemble_stiffness(sp2), assemble_mass(sp2), want)
+            assert np.array_equal(
+                solve_poisson_2d(sp1, sp2, prob).coeffs, u)
+
+
 def full_grid_solve_2d(spec1, spec2, prob, correct):
     """Oracle for solve_poisson_2d: (coeffs, err_l2, err_h1) with the load
     and the error integrals taken over the whole nq1 x nq2 Gauss grid at
@@ -539,38 +728,43 @@ class TestPoisson2D:
     def test_square_problem_solved_once(self, correct, monkeypatch):
         # one space object for both directions: one assembly (one Gram
         # evaluation for the pencil and the correction alike), one sample
-        # grid, one trace fit and one eigensolve, with the same bits as
-        # two separately built copies of the space
+        # grid, one trace fit and one set of modes (one wave certificate
+        # on the optimal space, one eigensolve on the full one), with the
+        # same bits as two separately built copies of the space
         prob = get_preset("ex75")
-        two = solve_poisson_2d(make_space("optimal", 3, 12, 0),
-                               make_space("optimal", 3, 12, 0), prob,
-                               correct=correct)
         # the Gram evaluation and the congruences run inside
         # assembly._pencil, so they are counted where it looks them up
-        modules = {"generalized_eigen_sym": poisson, "_gram_bands": assembly,
+        modules = {"generalized_eigen_sym": poisson,
+                   "_certified_waves": poisson, "_gram_bands": assembly,
                    "_congruence": assembly, "grid_samples": poisson,
                    "bspline_gram": poisson}
-        calls = dict.fromkeys(modules, 0)
+        for kind, eigh, waves in (("optimal", 0, 1), ("full", 1, 0)):
+            two = solve_poisson_2d(make_space(kind, 3, 12, 0),
+                                   make_space(kind, 3, 12, 0), prob,
+                                   correct=correct)
+            calls = dict.fromkeys(modules, 0)
 
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
+            def counting(name, fn):
+                def wrapped(*args, **kwargs):
+                    calls[name] += 1
+                    return fn(*args, **kwargs)
+                return wrapped
 
-        for name, module in modules.items():
-            monkeypatch.setattr(module, name,
-                                counting(name, getattr(module, name)))
-        sp = make_space("optimal", 3, 12, 0)
-        one = solve_poisson_2d(sp, sp, prob, correct=correct)
-        assert calls == {"generalized_eigen_sym": 1, "_gram_bands": 1,
-                         "_congruence": 2,
-                         "grid_samples": 1,
-                         "bspline_gram": 0}
-        assert np.array_equal(one.coeffs, two.coeffs)
-        assert (one.err_l2, one.err_h1) == (two.err_l2, two.err_h1)
-        if correct:
-            assert np.array_equal(one.correction, two.correction)
+            with monkeypatch.context() as patch:
+                for name, module in modules.items():
+                    patch.setattr(module, name,
+                                  counting(name, getattr(module, name)))
+                sp = make_space(kind, 3, 12, 0)
+                one = solve_poisson_2d(sp, sp, prob, correct=correct)
+            assert calls == {"generalized_eigen_sym": eigh,
+                             "_certified_waves": waves, "_gram_bands": 1,
+                             "_congruence": 2,
+                             "grid_samples": 1,
+                             "bspline_gram": 0}
+            assert np.array_equal(one.coeffs, two.coeffs)
+            assert (one.err_l2, one.err_h1) == (two.err_l2, two.err_h1)
+            if correct:
+                assert np.array_equal(one.correction, two.correction)
 
     def test_broadcast_and_view_samples_kept(self):
         # The blocks are weighted and differenced in the arrays the problem
@@ -603,7 +797,8 @@ class TestPoisson2D:
     def test_row_blocks_match_full_grid(self, block, correct, monkeypatch):
         # mixed degrees, non-square: 7-row blocks straddle the 6-point
         # elements of direction 1 and leave a partial last block; 10**6
-        # rows make one block
+        # rows make one block.  ex75's load is factored; without its
+        # factors the load runs over the row blocks too.
         sp1 = make_space("optimal", 3, 40, 0)
         sp2 = make_space("optimal", 4, 57, 0)
         nq1 = poisson._quadrature_samples(sp1)[0].size
@@ -611,9 +806,10 @@ class TestPoisson2D:
         prob = get_preset("ex75")
         monkeypatch.setattr(poisson, "ROW_BLOCK", block)
         coeffs, err_l2, err_h1 = full_grid_solve_2d(sp1, sp2, prob, correct)
-        sol = solve_poisson_2d(sp1, sp2, prob, correct=correct)
-        assert np.max(np.abs(sol.coeffs - coeffs)) \
-            <= 1e-12 * np.max(np.abs(coeffs))
+        for case in (prob, dataclasses.replace(prob, factors=None)):
+            sol = solve_poisson_2d(sp1, sp2, case, correct=correct)
+            assert np.max(np.abs(sol.coeffs - coeffs)) \
+                <= 1e-12 * np.max(np.abs(coeffs))
         # The corrected errors sit about 1e-7 below |u|, so the round-off
         # of the coefficients alone moves them by up to ~1e-11 relative.
         # The error integrals are therefore compared on the oracle's
@@ -621,8 +817,7 @@ class TestPoisson2D:
         # where the solve takes class tables (they differ by about eps/h
         # of each column's maximum, and the correction is fitted on them):
         # then only the blocking of the sums differs.
-        monkeypatch.setattr(poisson, "fast_diagonalization_solve",
-                            lambda *args: coeffs)
+        monkeypatch.setattr(poisson, "_tensor_solve", lambda *args: coeffs)
         monkeypatch.setattr(poisson, "_quadrature_samples",
                             per_point_samples)
         sol = solve_poisson_2d(sp1, sp2, prob, correct=correct)

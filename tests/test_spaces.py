@@ -16,7 +16,8 @@ from eigenspline import (
     reduced_basis_matrix,
 )
 from eigenspline import assembly
-from eigenspline.spaces import _layout_params, _wave_centres
+from eigenspline.spaces import _layout_params
+from exact_modes import wave_centres
 
 # explicit extraction matrices for small spaces, rows = basis functions,
 # columns = scaled cardinal B-splines on the matching knot sequence
@@ -250,7 +251,7 @@ class TestSparseExtraction:
             wave = np.cos if bc == 1 else np.sin
             t = 0.5 * (sp.knots.values[:-p - 1] + sp.knots.values[p + 1:])
             assert_allclose(sp.extraction.T @ wave(np.outer(
-                _wave_centres(sp), omega)), wave(np.outer(t, omega)),
+                wave_centres(sp), omega)), wave(np.outer(t, omega)),
                 rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("kind,p,bc", [

@@ -28,10 +28,9 @@ from eigenspline.cli import main
 from eigenspline.reports import StudyConfig, run_spectrum_study
 from eigenspline.spectrum import EFUN_BLOCK
 from eigenspline.splines import bspline_eval_batch
-from eigenspline.spaces import _wave_centres
 from exact_modes import (eigval_upper_bound, eigval_upper_bound_sharp,
                          exact_eigenfunction, symbol_frequencies_mp,
-                         wave_amplitudes_mp, wave_vectors)
+                         wave_amplitudes_mp, wave_centres, wave_vectors)
 from kernel_oracles import band_matvec
 from kernel_oracles import eigenfunction_errors as loop_errors
 
@@ -514,7 +513,7 @@ def _loop_wave_check(sp, s, m):
     res = sv - lam * mv
     ref = np.sqrt([np.einsum("ik,ik->k", sv, sv),
                    np.einsum("ik,ik->k", res, res)])
-    sampled = eps * (1.0 + np.outer(_wave_centres(sp),
+    sampled = eps * (1.0 + np.outer(wave_centres(sp),
                                     exact_frequencies(sp.bc, n)))
     absolute, carried = [], []
     for a in (s, m):
@@ -1103,7 +1102,7 @@ def _wave_quotients(sp):
     """Rayleigh quotients of the sampled waves on the assembled pencil,
     as the wave certificate builds the waves, in blocks of columns."""
     s, m = assemble_stiffness(sp), assemble_mass(sp)
-    c = _wave_centres(sp)
+    c = wave_centres(sp)
     omega = exact_frequencies(sp.bc, sp.n)
     wave = np.cos if sp.bc == BoundaryType.NEUMANN else np.sin
     quotients = np.empty(sp.n)
